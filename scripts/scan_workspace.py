@@ -26,7 +26,8 @@ def parse_args():
     parser.add_argument("--resolution", type=int, default=41)
     parser.add_argument("--threshold", type=float, default=1e-3,
                         help="normalised det(Jp) threshold for the parallel label")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; has no effect (must be >= 1)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default="workspace_scan.csv")
     parser.add_argument("--sections", nargs="*", type=float, default=[],
@@ -36,6 +37,9 @@ def parse_args():
 
 def main():
     args = parse_args()
+    if args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return 1
     params = load_params(args.params) if args.params else REFERENCE_PARAMS
     spec = ScanSpec(
         x_range=(args.bounds[0], args.bounds[1]),
@@ -45,14 +49,14 @@ def main():
         singularity_threshold=args.threshold,
     )
     start = time.perf_counter()
-    samples = scan(spec, params, workers=args.workers)
+    samples = scan(spec, params)
     elapsed = time.perf_counter() - start
     export(samples, args.format, args.out)
     print(f"scanned {len(samples)} points in {elapsed:.1f} s -> {args.out}")
     for key, value in summary(samples).items():
         print(f"  {key}: {value}")
     for height in args.sections:
-        section = cross_section(spec, params, "z", height, workers=args.workers)
+        section = cross_section(spec, params, "z", height)
         stem, dot, ext = args.out.rpartition(".")
         path = f"{stem or args.out}_z{height:g}{dot}{ext}" if dot else f"{args.out}_z{height:g}"
         export(section, args.format, path)

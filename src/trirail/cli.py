@@ -123,8 +123,11 @@ def cmd_fk(ctx, ya1, ya2, ya3):
     cfg = ctx.obj
     params = _load(cfg["params_path"])
     try:
-        solutions = fk.solve(JointInputs(ya1, ya2, ya3), params,
-                             closure_tol=cfg["tol_closure"])
+        inputs = JointInputs(ya1, ya2, ya3)
+    except InvalidParameter as exc:
+        _fail(EXIT_CONFIG, str(exc))
+    try:
+        solutions = fk.solve(inputs, params, closure_tol=cfg["tol_closure"])
     except IndeterminateGamma as exc:
         _fail(EXIT_SINGULAR, str(exc))
     except TrirailError as exc:
@@ -178,7 +181,10 @@ def cmd_ik(ctx, x, y, z):
     """Inverse kinematics: all real rail inputs for a pose (mm)."""
     cfg = ctx.obj
     params = _load(cfg["params_path"])
-    pose = Pose(x, y, z)
+    try:
+        pose = Pose(x, y, z)
+    except InvalidParameter as exc:
+        _fail(EXIT_CONFIG, str(exc))
     try:
         solutions = ik.solve(pose, params, closure_tol=cfg["tol_closure"],
                              roundtrip_tol=cfg["tol_closure"])
@@ -236,8 +242,9 @@ def cmd_ik(ctx, x, y, z):
 @click.option("--section", nargs=2, default=None, metavar="AXIS VALUE",
               help="Scan a planar cross-section instead of the full box, "
                    "e.g. --section z 300.")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Worker processes for the per-point sweep.")
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Accepted for compatibility; has no effect (the scan runs in "
+                   "one process, one x-plane per numpy pass).")
 @click.pass_context
 def cmd_workspace(ctx, bounds, resolution, section, workers):
     """Scan a box (or one cross-section), write samples, print counts."""
@@ -256,10 +263,9 @@ def cmd_workspace(ctx, bounds, resolution, section, workers):
         )
         if section:
             axis, value = section
-            samples = workspace.cross_section(spec, params, axis, float(value),
-                                              workers=workers)
+            samples = workspace.cross_section(spec, params, axis, float(value))
         else:
-            samples = workspace.scan(spec, params, workers=workers)
+            samples = workspace.scan(spec, params)
     except (InvalidParameter, OutOfRange, ValueError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     workspace.export(samples, fmt, cfg["out"])

@@ -128,6 +128,15 @@ class Pose:
     def __post_init__(self):
         _check_finite(self, ("x", "y", "z"))
 
+    @classmethod
+    def _trusted(cls, x: float, y: float, z: float) -> "Pose":
+        """Pose from coordinates already known to be finite floats, unvalidated."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "x", x)
+        object.__setattr__(pose, "y", y)
+        object.__setattr__(pose, "z", z)
+        return pose
+
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 

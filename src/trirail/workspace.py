@@ -16,16 +16,31 @@ singularity regardless of the pose; classifying those would paint the
 entire workspace singular.  Labels therefore come from the working
 (non-degenerate) assemblies, with the degenerate ones consulted only when
 nothing else exists (exact boundary poses).
+
+:func:`sample_point` states these rules one pose at a time and is the
+reference.  :func:`scan` and :func:`cross_section` apply them with numpy,
+one x-plane at a time: the distal angles depend only on x, so each plane
+labels all of its (y, z) points across the 32 sign branches in one pass,
+and memory holds one plane, never the whole grid.  The two agree bit for
+bit, which keeps exports byte-identical, because the kernel
+
+* computes the distal angles, their sines, cosines and cotangents once
+  per x as Python scalars (``math``, never ``np.sin``/``np.arccos``);
+* evaluates every grid expression in the scalar path's operation order;
+* takes row norms with ``np.matmul`` of stacked rows, which calls the
+  same BLAS dot as ``np.dot`` (``einsum`` or ``(r * r).sum(-1)`` differ
+  in the last ulp for some rows).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import ik, jacobian
+import numpy as np
+
+from . import fk, ik, jacobian
 from .errors import CotangentSingular, InvalidParameter, OutOfRange, Unreachable
 from .jacobian import SingularityKind
 from .params import Pose, ValidatedParams
@@ -36,6 +51,7 @@ _SEVERITY = {
     SingularityKind.PARALLEL: 2,
     SingularityKind.COMPREHENSIVE: 3,
 }
+_KINDS = sorted(_SEVERITY, key=_SEVERITY.get)
 
 CSV_HEADER = "x,y,z,feasible,real_solution_count,min_norm_det_jp,min_norm_det_jq,class"
 
@@ -78,7 +94,7 @@ class WorkspaceSample:
 def _axis_values(bounds: tuple[float, float], n: int) -> list[float]:
     lo, hi = bounds
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    return [float(lo + i * step) for i in range(n)]
 
 
 def sample_point(pose: Pose, params: ValidatedParams, threshold: float) -> WorkspaceSample:
@@ -110,37 +126,138 @@ def sample_point(pose: Pose, params: ValidatedParams, threshold: float) -> Works
     return WorkspaceSample(pose, True, len(solutions), min_jp, min_jq, worst)
 
 
-def _sample_chunk(args) -> list[WorkspaceSample]:
-    poses, params, threshold = args
-    return [sample_point(pose, params, threshold) for pose in poses]
+_AXES = ("x", "y", "z")
+
+
+def _planes(spec: ScanSpec, axis: str | None = None, value: float | None = None):
+    """The grid as ``(x, ys, zs)`` groups in row-major order.
+
+    Each group is one x-plane: every (y, z) of ``ys`` x ``zs`` at that x.
+    With ``axis`` set, that axis holds only ``value`` (a cross-section).
+    """
+    xs, ys, zs = (_axis_values(r, spec.resolution)
+                  for r in (spec.x_range, spec.y_range, spec.z_range))
+    if axis == "x":
+        xs = [value]
+    elif axis == "y":
+        ys = [value]
+    elif axis == "z":
+        zs = [value]
+    for x in xs:
+        yield x, ys, zs
+
+
+def _at(values, axis: int) -> np.ndarray:
+    """``values`` laid along one branch axis: alpha, beta, root sign of chain 1, 2, 3."""
+    shape = [1] * 6
+    shape[axis] = len(values)
+    return np.asarray(values, dtype=float).reshape(shape)
+
+
+def _norms(*row) -> np.ndarray:
+    """Euclidean norms of stacked 3-vectors, bitwise equal to ``sqrt(np.dot(r, r))``."""
+    r = np.stack(np.broadcast_arrays(*row), axis=-1)
+    return np.sqrt(np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0])
+
+
+def _label_plane(x: float, ys, zs, params: ValidatedParams, threshold: float):
+    """Per-point (solution count, min |norm det Jp|, min |norm det Jq|, worst
+    severity) lists over the points ``ys`` x ``zs`` at ``x``, row-major.
+
+    Arrays run over (alpha, beta, s1, s2, s3, point); every branch decision
+    is the one :func:`ik.solve`, :func:`jacobian.build` and
+    :func:`jacobian.classify` make for that branch.
+    """
+    l1, l2, l3, l6 = params.l1, params.l2, params.l3, params.l6
+    try:
+        alpha_base = ik._clamped_acos((x + params.b - params.d) / params.l4, "alpha")
+        beta_base = ik._clamped_acos((x + params.d - params.b) / params.l6, "beta")
+    except Unreachable:
+        n = len(ys) * len(zs)
+        return [0] * n, [math.nan] * n, [math.nan] * n, [0] * n
+    # 0 and pi are their own mirror images: one elbow, not two
+    alphas = [alpha_base] if alpha_base in (0.0, math.pi) else [alpha_base, -alpha_base]
+    betas = [beta_base] if beta_base in (0.0, math.pi) else [beta_base, -beta_base]
+    sin_a = [math.sin(a) for a in alphas]
+    sin_b = [math.sin(b) for b in betas]
+    fold_a = [abs(s) < jacobian.COT_GUARD for s in sin_a]
+    fold_b = [abs(s) < jacobian.COT_GUARD for s in sin_b]
+    # a folded elbow has no velocity model, so its cotangent is never read
+    cot_a = [0.0 if f else math.cos(a) / s for a, s, f in zip(alphas, sin_a, fold_a)]
+    cot_b = [0.0 if f else math.cos(b) / s for b, s, f in zip(betas, sin_b, fold_b)]
+
+    Y = np.repeat(np.asarray(ys, dtype=float), len(zs))
+    Z = np.tile(np.asarray(zs, dtype=float), len(ys))
+    y_c1, y_c2, y_c3 = Y + l3 / 2.0, Y - l3 / 2.0, Y
+    h12 = (Z - _at([params.l4 * s for s in sin_a], 0)) - l1
+    h3 = (Z - params.l8 - _at([l6 * s for s in sin_b], 1) - params.l7) - l1
+    M1 = l2 * l2 - h12 * h12
+    M3 = l6 * l6 - h3 * h3
+    with np.errstate(invalid="ignore"):
+        root_1 = np.sqrt(M1)
+        root_3 = np.sqrt(M3)
+    s1, s2, s3 = (_at([1.0, -1.0], axis) for axis in (2, 3, 4))
+    yA1 = y_c1 + s1 * root_1
+    yA2 = y_c2 + s2 * root_1
+    yA3 = y_c3 + s3 * root_3
+    u11, u22, u33 = y_c1 - yA1, y_c2 - yA2, y_c3 - yA3
+
+    shape = (len(alphas), len(betas), 2, 2, 2, len(Y))
+
+    def branches(a):
+        return np.broadcast_to(a, shape).reshape(-1, len(Y))
+
+    # a zero radicand merges the two roots of its chain into one branch
+    exists = branches((M1 >= 0.0) & (M3 >= 0.0)
+                      & ((s1 > 0) | (root_1 != 0.0)) & ((s2 > 0) | (root_1 != 0.0))
+                      & ((s3 > 0) | (root_3 != 0.0)))
+    working = exists & branches(np.abs((yA1 - l3) - yA2) > fk.EPS_B)
+    chosen = np.where(working.any(axis=0), working, exists)
+
+    j0 = _at(cot_a, 0) * h12
+    j2 = _at(cot_b, 1) * h3
+    det = (j0 * (u22 * h3 - h12 * u33)
+           - u11 * (j0 * h3 - h12 * j2)
+           + h12 * (j0 * u33 - u22 * j2))
+    # no row vanishes: u**2 + h**2 = l**2 on every branch
+    norm_det_jp = det / (_norms(j0, u11, h12) * _norms(j0, u22, h12) * _norms(j2, u33, h3))
+    norm_det_jq = (u11 / l2) * (u22 / l2) * (u33 / l6)
+    serial = ((np.abs(u11) / l2 <= jacobian.SERIAL_THRESHOLD)
+              | (np.abs(u22) / l2 <= jacobian.SERIAL_THRESHOLD)
+              | (np.abs(u33) / l6 <= jacobian.SERIAL_THRESHOLD))
+    parallel = np.abs(norm_det_jp) <= threshold
+    fold = np.logical_or(_at(fold_a, 0), _at(fold_b, 1))
+    severity = np.where(fold, _SEVERITY[SingularityKind.SERIAL],
+                        serial * _SEVERITY[SingularityKind.SERIAL]
+                        + parallel * _SEVERITY[SingularityKind.PARALLEL])
+    classified = chosen & ~branches(fold)
+
+    def smallest(values):
+        least = np.where(classified, branches(np.abs(values)), np.inf).min(axis=0)
+        return np.where(classified.any(axis=0), least, np.nan).tolist()
+
+    return (exists.sum(axis=0).tolist(), smallest(norm_det_jp), smallest(norm_det_jq),
+            np.where(chosen, branches(severity), 0).max(axis=0).tolist())
+
+
+def _kernel(planes, params: ValidatedParams, threshold: float) -> list[WorkspaceSample]:
+    """:func:`sample_point` of every point of ``planes``, one x-plane per numpy pass."""
+    out: list[WorkspaceSample] = []
+    for x, ys, zs in planes:
+        # grid coordinates come from a ScanSpec, which checked them finite
+        poses = [Pose._trusted(x, y, z) for y in ys for z in zs]
+        out.extend(WorkspaceSample(p, True, n, jp, jq, _KINDS[k]) if n else
+                   WorkspaceSample(p, False, 0, math.nan, math.nan, None)
+                   for p, n, jp, jq, k in zip(poses, *_label_plane(x, ys, zs, params, threshold)))
+    return out
 
 
 def scan(spec: ScanSpec, params: ValidatedParams, *, workers: int = 1) -> list[WorkspaceSample]:
     """One sample per grid point in row-major (x, then y, then z) order.
 
-    ``workers > 1`` fans the per-point work over processes; the output
-    order and values are identical regardless of worker count.
+    ``workers`` is accepted for compatibility and has no effect.
     """
-    xs = _axis_values(spec.x_range, spec.resolution)
-    ys = _axis_values(spec.y_range, spec.resolution)
-    zs = _axis_values(spec.z_range, spec.resolution)
-    poses = [Pose(x, y, z) for x in xs for y in ys for z in zs]
-    return _map_samples(poses, params, spec.singularity_threshold, workers)
-
-
-def _map_samples(poses, params, threshold, workers) -> list[WorkspaceSample]:
-    if workers <= 1:
-        return [sample_point(pose, params, threshold) for pose in poses]
-    chunk = max(1, (len(poses) + workers - 1) // workers)
-    chunks = [(poses[i:i + chunk], params, threshold) for i in range(0, len(poses), chunk)]
-    out: list[WorkspaceSample] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_sample_chunk, chunks):
-            out.extend(part)
-    return out
-
-
-_AXES = {"x": 0, "y": 1, "z": 2}
+    return _kernel(_planes(spec), params, spec.singularity_threshold)
 
 
 def cross_section(
@@ -155,24 +272,15 @@ def cross_section(
 
     ``axis`` is one of "x", "y", "z"; ``value`` must lie within the spec's
     (inclusive) range on that axis, else :class:`OutOfRange`.  Samples run
-    row-major over the two remaining axes.
+    row-major over the two remaining axes.  ``workers`` has no effect.
     """
     key = axis.lower()
     if key not in _AXES:
         raise InvalidParameter("axis", f"must be one of x, y, z, got {axis!r}")
-    bounds = (spec.x_range, spec.y_range, spec.z_range)[_AXES[key]]
+    bounds = (spec.x_range, spec.y_range, spec.z_range)[_AXES.index(key)]
     if not (bounds[0] <= value <= bounds[1]):
         raise OutOfRange(f"{key} = {value:g} outside scan range [{bounds[0]:g}, {bounds[1]:g}]")
-    xs = _axis_values(spec.x_range, spec.resolution)
-    ys = _axis_values(spec.y_range, spec.resolution)
-    zs = _axis_values(spec.z_range, spec.resolution)
-    if key == "x":
-        poses = [Pose(value, y, z) for y in ys for z in zs]
-    elif key == "y":
-        poses = [Pose(x, value, z) for x in xs for z in zs]
-    else:
-        poses = [Pose(x, y, value) for x in xs for y in ys]
-    return _map_samples(poses, params, spec.singularity_threshold, workers)
+    return _kernel(_planes(spec, key, float(value)), params, spec.singularity_threshold)
 
 
 def _float_repr(value: float) -> str:

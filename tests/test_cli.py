@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -86,6 +90,11 @@ class TestFk:
         result = runner.invoke(main, ["fk", "0", "-150", "500"])
         assert result.exit_code == 2
 
+    def test_non_finite_input_is_config_error(self, runner):
+        result = runner.invoke(main, ["fk", "nan", "0", "0"])
+        assert result.exit_code == 1
+        assert "error: yA1" in result.output
+
     def test_degree_rendering(self, runner):
         rad = json.loads(runner.invoke(
             main, ["--format", "json", "fk", "162.6907", "-143.3209", "-24.6776"]
@@ -126,6 +135,13 @@ class TestIk:
         result = runner.invoke(main, ["ik", "200", "0", "300"])
         assert result.exit_code == 2
         assert "arccos domain" in result.output
+
+    @pytest.mark.parametrize("pose, name", [(("nan", "0", "300"), "x"), (("0", "0", "inf"), "z")])
+    def test_non_finite_pose_is_config_error(self, runner, pose, name):
+        result = runner.invoke(main, ["ik", *pose])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {name}" in result.output
 
     def test_roundtrip_composition(self, runner):
         ik_payload = json.loads(runner.invoke(
@@ -188,6 +204,36 @@ class TestWorkspace:
             "--resolution", "5", "--section", "z", "90",
         ])
         assert result.exit_code == 1
+
+    def test_workers_is_an_accepted_no_op(self, runner, tmp_path):
+        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["workspace", *self.BOUNDS, "--resolution", "3"]
+        assert runner.invoke(main, ["--out", str(out_a), *args]).exit_code == 0
+        assert runner.invoke(main, ["--out", str(out_b), *args, "--workers", "2"]).exit_code == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_rejected(self, runner, tmp_path, workers):
+        out = tmp_path / "scan.csv"
+        result = runner.invoke(main, [
+            "--out", str(out), "workspace", *self.BOUNDS, "--resolution", "3",
+            "--workers", workers,
+        ])
+        assert result.exit_code == 1
+        assert not out.exists()
+
+    def test_scan_script_rejects_workers_below_one(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        out = tmp_path / "scan.csv"
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "scan_workspace.py"),
+             "--resolution", "2", "--workers", "0", "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 1
+        assert "error: --workers" in proc.stderr
+        assert not out.exists()
 
     def test_json_format(self, runner, tmp_path):
         out = tmp_path / "scan.json"

@@ -2,12 +2,15 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trirail import ik, workspace
 from trirail.errors import InvalidParameter, OutOfRange
 from trirail.jacobian import SingularityKind
 from trirail.params import Pose, REFERENCE_PARAMS
 from trirail.workspace import ScanSpec, cross_section, export, scan, summary
+
+from test_geometry_variants import SPACER_PARAMS
 
 
 def rows(samples):
@@ -221,3 +224,55 @@ class TestLabels:
         assert counts["feasible"] == sum(1 for s in samples if s.feasible)
         assert counts["feasible"] == (counts["regular"] + counts["serial"]
                                       + counts["parallel"] + counts["comprehensive"])
+
+
+def grid(bounds, n):
+    lo, hi = bounds
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n)]
+
+
+def oracle(spec, params, axis=None, value=None):
+    """``sample_point`` one pose at a time over the grid, in row-major order."""
+    axes = [grid(r, spec.resolution) for r in (spec.x_range, spec.y_range, spec.z_range)]
+    if axis is not None:
+        axes["xyz".index(axis)] = [value]
+    return [workspace.sample_point(Pose(x, y, z), params, spec.singularity_threshold)
+            for x in axes[0] for y in axes[1] for z in axes[2]]
+
+
+class TestKernelMatchesSamplePoint:
+    """The array kernel behind scan/cross_section against the scalar oracle."""
+
+    @pytest.mark.parametrize("spec, axis, value", [
+        pytest.param(ScanSpec(resolution=21, **REFERENCE_BOX), None, None, id="box-21"),
+        # alpha_base = 0: one alpha elbow, every branch folds
+        pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "x", 80.0, id="fold-x80"),
+        # beta_base = pi: one beta elbow, every branch folds
+        pytest.param(ScanSpec(x_range=(-140.0, 90.0), y_range=(-250.0, 250.0),
+                              z_range=(180.0, 480.0), resolution=21), "x", -130.0,
+                     id="fold-x-130"),
+        # contains the M3 = 0 pose (-38, 0, 444): merged chain-3 root
+        pytest.param(ScanSpec(x_range=(-48.0, -28.0), y_range=(-10.0, 10.0),
+                              z_range=(434.0, 454.0), resolution=3), None, None,
+                     id="stroke-boundary"),
+        pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "x", -15.4714, id="x-section"),
+        pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "y", 9.6849, id="y-section"),
+    ])
+    def test_reference_grids(self, spec, axis, value):
+        samples = scan(spec, P) if axis is None else cross_section(spec, P, axis, value)
+        assert rows(samples) == rows(oracle(spec, P, axis, value))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        params=st.sampled_from([P, SPACER_PARAMS]),
+        corner=st.tuples(st.floats(-350.0, 150.0), st.floats(-300.0, 300.0),
+                         st.floats(0.0, 600.0)),
+        size=st.tuples(st.floats(1.0, 250.0), st.floats(1.0, 300.0), st.floats(1.0, 300.0)),
+        resolution=st.integers(2, 4),
+        threshold=st.floats(1e-6, 0.5),
+    )
+    def test_random_boxes(self, params, corner, size, resolution, threshold):
+        spec = ScanSpec(*((lo, lo + width) for lo, width in zip(corner, size)),
+                        resolution=resolution, singularity_threshold=threshold)
+        assert rows(scan(spec, params)) == rows(oracle(spec, params))
