@@ -60,11 +60,6 @@ class FkBranch:
     t_sign: int
     alpha_sign: int
 
-    def __post_init__(self):
-        for name in ("sin_gamma_sign", "t_sign", "alpha_sign"):
-            if getattr(self, name) not in (1, -1):
-                raise ValueError(f"{name} must be +1 or -1")
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.sin_gamma_sign, self.t_sign, self.alpha_sign)
 
@@ -150,7 +145,11 @@ def _alpha_coefficients(t: float, params: ValidatedParams) -> tuple[float, float
 
 
 def _alpha_candidates(t: float, params: ValidatedParams):
-    """(sign, alpha) pairs solving J1*sin + J2*cos + J3 = 0, beta-filtered."""
+    """(sign, alpha, beta) triples solving J1*sin + J2*cos + J3 = 0.
+
+    Roots whose recovered beta leaves the unit circle are dropped.  Raises
+    :class:`AlphaUnreachable` when no real angle exists.
+    """
     J1, J2, J3 = _alpha_coefficients(t, params)
     disc = J1 * J1 + J2 * J2 - J3 * J3
     if disc < 0.0:
@@ -171,21 +170,12 @@ def _alpha_candidates(t: float, params: ValidatedParams):
         raise AlphaUnreachable("degenerate half-angle equation (J1 = 0 and J2 = J3)")
     out = []
     for sign, alpha in raw:
-        if _recover_beta(alpha, t, params) is not None:
-            out.append((sign, alpha))
+        beta = _recover_beta(alpha, t, params)
+        if beta is not None:
+            out.append((sign, alpha, beta))
     if disc == 0.0 and len(out) == 2:
         out = out[:1]  # double root
     return out, (J1, J2, J3)
-
-
-def solve_alpha(t: float, params: ValidatedParams) -> tuple[float, ...]:
-    """Distal-link angles for a given chain offset t.
-
-    Candidates whose recovered beta leaves the unit circle are discarded.
-    Raises :class:`AlphaUnreachable` when no real angle exists.
-    """
-    candidates, _ = _alpha_candidates(t, params)
-    return tuple(alpha for _, alpha in candidates)
 
 
 def _recover_beta(alpha: float, t: float, params: ValidatedParams):
@@ -258,14 +248,11 @@ def enumerate_candidates(
                 alphas, (J1, J2, J3) = _alpha_candidates(t, params)
             except AlphaUnreachable:
                 continue
-            for alpha_sign, alpha in alphas:
-                beta = _recover_beta(alpha, t, params)
-                if beta is None:
-                    continue
-                pose = Pose(
-                    x=-b + l4 * math.cos(alpha) + d,
-                    y=y,
-                    z=l1 + l2 * sin_gamma + l4 * math.sin(alpha),
+            for alpha_sign, alpha, beta in alphas:
+                pose = Pose._trusted(
+                    -b + l4 * math.cos(alpha) + d,
+                    y,
+                    l1 + l2 * sin_gamma + l4 * math.sin(alpha),
                 )
                 inter = FkIntermediates(
                     A=2.0 * l2, B=B, gamma=gamma, alpha=alpha, beta=beta,
@@ -333,9 +320,10 @@ def solve_at_gamma(
     At the B = 0 singularity the loop equations leave gamma free, so
     :func:`solve` refuses; a caller that knows the angle (for instance
     from an inverse solution whose configuration is being re-checked) can
-    still close the remaining chain through this entry point.  The full
-    residual filter applies: a pinned gamma off the closure circle yields
-    no solutions.
+    still close the remaining chain through this entry point.  Away from
+    it, passing one elbow of :func:`solve_gamma` gives that elbow's share
+    of :func:`solve`.  The full residual filter applies: a pinned gamma off
+    the closure circle yields no solutions.
     """
     return _finish(
         enumerate_candidates(inputs, params, cos_gamma, (sin_gamma,)), closure_tol

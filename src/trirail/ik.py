@@ -13,8 +13,14 @@ root signs agree, ``yA1 - yA2 = l3`` exactly, i.e. the solution sits on
 the parallel singularity of the planar loop.  Such configurations are
 genuine static assemblies but the direct map cannot re-derive the pose
 from the inputs alone; the round-trip check pins the loop angle from the
-solution itself and verifies the pose lies in the singular family.  The
-``roundtrip`` field records which route confirmed each solution.
+solution itself and verifies the pose lies in the singular family.
+
+Every other solution is confirmed by the direct map on its own planar-loop
+elbow: cos(gamma) is re-derived from the rails, and the sign of sin(gamma)
+is the one the solution fixes through ``zC1 - l1``.  Both routes end in one
+:func:`fk.solve_at_gamma` call, which still enumerates both t roots and
+both alpha roots under the full residual filter.  The ``roundtrip`` field
+records which route confirmed each solution.
 """
 
 from __future__ import annotations
@@ -55,9 +61,10 @@ class IkSolution:
     serial_witnesses: tuple[int, ...]
     #: rails 1/2 spaced exactly l3 apart: planar-loop parallel singularity.
     parallel_singular: bool
-    #: "direct" (plain FK reproduced the pose), "singular-family" (FK with
-    #: the loop angle pinned from this solution reproduced it), "failed",
-    #: or "skipped" when checking was disabled.
+    #: "direct" (FK on this solution's own gamma elbow, cos(gamma) from the
+    #: rails, reproduced the pose), "singular-family" (FK with the loop angle
+    #: pinned from this solution reproduced it), "failed", or "skipped" when
+    #: checking was disabled.
     roundtrip: str
     roundtrip_residual: float
 
@@ -87,14 +94,15 @@ def _roundtrip(
     if parallel_singular:
         cos_gamma = (y_c1 - inputs.yA1) / params.l2
         sin_gamma = (z_c1 - params.l1) / params.l2
-        solutions = fk.solve_at_gamma(inputs, params, cos_gamma, sin_gamma,
-                                      closure_tol=closure_tol)
         mode = "singular-family"
     else:
-        solutions = fk.solve(inputs, params, closure_tol=closure_tol)
+        cos_gamma, (sin_gamma, _) = fk.solve_gamma(inputs, params)
+        # the branch's own elbow; sin = 0 is a single elbow, kept as +0.0 like fk.solve
+        if z_c1 < params.l1 and sin_gamma:
+            sin_gamma = -sin_gamma
         mode = "direct"
     best = math.inf
-    for sol in solutions:
+    for sol in fk.solve_at_gamma(inputs, params, cos_gamma, sin_gamma, closure_tol=closure_tol):
         dev = max(abs(sol.pose.x - pose.x), abs(sol.pose.y - pose.y), abs(sol.pose.z - pose.z))
         if dev < best:
             best = dev
@@ -151,10 +159,8 @@ def solve(
             )
             merged = tuple(i + 1 for i, signs in enumerate(sign_sets) if len(signs) == 1)
             for s1, s2, s3 in product(*sign_sets):
-                inputs = JointInputs(
-                    yA1=y_c1 + s1 * root_1,
-                    yA2=y_c2 + s2 * root_1,
-                    yA3=y_c3 + s3 * root_3,
+                inputs = JointInputs._trusted(
+                    y_c1 + s1 * root_1, y_c2 + s2 * root_1, y_c3 + s3 * root_3,
                 )
                 B = inputs.yA1 - l3 - inputs.yA2
                 parallel_singular = abs(B) <= fk.EPS_B

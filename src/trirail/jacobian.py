@@ -173,8 +173,11 @@ def classify(
         norm_det_jp = pair.det_jp / (norms[0] * norms[1] * norms[2])
         parallel_witness = None
         if abs(norm_det_jp) <= threshold:
+            units = [(r / n).tolist() for r, n in zip(rows, norms)]
             for i, j in ((0, 1), (0, 2), (1, 2)):
-                cross = np.cross(rows[i] / norms[i], rows[j] / norms[j])
+                (a0, a1, a2), (b0, b1, b2) = units[i], units[j]
+                # np.cross written out: the same IEEE operations without its per-call overhead
+                cross = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
                 if float(np.sqrt(np.dot(cross, cross))) <= threshold:
                     parallel_witness = f"rows {i + 1},{j + 1} dependent"
                     break

@@ -113,6 +113,15 @@ class JointInputs:
     def __post_init__(self):
         _check_finite(self, ("yA1", "yA2", "yA3"))
 
+    @classmethod
+    def _trusted(cls, yA1: float, yA2: float, yA3: float) -> "JointInputs":
+        """Inputs from rail positions already known to be finite floats, unvalidated."""
+        inputs = object.__new__(cls)
+        object.__setattr__(inputs, "yA1", yA1)
+        object.__setattr__(inputs, "yA2", yA2)
+        object.__setattr__(inputs, "yA3", yA3)
+        return inputs
+
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.yA1, self.yA2, self.yA3)
 

@@ -122,6 +122,9 @@ class TestIk:
             for s in payload["solutions"]
         )
         assert best <= 5e-2
+        routes = [s["roundtrip"] for s in payload["solutions"]]
+        assert routes.count("direct") == 4 and routes.count("singular-family") == 4
+        assert all(s["roundtrip_residual"] <= 1e-6 for s in payload["solutions"])
 
     def test_per_branch_singularity_classes(self, runner):
         payload = json.loads(runner.invoke(

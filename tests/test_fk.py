@@ -94,8 +94,15 @@ class TestSolveT:
 
 
 class TestSolveAlpha:
+    """``fk._alpha_candidates``: (sign, alpha, beta) triples for a chain offset t."""
+
+    @staticmethod
+    def alphas(t):
+        candidates, _ = fk._alpha_candidates(t, P)
+        return [alpha for _, alpha, _ in candidates]
+
     def test_worked_example_contains_documented_root(self):
-        alphas = fk.solve_alpha(-39.9945, P)
+        alphas = self.alphas(-39.9945)
         matches = [a for a in alphas
                    if math.cos(a) == pytest.approx(0.469603, abs=1e-5)
                    and math.sin(a) == pytest.approx(0.882877, abs=1e-5)]
@@ -105,23 +112,24 @@ class TestSolveAlpha:
         for t in (-39.9945, -100.0, 150.0, 0.0):
             from trirail.fk import _alpha_coefficients
             J1, J2, J3 = _alpha_coefficients(t, P)
-            for alpha in fk.solve_alpha(t, P):
+            for alpha in self.alphas(t):
                 assert J1 * math.sin(alpha) + J2 * math.cos(alpha) + J3 == pytest.approx(
                     0.0, abs=1e-6
                 )
 
     def test_triangle_inequality(self):
         with pytest.raises(AlphaUnreachable):
-            fk.solve_alpha(P.l4 + P.l6 + 1.0, P)
+            fk._alpha_candidates(P.l4 + P.l6 + 1.0, P)
 
     def test_t_zero_roots_are_symmetric_and_close_the_x_loop(self):
-        alphas = fk.solve_alpha(0.0, P)
-        assert len(alphas) == 2
-        assert alphas[0] == pytest.approx(-alphas[1], abs=1e-12)
-        for alpha in alphas:
+        candidates, _ = fk._alpha_candidates(0.0, P)
+        assert len(candidates) == 2
+        assert candidates[0][1] == pytest.approx(-candidates[1][1], abs=1e-12)
+        for _, alpha, beta in candidates:
             sin_b = (P.l4 * math.sin(alpha) - 0.0) / P.l6
             cos_b = (P.l4 * math.cos(alpha) + 2 * P.d - 2 * P.b) / P.l6
             assert sin_b ** 2 + cos_b ** 2 == pytest.approx(1.0, abs=1e-12)
+            assert beta == math.atan2(sin_b, cos_b)
 
 
 class TestSolve:

@@ -10,6 +10,7 @@ from trirail.errors import Unreachable
 from trirail.params import JointInputs, Pose, REFERENCE_PARAMS
 
 from conftest import random_feasible_inputs
+from test_workspace import REFERENCE_BOX, grid
 
 P = REFERENCE_PARAMS
 WORKED_POSE = Pose(-15.4714, 9.6849, 456.3315)
@@ -237,3 +238,52 @@ def test_roundtrip_against_random_fk_images():
                 if max(abs(a - b) for a, b in zip(s.inputs.as_tuple(), inputs.as_tuple())) <= 1e-6
             ]
             assert matches, (inputs, fk_sol.pose)
+
+
+def roundtrip_oracle(pose, sol):
+    """The round trip over the whole direct map: min pose deviation over both elbows.
+
+    Direct branches take every ``fk.solve`` answer; parallel-singular ones
+    pin gamma from the solution, as ``ik.solve`` does.
+    """
+    if sol.parallel_singular:
+        z_c1 = pose.z - P.l4 * math.sin(sol.alpha)
+        answers = fk.solve_at_gamma(sol.inputs, P, (pose.y + P.l3 / 2.0 - sol.inputs.yA1) / P.l2,
+                                    (z_c1 - P.l1) / P.l2)
+        mode = "singular-family"
+    else:
+        answers = fk.solve(sol.inputs, P)
+        mode = "direct"
+    best = min((max(abs(a.pose.x - pose.x), abs(a.pose.y - pose.y), abs(a.pose.z - pose.z))
+                for a in answers), default=math.inf)
+    return (mode if best <= ik.ROUNDTRIP_TOL else "failed"), best
+
+
+def grid_poses():
+    """Seeded poses of the 21^3 reference grid, both fold planes, two edge poses."""
+    xs, ys, zs = (grid(REFERENCE_BOX[k], 21) for k in ("x_range", "y_range", "z_range"))
+    rng = random.Random(2024)
+    box = [Pose(rng.choice(xs), rng.choice(ys), rng.choice(zs)) for _ in range(600)]
+    folds = [Pose(x, y, z) for x in (80.0, -130.0)
+             for y in grid(REFERENCE_BOX["y_range"], 5) for z in grid(REFERENCE_BOX["z_range"], 9)]
+    # x = d - b makes alpha = pi/2, so z = l1 + l4 puts C1 at rail-link height:
+    # sin(gamma) = 0 on the alpha > 0 branches and both elbows coincide
+    return box + folds + [boundary_pose_m3(), Pose(P.d - P.b, 0.0, P.l1 + P.l4)]
+
+
+def test_roundtrip_on_the_own_elbow_matches_the_full_direct_map():
+    zero_sin_gamma = 0
+    checked = 0
+    for pose in grid_poses():
+        try:
+            solutions = ik.solve(pose, P)
+        except Unreachable:
+            continue
+        for sol in solutions:
+            label, residual = roundtrip_oracle(pose, sol)
+            assert sol.roundtrip == label, (pose, sol.branch)
+            assert sol.roundtrip_residual.hex() == residual.hex(), (pose, sol.branch)
+            checked += 1
+            zero_sin_gamma += pose.z - P.l4 * math.sin(sol.alpha) == P.l1
+    assert checked > 500
+    assert zero_sin_gamma > 0
