@@ -14,24 +14,15 @@ import argparse
 import math
 import sys
 
-from trirail import fk, ik, jacobian
-from trirail.params import JointInputs, Pose, REFERENCE_PARAMS, load_params
-from trirail.verify import REFERENCE_INPUTS, matching_ik_solution
+from trirail import ik
+from trirail.params import Pose, REFERENCE_PARAMS, load_params
+from trirail.verify import rail_spacing_sweep
 
 
 def parallel_sweep(params, deltas, threshold):
     print("rail spacing approach: yA1 - yA2 = l3 + delta")
     print(f"{'delta (mm)':>12} {'B (mm)':>10} {'|norm det Jp|':>14} {'class':>14}")
-    for delta in deltas:
-        inputs = JointInputs(REFERENCE_INPUTS.yA1,
-                             REFERENCE_INPUTS.yA1 - params.l3 - delta,
-                             REFERENCE_INPUTS.yA3)
-        solution = next(s for s in fk.solve(inputs, params)
-                        if s.branch.as_tuple() == (1, 1, 1))
-        ik_solution = matching_ik_solution(solution.pose, inputs, params)
-        cls = jacobian.classify(
-            jacobian.build(solution.pose, ik_solution, params), params, threshold
-        )
+    for delta, cls in zip(deltas, rail_spacing_sweep(params, deltas, threshold)):
         print(f"{delta:>12g} {delta:>10g} {abs(cls.norm_det_jp):>14.3e} "
               f"{cls.kind.value:>14}")
 

@@ -197,7 +197,7 @@ def cmd_ik(ctx, x, y, z):
         "yA1": s.inputs.yA1, "yA2": s.inputs.yA2, "yA3": s.inputs.yA3,
         "branch": {"alpha": s.branch.alpha_sign, "beta": s.branch.beta_sign,
                    "roots": list(s.branch.root_signs)},
-        "M1": s.M1, "M2": s.M2, "M3": s.M3,
+        "M1": s.M1, "M2": s.M1, "M3": s.M3,
         "alpha": _angle(s.alpha, unit), "beta": _angle(s.beta, unit),
         "roundtrip": s.roundtrip,
         "roundtrip_residual": s.roundtrip_residual,

@@ -66,25 +66,16 @@ class FkBranch:
 
 @dataclass(frozen=True)
 class FkIntermediates:
-    """Loop-equation quantities behind a candidate, kept for diagnostics.
+    """The angles and chain offset that fix a candidate's configuration.
 
-    ``A = 2*l2`` and ``B = yA1 - l3 - yA2`` are the planar-loop
-    coefficients; H1/H2 drive the t-quadratic and J1/J2/J3 the half-angle
-    equation for alpha.  Angles are radians, lengths mm (H2 and the J's
-    are mm^2).
+    gamma, alpha and beta are radians; t is the parallelogram-chain
+    offset in mm.
     """
 
-    A: float
-    B: float
     gamma: float
     alpha: float
     beta: float
     t: float
-    H1: float
-    H2: float
-    J1: float
-    J2: float
-    J3: float
 
 
 @dataclass(frozen=True)
@@ -175,7 +166,7 @@ def _alpha_candidates(t: float, params: ValidatedParams):
             out.append((sign, alpha, beta))
     if disc == 0.0 and len(out) == 2:
         out = out[:1]  # double root
-    return out, (J1, J2, J3)
+    return out
 
 
 def _recover_beta(alpha: float, t: float, params: ValidatedParams):
@@ -226,7 +217,6 @@ def enumerate_candidates(
     cos(gamma) of the planar loop) need the rejected candidates too.
     """
     l1, l2, l3, l4, d, b = params.l1, params.l2, params.l3, params.l4, params.d, params.b
-    B = inputs.yA1 - params.l3 - inputs.yA2
     out: list[FkSolution] = []
     seen_sin = set()
     for sin_gamma in sin_gammas:
@@ -240,12 +230,10 @@ def enumerate_candidates(
             t_values = solve_t(gamma, inputs.yA3, y, params)
         except ChainIIUnreachable:
             continue
-        H1 = l2 * sin_gamma - params.l8 - params.l7
-        H2 = params.l6 * params.l6 - (y - inputs.yA3) * (y - inputs.yA3)
         for t_index, t in enumerate(t_values):
             t_sign = 1 if t_index == 0 else -1
             try:
-                alphas, (J1, J2, J3) = _alpha_candidates(t, params)
+                alphas = _alpha_candidates(t, params)
             except AlphaUnreachable:
                 continue
             for alpha_sign, alpha, beta in alphas:
@@ -254,10 +242,7 @@ def enumerate_candidates(
                     y,
                     l1 + l2 * sin_gamma + l4 * math.sin(alpha),
                 )
-                inter = FkIntermediates(
-                    A=2.0 * l2, B=B, gamma=gamma, alpha=alpha, beta=beta,
-                    t=t, H1=H1, H2=H2, J1=J1, J2=J2, J3=J3,
-                )
+                inter = FkIntermediates(gamma, alpha, beta, t)
                 vec = residuals(pose, inter, inputs, params)
                 out.append(FkSolution(
                     pose=pose,

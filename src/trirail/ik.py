@@ -51,8 +51,9 @@ class IkBranch:
 class IkSolution:
     inputs: JointInputs
     branch: IkBranch
+    #: chain-1 radicand; chains 1 and 2 share the attachment height, so
+    #: chain 2's radicand is M1 too.
     M1: float
-    M2: float
     M3: float
     alpha: float
     beta: float
@@ -139,9 +140,7 @@ def solve(
     for s_alpha in alpha_signs:
         alpha = s_alpha * alpha_base
         z_c1 = pose.z - params.l4 * math.sin(alpha)
-        z_c2 = z_c1
         M1 = l2 * l2 - (z_c1 - l1) * (z_c1 - l1)
-        M2 = l2 * l2 - (z_c2 - l1) * (z_c2 - l1)
         if M1 < 0.0:
             continue
         for s_beta in beta_signs:
@@ -174,7 +173,7 @@ def solve(
                 out.append(IkSolution(
                     inputs=inputs,
                     branch=IkBranch(s_alpha, s_beta, (s1, s2, s3)),
-                    M1=M1, M2=M2, M3=M3,
+                    M1=M1, M3=M3,
                     alpha=alpha, beta=beta,
                     serial_witnesses=merged,
                     parallel_singular=parallel_singular,
@@ -183,11 +182,3 @@ def solve(
                 ))
     out.sort(key=lambda s: (s.inputs.yA1, s.inputs.yA2, s.inputs.yA3, s.alpha, s.beta))
     return out
-
-
-def count_real(pose: Pose, params: ValidatedParams) -> int:
-    """Number of real inverse solutions (0-32); 0 for unreachable poses."""
-    try:
-        return len(solve(pose, params, check_roundtrip=False))
-    except Unreachable:
-        return 0

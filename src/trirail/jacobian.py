@@ -38,7 +38,7 @@ from .params import JointInputs, Pose, ValidatedParams
 COT_GUARD = 1e-9
 #: Default dimensionless threshold on the normalised det(Jp) (parallel test).
 SINGULARITY_THRESHOLD = 1e-3
-#: Default dimensionless threshold on normalised |u_ii| (serial test).  The
+#: Dimensionless threshold on normalised |u_ii| (serial test).  The
 #: serial condition is exact rank loss of the diagonal (a rail at its stroke
 #: boundary, u_ii = -/+sqrt(Mi) = 0); this tolerance only absorbs float noise,
 #: it is not a nearness measure like the parallel threshold.
@@ -53,22 +53,11 @@ class SingularityKind(Enum):
 
 
 @dataclass(frozen=True)
-class ConfigurationPoint:
-    """Pose, inputs, and distal angles that a Jacobian was evaluated at."""
-
-    pose: Pose
-    inputs: JointInputs
-    alpha: float
-    beta: float
-
-
-@dataclass(frozen=True)
 class JacobianPair:
     jp: np.ndarray
     jq: np.ndarray
     det_jp: float
     det_jq: float
-    config: ConfigurationPoint
 
     @property
     def u(self) -> tuple[float, float, float]:
@@ -95,21 +84,16 @@ def _det3(m: np.ndarray) -> float:
     )
 
 
-def build_at(
-    pose: Pose,
-    inputs: JointInputs,
-    alpha: float,
-    beta: float,
-    params: ValidatedParams,
-) -> JacobianPair:
-    """Evaluate the pair at an explicit configuration point.
+def build(pose: Pose, solution: IkSolution, params: ValidatedParams) -> JacobianPair:
+    """Evaluate the pair at an inverse solution's configuration.
 
     Raises :class:`CotangentSingular` when sin(alpha) or sin(beta) is
     within :data:`COT_GUARD` of zero (distal fold: the velocity model
     divides by these).
     """
-    sin_a, cos_a = math.sin(alpha), math.cos(alpha)
-    sin_b, cos_b = math.sin(beta), math.cos(beta)
+    inputs = solution.inputs
+    sin_a, cos_a = math.sin(solution.alpha), math.cos(solution.alpha)
+    sin_b, cos_b = math.sin(solution.beta), math.cos(solution.beta)
     if abs(sin_a) < COT_GUARD or abs(sin_b) < COT_GUARD:
         raise CotangentSingular(
             f"sin(alpha) = {sin_a:.3e}, sin(beta) = {sin_b:.3e}: distal link folded onto X"
@@ -130,39 +114,27 @@ def build_at(
         [cot_b * h3, u33, h3],
     ])
     jq = np.diag([u11, u22, u33])
-    return JacobianPair(
-        jp=jp,
-        jq=jq,
-        det_jp=_det3(jp),
-        det_jq=u11 * u22 * u33,
-        config=ConfigurationPoint(pose=pose, inputs=inputs, alpha=alpha, beta=beta),
-    )
-
-
-def build(pose: Pose, solution: IkSolution, params: ValidatedParams) -> JacobianPair:
-    """Evaluate the pair at an inverse solution's configuration."""
-    return build_at(pose, solution.inputs, solution.alpha, solution.beta, params)
+    return JacobianPair(jp=jp, jq=jq, det_jp=_det3(jp), det_jq=u11 * u22 * u33)
 
 
 def classify(
     pair: JacobianPair,
     params: ValidatedParams,
     threshold: float = SINGULARITY_THRESHOLD,
-    serial_threshold: float = SERIAL_THRESHOLD,
 ) -> Classification:
     """Classify a configuration from scale-normalised determinants.
 
     Parallel fires when the determinant of the row-normalised Jp is at
     most ``threshold`` in magnitude; serial when any |u| normalised by its
-    link length is at most ``serial_threshold`` (exact rank loss of the
-    diagonal, modulo float noise).  The witness records which chain or
+    link length is at most :data:`SERIAL_THRESHOLD` (exact rank loss of
+    the diagonal, modulo float noise).  The witness records which chain or
     which row pair fired.
     """
     u = pair.u
     scales = (params.l2, params.l2, params.l6)
     norm_u = tuple(abs(ui) / si for ui, si in zip(u, scales))
     norm_det_jq = (u[0] / scales[0]) * (u[1] / scales[1]) * (u[2] / scales[2])
-    serial_witnesses = tuple(i + 1 for i, nu in enumerate(norm_u) if nu <= serial_threshold)
+    serial_witnesses = tuple(i + 1 for i, nu in enumerate(norm_u) if nu <= SERIAL_THRESHOLD)
 
     rows = [pair.jp[i] for i in range(3)]
     norms = [float(np.sqrt(np.dot(r, r))) for r in rows]

@@ -78,6 +78,11 @@ class ValidatedParams(MechanismParams):
 
 _POSITIVE = ("a", "b", "d", "l1", "l2", "l3", "l4", "l5", "l6")
 _NON_NEGATIVE = ("l7", "l8")
+#: Longest accepted length (mm).  The float spacing at this length,
+#: about 1.2e-10 mm, stays below the solvers' absolute tolerances
+#: (1e-9 mm singularity test, 1e-6 mm closure), and every square, product
+#: and discriminant of lengths stays far from overflow.
+MAX_LENGTH = 1e6
 
 
 def validate(params: MechanismParams) -> ValidatedParams:
@@ -94,6 +99,11 @@ def validate(params: MechanismParams) -> ValidatedParams:
     for name in _NON_NEGATIVE:
         if getattr(params, name) < 0.0:
             raise InvalidParameter(name, f"must be >= 0, got {getattr(params, name)}")
+    for name in PARAM_KEYS:
+        if getattr(params, name) > MAX_LENGTH:
+            raise InvalidParameter(
+                name, f"must be <= {MAX_LENGTH:g} mm, got {getattr(params, name)}"
+            )
     if params.l3 >= 2.0 * params.l2:
         raise InvalidParameter(
             "l3",

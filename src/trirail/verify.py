@@ -22,8 +22,8 @@ import random
 from dataclasses import dataclass, replace
 
 from . import fk, ik, jacobian, topology
-from .errors import TrirailError
-from .jacobian import SingularityKind
+from .errors import NonComparable, TrirailError
+from .jacobian import Classification, SingularityKind
 from .params import JointInputs, Pose, ValidatedParams, REFERENCE_PARAMS
 
 #: Documented worked example: rail inputs of the direct case (mm).
@@ -88,12 +88,15 @@ def pose_consistency_residual(pose: Pose, inputs: JointInputs, params: Validated
     return best
 
 
-def _pose_distance(p: Pose, q: Pose) -> float:
-    return max(abs(p.x - q.x), abs(p.y - q.y), abs(p.z - q.z))
-
-
-def _nearest_solution_distance(pose: Pose, solutions) -> float:
-    return min((_pose_distance(pose, s.pose) for s in solutions), default=math.inf)
+def _nearest(pose: Pose, solutions) -> tuple[Pose | None, float]:
+    """The solution pose nearest ``pose`` and its worst-coordinate distance
+    (mm); ``(None, inf)`` when there are no solutions."""
+    best, best_dev = None, math.inf
+    for sol in solutions:
+        dev = max(abs(sol.pose.x - pose.x), abs(sol.pose.y - pose.y), abs(sol.pose.z - pose.z))
+        if dev < best_dev:
+            best, best_dev = sol.pose, dev
+    return best, best_dev
 
 
 def matching_ik_solution(pose: Pose, inputs: JointInputs, params: ValidatedParams, tol: float = 1e-6):
@@ -105,6 +108,37 @@ def matching_ik_solution(pose: Pose, inputs: JointInputs, params: ValidatedParam
         if dev <= tol:
             return sol
     return None
+
+
+def rail_spacing_sweep(
+    params: ValidatedParams,
+    deltas,
+    threshold: float = jacobian.SINGULARITY_THRESHOLD,
+) -> list[Classification]:
+    """Class of direct branch (1, 1, 1) as the rail spacing closes on l3.
+
+    Rails 1 and 3 stay at the worked example's inputs and
+    ``yA2 = yA1 - l3 - delta``, so the planar loop approaches its parallel
+    singularity as delta shrinks.  Each branch is matched to its inverse
+    solution, whose Jacobian pair is classified.  Raises
+    :class:`NonComparable` when the tracked branch or its inverse solution
+    cannot be found.
+    """
+    out = []
+    for delta in deltas:
+        inputs = JointInputs(REFERENCE_INPUTS.yA1,
+                             REFERENCE_INPUTS.yA1 - params.l3 - delta,
+                             REFERENCE_INPUTS.yA3)
+        sol = next((s for s in fk.solve(inputs, params)
+                    if s.branch.as_tuple() == (1, 1, 1)), None)
+        if sol is None:
+            raise NonComparable(f"tracked branch vanished at delta={delta}")
+        ik_sol = matching_ik_solution(sol.pose, inputs, params)
+        if ik_sol is None:
+            raise NonComparable(f"branch matching failed at delta={delta}")
+        out.append(jacobian.classify(jacobian.build(sol.pose, ik_sol, params),
+                                     params, threshold))
+    return out
 
 
 def sample_regular_configurations(params: ValidatedParams, count: int, seed: int = 20260809):
@@ -161,7 +195,7 @@ def run_builtin_checks(
 
     def direct_worked_example():
         solutions = fk.solve(REFERENCE_INPUTS, params)
-        dist = _nearest_solution_distance(REFERENCE_POSE, solutions)
+        _, dist = _nearest(REFERENCE_POSE, solutions)
         return dist <= tol_direct, (
             f"{len(solutions)} closure-consistent poses; starred pose matched to {dist:.2e} mm"
         )
@@ -173,7 +207,7 @@ def run_builtin_checks(
             if index == STARRED_DIRECT_INDEX:
                 continue
             residual = pose_consistency_residual(pose, REFERENCE_INPUTS, params)
-            nearest = _nearest_solution_distance(pose, solutions)
+            _, nearest = _nearest(pose, solutions)
             parts.append(f"row {index + 1}: closure residual {residual:.2f} mm, "
                          f"nearest consistent pose {nearest:.2f} mm away")
         return True, "; ".join(parts)
@@ -185,9 +219,7 @@ def run_builtin_checks(
             return False, "sign-flipped elbow produced no candidates to reject"
         worst = min(c.residual_vector[0] for c in candidates)
         emitted = fk.solve(REFERENCE_INPUTS, params)
-        leaked = any(
-            _pose_distance(c.pose, s.pose) < 1e-6 for c in candidates for s in emitted
-        )
+        leaked = any(_nearest(c.pose, emitted)[1] < 1e-6 for c in candidates)
         return worst > 10.0 and not leaked, (
             f"flipped cos(gamma) violates planar closure by {worst:.2f} mm on every branch"
         )
@@ -233,12 +265,11 @@ def run_builtin_checks(
 
     def jacobian_fd():
         points = sample_regular_configurations(params, 5)
-        starred = matching_ik_solution(
-            _nearest(fk.solve(REFERENCE_INPUTS, params), REFERENCE_POSE),
-            REFERENCE_INPUTS, params, tol=1e-3,
-        )
+        base_pose, _ = _nearest(REFERENCE_POSE, fk.solve(REFERENCE_INPUTS, params))
+        if base_pose is None:
+            raise TrirailError("no solutions to match against")
+        starred = matching_ik_solution(base_pose, REFERENCE_INPUTS, params, tol=1e-3)
         if starred is not None:
-            base_pose = _nearest(fk.solve(REFERENCE_INPUTS, params), REFERENCE_POSE)
             points.append((base_pose, starred))
         if not points:
             return False, "no regular configurations found"
@@ -271,23 +302,12 @@ def run_builtin_checks(
         )
 
     def parallel_approach():
-        dets = []
-        kinds = []
-        for delta in (10.0, 1.0, 0.1):
-            inputs = JointInputs(REFERENCE_INPUTS.yA1,
-                                 REFERENCE_INPUTS.yA1 - params.l3 - delta,
-                                 REFERENCE_INPUTS.yA3)
-            sol = next((s for s in fk.solve(inputs, params)
-                        if s.branch.as_tuple() == (1, 1, 1)), None)
-            if sol is None:
-                return False, f"tracked branch vanished at delta={delta}"
-            ik_sol = matching_ik_solution(sol.pose, inputs, params)
-            if ik_sol is None:
-                return False, f"branch matching failed at delta={delta}"
-            cls = jacobian.classify(jacobian.build(sol.pose, ik_sol, params),
-                                    params, singularity_threshold)
-            dets.append(abs(cls.norm_det_jp))
-            kinds.append(cls.kind)
+        try:
+            classes = rail_spacing_sweep(params, (10.0, 1.0, 0.1), singularity_threshold)
+        except NonComparable as exc:
+            return False, str(exc)
+        dets = [abs(cls.norm_det_jp) for cls in classes]
+        kinds = [cls.kind for cls in classes]
         monotone = dets[0] > dets[1] > dets[2]
         consistent = all(
             (kind in (SingularityKind.PARALLEL, SingularityKind.COMPREHENSIVE))
@@ -313,15 +333,3 @@ def run_builtin_checks(
     results.append(_check("output-decoupling", output_decoupling))
     results.append(_check("parallel-approach", parallel_approach))
     return results
-
-
-def _nearest(solutions, pose: Pose) -> Pose:
-    best = None
-    best_dev = math.inf
-    for sol in solutions:
-        dev = _pose_distance(sol.pose, pose)
-        if dev < best_dev:
-            best, best_dev = sol.pose, dev
-    if best is None:
-        raise TrirailError("no solutions to match against")
-    return best

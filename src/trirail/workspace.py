@@ -283,21 +283,17 @@ def cross_section(
     return _kernel(_planes(spec, key, float(value)), params, spec.singularity_threshold)
 
 
-def _float_repr(value: float) -> str:
-    return repr(value)
-
-
 def _csv_lines(samples) -> list[str]:
     lines = [CSV_HEADER]
     for s in samples:
         lines.append(",".join((
-            _float_repr(s.pose.x),
-            _float_repr(s.pose.y),
-            _float_repr(s.pose.z),
+            repr(s.pose.x),
+            repr(s.pose.y),
+            repr(s.pose.z),
             "true" if s.feasible else "false",
             str(s.real_solution_count),
-            _float_repr(s.min_norm_det_jp),
-            _float_repr(s.min_norm_det_jq),
+            repr(s.min_norm_det_jp),
+            repr(s.min_norm_det_jq),
             s.kind.value if s.kind is not None else "none",
         )))
     return lines

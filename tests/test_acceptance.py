@@ -20,7 +20,7 @@ from trirail.verify import (
     REFERENCE_INPUTS,
     REFERENCE_POSE,
     REFERENCE_INVERSE_INPUTS,
-    matching_ik_solution,
+    rail_spacing_sweep,
     sample_regular_configurations,
 )
 from trirail.workspace import ScanSpec
@@ -117,17 +117,9 @@ def test_criterion_4_jacobian_correctness():
 
 
 def test_criterion_5_singularity_structure():
-    dets = []
-    kinds = []
-    for delta in (10.0, 1.0, 0.1):
-        inputs = JointInputs(REFERENCE_INPUTS.yA1,
-                             REFERENCE_INPUTS.yA1 - P.l3 - delta,
-                             REFERENCE_INPUTS.yA3)
-        sol = next(s for s in fk.solve(inputs, P) if s.branch.as_tuple() == (1, 1, 1))
-        ik_sol = matching_ik_solution(sol.pose, inputs, P)
-        cls = jacobian.classify(jacobian.build(sol.pose, ik_sol, P), P)
-        dets.append(abs(cls.norm_det_jp))
-        kinds.append(cls.kind)
+    classes = rail_spacing_sweep(P, (10.0, 1.0, 0.1))
+    dets = [abs(cls.norm_det_jp) for cls in classes]
+    kinds = [cls.kind for cls in classes]
     assert dets[0] > dets[1] > dets[2]
     for det, kind in zip(dets, kinds):
         parallelish = kind in (SingularityKind.PARALLEL, SingularityKind.COMPREHENSIVE)

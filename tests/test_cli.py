@@ -25,6 +25,37 @@ def write_config(tmp_path, values, name="geometry.json"):
     return str(path)
 
 
+@pytest.mark.parametrize("command", [
+    ["fk", "162.6907", "-143.3209", "-24.6776"],
+    ["ik", "-15.4714", "9.6849", "456.3315"],
+    ["workspace", "--bounds", "-110", "90", "-250", "250", "180", "480", "--resolution", "3"],
+])
+def test_overflowing_geometry_is_config_error(runner, tmp_path, command):
+    config = write_config(tmp_path, dict(REFERENCE_VALUES, l2=1e200))
+    out = tmp_path / "w.csv"
+    result = runner.invoke(main, ["--params", config, "--out", str(out), *command])
+    assert result.exit_code == 1
+    assert "error: l2" in result.output
+    assert not out.exists()
+
+
+def test_output_schema_outlives_the_result_types(runner):
+    ik_lines = runner.invoke(
+        main, ["--format", "csv", "ik", "-15.4714", "9.6849", "456.3315"]
+    ).stdout.splitlines()
+    header = ik_lines[0].split(",")
+    assert header[8:11] == ["M1", "M2", "M3"]
+    assert len(ik_lines) == 9
+    for line in ik_lines[1:]:
+        row = line.split(",")
+        assert row[9] == row[8]
+    fk_payload = json.loads(runner.invoke(
+        main, ["--format", "json", "fk", "162.6907", "-143.3209", "-24.6776"]
+    ).stdout)
+    for record in fk_payload["solutions"]:
+        assert all(isinstance(record[key], float) for key in ("gamma", "alpha", "beta", "t"))
+
+
 class TestFk:
     def test_worked_example_text(self, runner):
         result = runner.invoke(main, ["fk", "162.6907", "-143.3209", "-24.6776"])

@@ -98,7 +98,7 @@ class TestSolveAlpha:
 
     @staticmethod
     def alphas(t):
-        candidates, _ = fk._alpha_candidates(t, P)
+        candidates = fk._alpha_candidates(t, P)
         return [alpha for _, alpha, _ in candidates]
 
     def test_worked_example_contains_documented_root(self):
@@ -122,7 +122,7 @@ class TestSolveAlpha:
             fk._alpha_candidates(P.l4 + P.l6 + 1.0, P)
 
     def test_t_zero_roots_are_symmetric_and_close_the_x_loop(self):
-        candidates, _ = fk._alpha_candidates(0.0, P)
+        candidates = fk._alpha_candidates(0.0, P)
         assert len(candidates) == 2
         assert candidates[0][1] == pytest.approx(-candidates[1][1], abs=1e-12)
         for _, alpha, beta in candidates:

@@ -48,13 +48,13 @@ class TestBuild:
         assert pair.det_jq == pair.u[0] * pair.u[1] * pair.u[2]
 
     def test_u_matches_radicand_mirror_identity(self):
-        # u_ii = -/+sqrt(Mi) according to the chain root sign
+        # u_ii = -/+sqrt(Mi) according to the chain root sign; chains 1 and 2 share M1
         for solution in ik.solve(Pose(-20.0, 30.0, 400.0), P, check_roundtrip=False):
             if solution.parallel_singular:
                 continue
             pose = Pose(-20.0, 30.0, 400.0)
             pair = jacobian.build(pose, solution, P)
-            roots = (math.sqrt(solution.M1), math.sqrt(solution.M2), math.sqrt(solution.M3))
+            roots = (math.sqrt(solution.M1), math.sqrt(solution.M1), math.sqrt(solution.M3))
             for u_i, sign, root in zip(pair.u, solution.branch.root_signs, roots):
                 assert u_i == pytest.approx(-sign * root, abs=1e-9)
 

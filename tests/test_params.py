@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from trirail.errors import InvalidParameter
 from trirail.params import (
+    MAX_LENGTH,
     JointInputs,
     MechanismParams,
     PARAM_KEYS,
@@ -110,6 +111,22 @@ def test_nonpositive_required_length_names_field(name, bad):
     with pytest.raises(InvalidParameter) as err:
         validate(make(**{name: bad}))
     assert err.value.name == name
+
+
+@pytest.mark.parametrize("name", PARAM_KEYS)
+def test_overflowing_length_names_field(name):
+    # squares of 1e200 overflow to inf inside the solvers
+    with pytest.raises(InvalidParameter) as err:
+        validate(make(**{name: 1e200}))
+    assert err.value.name == name
+    with pytest.raises(InvalidParameter) as err:
+        validate(make(**{name: math.nextafter(MAX_LENGTH, math.inf)}))
+    assert err.value.name == name
+
+
+def test_max_length_is_accepted():
+    p = validate(MechanismParams(**{name: MAX_LENGTH for name in PARAM_KEYS}))
+    assert all(getattr(p, name) == MAX_LENGTH for name in PARAM_KEYS)
 
 
 def test_load_params_roundtrip(tmp_path):
