@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 
+from trirail.errors import InvalidParameter, OutOfRange
 from trirail.params import REFERENCE_PARAMS, load_params
 from trirail.workspace import ScanSpec, cross_section, export, scan, summary
 
@@ -27,7 +28,8 @@ def parse_args():
     parser.add_argument("--threshold", type=float, default=1e-3,
                         help="normalised det(Jp) threshold for the parallel label")
     parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility; has no effect (must be >= 1)")
+                        help="accepted for compatibility; has no effect (the scan runs in "
+                             "one process, whole x-planes per numpy pass); must be >= 1")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default="workspace_scan.csv")
     parser.add_argument("--sections", nargs="*", type=float, default=[],
@@ -40,14 +42,18 @@ def main():
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 1
-    params = load_params(args.params) if args.params else REFERENCE_PARAMS
-    spec = ScanSpec(
-        x_range=(args.bounds[0], args.bounds[1]),
-        y_range=(args.bounds[2], args.bounds[3]),
-        z_range=(args.bounds[4], args.bounds[5]),
-        resolution=args.resolution,
-        singularity_threshold=args.threshold,
-    )
+    try:
+        params = load_params(args.params) if args.params else REFERENCE_PARAMS
+        spec = ScanSpec(
+            x_range=(args.bounds[0], args.bounds[1]),
+            y_range=(args.bounds[2], args.bounds[3]),
+            z_range=(args.bounds[4], args.bounds[5]),
+            resolution=args.resolution,
+            singularity_threshold=args.threshold,
+        )
+    except (InvalidParameter, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     start = time.perf_counter()
     samples = scan(spec, params)
     elapsed = time.perf_counter() - start
@@ -56,7 +62,11 @@ def main():
     for key, value in summary(samples).items():
         print(f"  {key}: {value}")
     for height in args.sections:
-        section = cross_section(spec, params, "z", height)
+        try:
+            section = cross_section(spec, params, "z", height)
+        except OutOfRange as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         stem, dot, ext = args.out.rpartition(".")
         path = f"{stem or args.out}_z{height:g}{dot}{ext}" if dot else f"{args.out}_z{height:g}"
         export(section, args.format, path)

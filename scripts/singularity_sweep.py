@@ -15,6 +15,7 @@ import math
 import sys
 
 from trirail import ik
+from trirail.errors import InvalidParameter
 from trirail.params import Pose, REFERENCE_PARAMS, load_params
 from trirail.verify import rail_spacing_sweep
 
@@ -53,7 +54,11 @@ def main():
     parser.add_argument("--params", help="geometry JSON (default: reference design)")
     parser.add_argument("--threshold", type=float, default=1e-3)
     args = parser.parse_args()
-    params = load_params(args.params) if args.params else REFERENCE_PARAMS
+    try:
+        params = load_params(args.params) if args.params else REFERENCE_PARAMS
+    except (InvalidParameter, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     parallel_sweep(params, (100.0, 30.0, 10.0, 3.0, 1.0, 0.3, 0.1, 0.03), args.threshold)
     serial_sweep(params, (-2.0, -0.5, 0.0, 0.5, 2.0))
     return 0

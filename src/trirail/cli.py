@@ -244,7 +244,7 @@ def cmd_ik(ctx, x, y, z):
                    "e.g. --section z 300.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Accepted for compatibility; has no effect (the scan runs in "
-                   "one process, one x-plane per numpy pass).")
+                   "one process, whole x-planes per numpy pass).")
 @click.pass_context
 def cmd_workspace(ctx, bounds, resolution, section, workers):
     """Scan a box (or one cross-section), write samples, print counts."""

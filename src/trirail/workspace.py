@@ -18,11 +18,14 @@ entire workspace singular.  Labels therefore come from the working
 nothing else exists (exact boundary poses).
 
 :func:`sample_point` states these rules one pose at a time and is the
-reference.  :func:`scan` and :func:`cross_section` apply them with numpy,
-one x-plane at a time: the distal angles depend only on x, so each plane
-labels all of its (y, z) points across the 32 sign branches in one pass,
-and memory holds one plane, never the whole grid.  The two agree bit for
-bit, which keeps exports byte-identical, because the kernel
+reference.  :func:`scan` and :func:`cross_section` apply them with numpy
+over whole x-planes: the distal angles depend only on x, so one numpy pass
+labels every (y, z) point of a run of consecutive planes across the 32
+sign branches.  A pass holds up to ``_PASS_POINTS`` points and a plane
+larger than that runs alone: a 41 x 41 cross-section takes two passes, a
+41^3 scan 41 passes of one plane, and memory never holds the whole grid.
+The two agree bit for bit, which keeps exports byte-identical, because
+the kernel
 
 * computes the distal angles, their sines, cosines and cotangents once
   per x as Python scalars (``math``, never ``np.sin``/``np.arccos``);
@@ -34,7 +37,6 @@ bit, which keeps exports byte-identical, because the kernel
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -69,7 +71,8 @@ class ScanSpec:
     def __post_init__(self):
         for name in ("x_range", "y_range", "z_range"):
             lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            # a finite span also keeps every grid coordinate finite
+            if not (lo < hi and math.isfinite(hi - lo)):
                 raise InvalidParameter(name, f"needs finite min < max, got ({lo}, {hi})")
         if not isinstance(self.resolution, int) or self.resolution < 2:
             raise InvalidParameter("resolution", f"must be an integer >= 2, got {self.resolution!r}")
@@ -128,30 +131,53 @@ def sample_point(pose: Pose, params: ValidatedParams, threshold: float) -> Works
 
 _AXES = ("x", "y", "z")
 
+#: points per numpy pass: consecutive x-planes are grouped while a pass holds
+#: no more than this (a larger plane runs alone).  Each pass costs a fixed
+#: ~0.4 ms of numpy calls, but bigger passes raise peak memory: on a 21^3
+#: scan, passes of 4 planes (1,764 points) raised peak RSS by ~0.9 MB over
+#: one plane per pass, passes of 2 planes by ~0.2 MB.
+_PASS_POINTS = 1024
+#: the kernel's branch axes: alpha slot, beta slot, root sign of chain 1, 2, 3
+_BRANCHES = (0, 1, 2, 3, 4)
 
-def _planes(spec: ScanSpec, axis: str | None = None, value: float | None = None):
-    """The grid as ``(x, ys, zs)`` groups in row-major order.
 
-    Each group is one x-plane: every (y, z) of ``ys`` x ``zs`` at that x.
-    With ``axis`` set, that axis holds only ``value`` (a cross-section).
+def _grid(spec: ScanSpec, axis: str | None = None, value: float | None = None):
+    """The grid axes ``[xs, ys, zs]``; with ``axis`` set, that axis holds only ``value``."""
+    axes = [_axis_values(r, spec.resolution) for r in (spec.x_range, spec.y_range, spec.z_range)]
+    if axis is not None:
+        axes[_AXES.index(axis)] = [value]
+    return axes
+
+
+def _elbows(base: float | None, length: float):
+    """Both slots of one distal elbow at one x: (live, length * sin, cot, fold) pairs.
+
+    ``base`` is None when the x is out of reach: no slot is live, and the
+    placeholder values of a dead slot are never read.
     """
-    xs, ys, zs = (_axis_values(r, spec.resolution)
-                  for r in (spec.x_range, spec.y_range, spec.z_range))
-    if axis == "x":
-        xs = [value]
-    elif axis == "y":
-        ys = [value]
-    elif axis == "z":
-        zs = [value]
-    for x in xs:
-        yield x, ys, zs
+    if base is None:
+        return (False, False), (0.0, 0.0), (0.0, 0.0), (False, False)
+    angles = (base, -base)
+    sines = [math.sin(a) for a in angles]
+    folds = [abs(s) < jacobian.COT_GUARD for s in sines]
+    # a folded elbow has no velocity model, so its cotangent is never read
+    cots = [0.0 if f else math.cos(a) / s for a, s, f in zip(angles, sines, folds)]
+    # 0 and pi are their own mirror images: one elbow, not two
+    return (True, base not in (0.0, math.pi)), [length * s for s in sines], cots, folds
 
 
 def _at(values, axis: int) -> np.ndarray:
-    """``values`` laid along one branch axis: alpha, beta, root sign of chain 1, 2, 3."""
-    shape = [1] * 6
-    shape[axis] = len(values)
-    return np.asarray(values, dtype=float).reshape(shape)
+    """``values`` laid along one branch axis: alpha, beta, root sign of chain 1, 2, 3.
+
+    A list of per-x slot pairs also runs along the x axis.
+    """
+    a = np.asarray(values)
+    shape = [1] * 7
+    if a.ndim == 2:
+        a = a.T
+        shape[5] = a.shape[1]
+    shape[axis] = a.shape[0]
+    return a.reshape(shape)
 
 
 def _norms(*row) -> np.ndarray:
@@ -160,37 +186,32 @@ def _norms(*row) -> np.ndarray:
     return np.sqrt(np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0])
 
 
-def _label_plane(x: float, ys, zs, params: ValidatedParams, threshold: float):
+def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     """Per-point (solution count, min |norm det Jp|, min |norm det Jq|, worst
-    severity) lists over the points ``ys`` x ``zs`` at ``x``, row-major.
+    severity) lists over the points ``xs`` x ``ys`` x ``zs``, row-major.
 
-    Arrays run over (alpha, beta, s1, s2, s3, point); every branch decision
-    is the one :func:`ik.solve`, :func:`jacobian.build` and
-    :func:`jacobian.classify` make for that branch.
+    Arrays run over (alpha slot, beta slot, s1, s2, s3, x, point), where a
+    point is one (y, z) of a plane; every branch decision is the one
+    :func:`ik.solve`, :func:`jacobian.build` and :func:`jacobian.classify`
+    make for that branch.
     """
     l1, l2, l3, l6 = params.l1, params.l2, params.l3, params.l6
-    try:
-        alpha_base = ik._clamped_acos((x + params.b - params.d) / params.l4, "alpha")
-        beta_base = ik._clamped_acos((x + params.d - params.b) / params.l6, "beta")
-    except Unreachable:
-        n = len(ys) * len(zs)
-        return [0] * n, [math.nan] * n, [math.nan] * n, [0] * n
-    # 0 and pi are their own mirror images: one elbow, not two
-    alphas = [alpha_base] if alpha_base in (0.0, math.pi) else [alpha_base, -alpha_base]
-    betas = [beta_base] if beta_base in (0.0, math.pi) else [beta_base, -beta_base]
-    sin_a = [math.sin(a) for a in alphas]
-    sin_b = [math.sin(b) for b in betas]
-    fold_a = [abs(s) < jacobian.COT_GUARD for s in sin_a]
-    fold_b = [abs(s) < jacobian.COT_GUARD for s in sin_b]
-    # a folded elbow has no velocity model, so its cotangent is never read
-    cot_a = [0.0 if f else math.cos(a) / s for a, s, f in zip(alphas, sin_a, fold_a)]
-    cot_b = [0.0 if f else math.cos(b) / s for b, s, f in zip(betas, sin_b, fold_b)]
+    per_x = []
+    for x in xs:
+        try:
+            alpha_base = ik._clamped_acos((x + params.b - params.d) / params.l4, "alpha")
+            beta_base = ik._clamped_acos((x + params.d - params.b) / params.l6, "beta")
+        except Unreachable:
+            alpha_base = beta_base = None
+        per_x.append(_elbows(alpha_base, params.l4) + _elbows(beta_base, l6))
+    live_a, l4_sin_a, cot_a, fold_a, live_b, l6_sin_b, cot_b, fold_b = (
+        _at(column, 0 if i < 4 else 1) for i, column in enumerate(zip(*per_x)))
 
     Y = np.repeat(np.asarray(ys, dtype=float), len(zs))
     Z = np.tile(np.asarray(zs, dtype=float), len(ys))
     y_c1, y_c2, y_c3 = Y + l3 / 2.0, Y - l3 / 2.0, Y
-    h12 = (Z - _at([params.l4 * s for s in sin_a], 0)) - l1
-    h3 = (Z - params.l8 - _at([l6 * s for s in sin_b], 1) - params.l7) - l1
+    h12 = (Z - l4_sin_a) - l1
+    h3 = (Z - params.l8 - l6_sin_b - params.l7) - l1
     M1 = l2 * l2 - h12 * h12
     M3 = l6 * l6 - h3 * h3
     with np.errstate(invalid="ignore"):
@@ -202,53 +223,61 @@ def _label_plane(x: float, ys, zs, params: ValidatedParams, threshold: float):
     yA3 = y_c3 + s3 * root_3
     u11, u22, u33 = y_c1 - yA1, y_c2 - yA2, y_c3 - yA3
 
-    shape = (len(alphas), len(betas), 2, 2, 2, len(Y))
-
-    def branches(a):
-        return np.broadcast_to(a, shape).reshape(-1, len(Y))
-
     # a zero radicand merges the two roots of its chain into one branch
-    exists = branches((M1 >= 0.0) & (M3 >= 0.0)
-                      & ((s1 > 0) | (root_1 != 0.0)) & ((s2 > 0) | (root_1 != 0.0))
-                      & ((s3 > 0) | (root_3 != 0.0)))
-    working = exists & branches(np.abs((yA1 - l3) - yA2) > fk.EPS_B)
-    chosen = np.where(working.any(axis=0), working, exists)
+    exists = (live_a & live_b & (M1 >= 0.0) & (M3 >= 0.0)
+              & ((s1 > 0) | (root_1 != 0.0)) & ((s2 > 0) | (root_1 != 0.0))
+              & ((s3 > 0) | (root_3 != 0.0)))
+    working = exists & (np.abs((yA1 - l3) - yA2) > fk.EPS_B)
+    chosen = np.where(working.any(axis=_BRANCHES, keepdims=True), working, exists)
+    fold = fold_a | fold_b
+    classified = chosen & ~fold
 
-    j0 = _at(cot_a, 0) * h12
-    j2 = _at(cot_b, 1) * h3
+    def per_point(a) -> list:
+        return a.ravel().tolist()
+
+    def smallest(values) -> list:
+        """Least of ``values`` over the classified branches, NaN where none; overwrites ``values``."""
+        np.copyto(values, np.inf, where=~classified)
+        return per_point(np.where(classified.any(axis=_BRANCHES), values.min(axis=_BRANCHES),
+                                  np.nan))
+
+    j0 = cot_a * h12
+    j2 = cot_b * h3
+    # |norm det Jp| and then |norm det Jq| are built in one buffer, so a pass
+    # holds few arrays of its full size.  No row of Jp vanishes:
+    # u**2 + h**2 = l**2 on every branch
     det = (j0 * (u22 * h3 - h12 * u33)
            - u11 * (j0 * h3 - h12 * j2)
            + h12 * (j0 * u33 - u22 * j2))
-    # no row vanishes: u**2 + h**2 = l**2 on every branch
-    norm_det_jp = det / (_norms(j0, u11, h12) * _norms(j0, u22, h12) * _norms(j2, u33, h3))
-    norm_det_jq = (u11 / l2) * (u22 / l2) * (u33 / l6)
+    det /= _norms(j0, u11, h12) * _norms(j0, u22, h12) * _norms(j2, u33, h3)
+    np.abs(det, out=det)
+    parallel = det <= threshold
+    min_jp = smallest(det)
+    np.multiply((u11 / l2) * (u22 / l2), u33 / l6, out=det)
+    np.abs(det, out=det)
+    min_jq = smallest(det)
     serial = ((np.abs(u11) / l2 <= jacobian.SERIAL_THRESHOLD)
               | (np.abs(u22) / l2 <= jacobian.SERIAL_THRESHOLD)
               | (np.abs(u33) / l6 <= jacobian.SERIAL_THRESHOLD))
-    parallel = np.abs(norm_det_jp) <= threshold
-    fold = np.logical_or(_at(fold_a, 0), _at(fold_b, 1))
-    severity = np.where(fold, _SEVERITY[SingularityKind.SERIAL],
-                        serial * _SEVERITY[SingularityKind.SERIAL]
-                        + parallel * _SEVERITY[SingularityKind.PARALLEL])
-    classified = chosen & ~branches(fold)
-
-    def smallest(values):
-        least = np.where(classified, branches(np.abs(values)), np.inf).min(axis=0)
-        return np.where(classified.any(axis=0), least, np.nan).tolist()
-
-    return (exists.sum(axis=0).tolist(), smallest(norm_det_jp), smallest(norm_det_jq),
-            np.where(chosen, branches(severity), 0).max(axis=0).tolist())
+    severity = np.where(fold, np.int8(_SEVERITY[SingularityKind.SERIAL]),
+                        serial * np.int8(_SEVERITY[SingularityKind.SERIAL])
+                        + parallel * np.int8(_SEVERITY[SingularityKind.PARALLEL]))
+    return (per_point(exists.sum(axis=_BRANCHES)), min_jp, min_jq,
+            per_point(np.where(chosen, severity, 0).max(axis=_BRANCHES)))
 
 
-def _kernel(planes, params: ValidatedParams, threshold: float) -> list[WorkspaceSample]:
-    """:func:`sample_point` of every point of ``planes``, one x-plane per numpy pass."""
+def _kernel(xs, ys, zs, params: ValidatedParams, threshold: float) -> list[WorkspaceSample]:
+    """:func:`sample_point` of every point of ``xs`` x ``ys`` x ``zs``, row-major,
+    in numpy passes of consecutive whole x-planes of up to ``_PASS_POINTS`` points."""
+    step = max(1, _PASS_POINTS // (len(ys) * len(zs)))
     out: list[WorkspaceSample] = []
-    for x, ys, zs in planes:
+    for i in range(0, len(xs), step):
+        block = xs[i:i + step]
         # grid coordinates come from a ScanSpec, which checked them finite
-        poses = [Pose._trusted(x, y, z) for y in ys for z in zs]
+        poses = [Pose._trusted(x, y, z) for x in block for y in ys for z in zs]
         out.extend(WorkspaceSample(p, True, n, jp, jq, _KINDS[k]) if n else
                    WorkspaceSample(p, False, 0, math.nan, math.nan, None)
-                   for p, n, jp, jq, k in zip(poses, *_label_plane(x, ys, zs, params, threshold)))
+                   for p, n, jp, jq, k in zip(poses, *_label(block, ys, zs, params, threshold)))
     return out
 
 
@@ -257,7 +286,7 @@ def scan(spec: ScanSpec, params: ValidatedParams, *, workers: int = 1) -> list[W
 
     ``workers`` is accepted for compatibility and has no effect.
     """
-    return _kernel(_planes(spec), params, spec.singularity_threshold)
+    return _kernel(*_grid(spec), params, spec.singularity_threshold)
 
 
 def cross_section(
@@ -280,7 +309,7 @@ def cross_section(
     bounds = (spec.x_range, spec.y_range, spec.z_range)[_AXES.index(key)]
     if not (bounds[0] <= value <= bounds[1]):
         raise OutOfRange(f"{key} = {value:g} outside scan range [{bounds[0]:g}, {bounds[1]:g}]")
-    return _kernel(_planes(spec, key, float(value)), params, spec.singularity_threshold)
+    return _kernel(*_grid(spec, key, float(value)), params, spec.singularity_threshold)
 
 
 def _csv_lines(samples) -> list[str]:
@@ -299,20 +328,27 @@ def _csv_lines(samples) -> list[str]:
     return lines
 
 
-def _json_records(samples) -> list[dict]:
-    records = []
-    for s in samples:
-        records.append({
-            "x": s.pose.x,
-            "y": s.pose.y,
-            "z": s.pose.z,
-            "feasible": s.feasible,
-            "real_solution_count": s.real_solution_count,
-            "min_norm_det_jp": None if math.isnan(s.min_norm_det_jp) else s.min_norm_det_jp,
-            "min_norm_det_jq": None if math.isnan(s.min_norm_det_jq) else s.min_norm_det_jq,
-            "class": s.kind.value if s.kind is not None else "none",
-        })
-    return records
+#: one record as ``json.dumps(records, indent=1)`` writes it: floats by
+#: ``float.__repr__``, NaN dets as null, the class as a quoted ASCII string
+_JSON_RECORD = (' {\n  "x": %r,\n  "y": %r,\n  "z": %r,\n  "feasible": %s,\n'
+                '  "real_solution_count": %d,\n  "min_norm_det_jp": %s,\n'
+                '  "min_norm_det_jq": %s,\n  "class": "%s"\n }')
+
+
+def _json_text(samples) -> str:
+    """The samples as ``json.dumps`` of their records with ``indent=1``, byte for byte."""
+    if not samples:
+        return "[]"
+    return "[\n" + ",\n".join(_JSON_RECORD % (
+        s.pose.x,
+        s.pose.y,
+        s.pose.z,
+        "true" if s.feasible else "false",
+        s.real_solution_count,
+        "null" if math.isnan(s.min_norm_det_jp) else repr(s.min_norm_det_jp),
+        "null" if math.isnan(s.min_norm_det_jq) else repr(s.min_norm_det_jq),
+        s.kind.value if s.kind is not None else "none",
+    ) for s in samples) + "\n]"
 
 
 def export(samples: list[WorkspaceSample], fmt: str, destination) -> None:
@@ -322,7 +358,7 @@ def export(samples: list[WorkspaceSample], fmt: str, destination) -> None:
     if fmt == "csv":
         payload = "\n".join(_csv_lines(samples)) + "\n"
     else:
-        payload = json.dumps(_json_records(samples), indent=1) + "\n"
+        payload = _json_text(samples) + "\n"
     try:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)

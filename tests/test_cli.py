@@ -25,6 +25,16 @@ def write_config(tmp_path, values, name="geometry.json"):
     return str(path)
 
 
+def run_script(name, *args):
+    """Run one of ``scripts/`` in a subprocess against this checkout's ``src/``."""
+    root = Path(__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / name), *args],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+
+
 @pytest.mark.parametrize("command", [
     ["fk", "162.6907", "-143.3209", "-24.6776"],
     ["ik", "-15.4714", "9.6849", "456.3315"],
@@ -257,17 +267,40 @@ class TestWorkspace:
         assert not out.exists()
 
     def test_scan_script_rejects_workers_below_one(self, tmp_path):
-        root = Path(__file__).resolve().parent.parent
         out = tmp_path / "scan.csv"
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "scan_workspace.py"),
-             "--resolution", "2", "--workers", "0", "--out", str(out)],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
-        )
+        proc = run_script("scan_workspace.py", "--resolution", "2", "--workers", "0",
+                          "--out", str(out))
         assert proc.returncode == 1
         assert "error: --workers" in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("script", ["scan_workspace.py", "singularity_sweep.py"])
+    def test_script_rejects_invalid_geometry(self, tmp_path, script):
+        config = write_config(tmp_path, dict(REFERENCE_VALUES, l2=1e200))
+        out = tmp_path / "scan.csv"
+        args = ["--resolution", "2", "--out", str(out)] if script == "scan_workspace.py" else []
+        proc = run_script(script, "--params", config, *args)
+        assert proc.returncode == 1
+        assert "error: l2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    def test_scan_script_rejects_inverted_bounds(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        proc = run_script("scan_workspace.py", "--bounds", "1", "0", "0", "1", "0", "1",
+                          "--resolution", "2", "--out", str(out))
+        assert proc.returncode == 1
+        assert "error: x_range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_scan_script_rejects_section_out_of_range(self, tmp_path):
+        proc = run_script("scan_workspace.py", "--resolution", "2",
+                          "--out", str(tmp_path / "scan.csv"), "--sections", "90")
+        assert proc.returncode == 1
+        assert "error: z = 90 outside scan range" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_json_format(self, runner, tmp_path):
         out = tmp_path / "scan.json"

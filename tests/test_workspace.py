@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -48,6 +49,14 @@ class TestScanSpec:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(InvalidParameter):
             ScanSpec(x_range=(90.0, -110.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0))
+
+    @pytest.mark.parametrize("bounds", [
+        (0.0, math.inf), (math.nan, 1.0), (-math.inf, math.inf),
+        (-1e308, 1e308),  # finite ends whose span overflows
+    ])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(InvalidParameter, match="x_range"):
+            ScanSpec(x_range=bounds, y_range=(0.0, 1.0), z_range=(0.0, 1.0))
 
     def test_resolution_floor(self):
         with pytest.raises(InvalidParameter):
@@ -171,6 +180,28 @@ class TestExport:
             assert record["x"] == sample.pose.x
             assert record["feasible"] == sample.feasible
 
+    @pytest.mark.parametrize("samples", [
+        pytest.param(scan(SMALL_SPEC, P), id="infeasible-rows"),
+        # every branch folds at x = 80: feasible rows with no determinant
+        pytest.param(cross_section(ScanSpec(resolution=5, **REFERENCE_BOX), P, "x", 80.0),
+                     id="fold-rows"),
+        pytest.param([], id="empty"),
+    ])
+    def test_json_is_byte_identical_to_json_dumps(self, tmp_path, samples):
+        records = [{
+            "x": s.pose.x,
+            "y": s.pose.y,
+            "z": s.pose.z,
+            "feasible": s.feasible,
+            "real_solution_count": s.real_solution_count,
+            "min_norm_det_jp": None if math.isnan(s.min_norm_det_jp) else s.min_norm_det_jp,
+            "min_norm_det_jq": None if math.isnan(s.min_norm_det_jq) else s.min_norm_det_jq,
+            "class": s.kind.value if s.kind is not None else "none",
+        } for s in samples]
+        path = tmp_path / "points.json"
+        export(samples, "json", path)
+        assert path.read_bytes() == (json.dumps(records, indent=1) + "\n").encode()
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(InvalidParameter):
             export([], "xml", tmp_path / "nope.xml")
@@ -217,6 +248,18 @@ class TestLabels:
         assert boundary[0].feasible
         assert boundary[0].kind in (SingularityKind.SERIAL, SingularityKind.COMPREHENSIVE)
 
+    def test_reference_box_41_is_pinned(self, tmp_path):
+        # the full-resolution reference scan: 41 passes of one 1681-point plane
+        samples = scan(ScanSpec(resolution=41, **REFERENCE_BOX), P)
+        assert summary(samples) == {
+            "total": 41 ** 3, "feasible": 51332, "regular": 49856,
+            "serial": 738, "parallel": 738, "comprehensive": 0,
+        }
+        path = tmp_path / "box41.csv"
+        export(samples, "csv", path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "6285add664d1126a6997a0752d7c9a7dffb0c382c5cb975e5e39c30efea78c05")
+
     def test_summary_counts_are_consistent(self):
         samples = scan(SMALL_SPEC, P)
         counts = summary(samples)
@@ -258,6 +301,14 @@ class TestKernelMatchesSamplePoint:
                      id="stroke-boundary"),
         pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "x", -15.4714, id="x-section"),
         pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "y", 9.6849, id="y-section"),
+        # a z-section groups its 41-point x-planes into two numpy passes
+        pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "z", 330.0, id="z-section"),
+        # one pass mixing unreachable planes (x = -140, 90), one beta elbow
+        # (x = -130), one alpha elbow (x = 80) and two-elbow planes; at
+        # z = 250 both single-elbow planes have feasible points
+        pytest.param(ScanSpec(x_range=(-140.0, 90.0), y_range=(-250.0, 250.0),
+                              z_range=(180.0, 480.0), resolution=24), "z", 250.0,
+                     id="z-section-mixed-planes"),
     ])
     def test_reference_grids(self, spec, axis, value):
         samples = scan(spec, P) if axis is None else cross_section(spec, P, axis, value)
