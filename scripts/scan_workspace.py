@@ -57,19 +57,23 @@ def main():
     start = time.perf_counter()
     samples = scan(spec, params)
     elapsed = time.perf_counter() - start
-    export(samples, args.format, args.out)
+    try:
+        export(samples, args.format, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"scanned {len(samples)} points in {elapsed:.1f} s -> {args.out}")
     for key, value in summary(samples).items():
         print(f"  {key}: {value}")
     for height in args.sections:
-        try:
-            section = cross_section(spec, params, "z", height)
-        except OutOfRange as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         stem, dot, ext = args.out.rpartition(".")
         path = f"{stem or args.out}_z{height:g}{dot}{ext}" if dot else f"{args.out}_z{height:g}"
-        export(section, args.format, path)
+        try:
+            section = cross_section(spec, params, "z", height)
+            export(section, args.format, path)
+        except (OutOfRange, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         counts = summary(section)
         print(f"section z={height:g}: feasible {counts['feasible']}/{counts['total']} "
               f"-> {path}")

@@ -20,7 +20,7 @@ from .params import (
     validate,
 )
 from .topology import LoopSpec, TopologyReport
-from .workspace import ScanSpec, WorkspaceSample
+from .workspace import ScanResult, ScanSpec, WorkspaceSample
 
 __version__ = "0.1.0"
 
@@ -37,6 +37,7 @@ __all__ = [
     "MechanismParams",
     "Pose",
     "REFERENCE_PARAMS",
+    "ScanResult",
     "ScanSpec",
     "SingularityKind",
     "TopologyReport",

@@ -59,8 +59,11 @@ def _angle(value: float, unit: str) -> float:
 
 def _emit(payload: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload if payload.endswith("\n") else payload + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(payload if payload.endswith("\n") else payload + "\n")
+        except OSError as exc:
+            _fail(EXIT_CONFIG, f"writing {out_path}: {exc}")
     else:
         click.echo(payload)
 
@@ -72,7 +75,8 @@ def _emit(payload: str, out_path):
 @click.option("--angle-unit", type=click.Choice(["rad", "deg"]), default="rad",
               show_default=True, help="Unit used to render gamma/alpha/beta.")
 @click.option("--tol-closure", type=float, default=fk.CLOSURE_TOL, show_default=True,
-              help="Loop-closure residual accepted for generated solutions (mm).")
+              help="Loop-closure residual accepted for generated solutions, also "
+                   "used as the IK round-trip tolerance (mm).")
 @click.option("--tol-table", type=float, default=None,
               help="Override the worked-example tolerances used by verify (mm).")
 @click.option("--singularity-threshold", type=float, default=1e-3, show_default=True,
@@ -85,8 +89,10 @@ def _emit(payload: str, out_path):
 def main(ctx, params_path, angle_unit, tol_closure, tol_table, singularity_threshold,
          fmt, out_path):
     """Kinematics toolbox for the three-rail translational platform."""
-    if tol_closure <= 0 or singularity_threshold <= 0 or (tol_table is not None and tol_table <= 0):
-        _fail(EXIT_CONFIG, "tolerances must be > 0")
+    for name, value in (("--tol-closure", tol_closure), ("--tol-table", tol_table),
+                        ("--singularity-threshold", singularity_threshold)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            _fail(EXIT_CONFIG, f"{name} must be finite and > 0, got {value!r}")
     ctx.obj = {
         "params_path": params_path,
         "angle_unit": angle_unit,
@@ -268,7 +274,10 @@ def cmd_workspace(ctx, bounds, resolution, section, workers):
             samples = workspace.scan(spec, params)
     except (InvalidParameter, OutOfRange, ValueError) as exc:
         _fail(EXIT_CONFIG, str(exc))
-    workspace.export(samples, fmt, cfg["out"])
+    try:
+        workspace.export(samples, fmt, cfg["out"])
+    except OSError as exc:
+        _fail(EXIT_CONFIG, str(exc))
     counts = workspace.summary(samples)
     for key in ("total", "feasible", "regular", "serial", "parallel", "comprehensive"):
         click.echo(f"{key}: {counts[key]}")

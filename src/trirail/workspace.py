@@ -2,9 +2,12 @@
 
 A box is sampled on a regular grid; each point is tested for inverse
 feasibility and every real solution branch is classified through the
-velocity model.  The output is a flat, deterministically ordered list of
-samples ready for CSV/JSON export (plot-ready point clouds rather than
-figures).
+velocity model.  A scan returns a :class:`ScanResult`: Python-list columns
+(coordinates, solution count, the two smallest determinants, the worst
+class) with one entry per point in row-major order, ready for CSV/JSON
+export (plot-ready point clouds rather than figures).  :func:`export` and
+:func:`summary` read the columns; a :class:`WorkspaceSample` is built for
+a point only when a caller iterates or indexes the result.
 
 Branches where a distal link folds onto the X axis have no finite
 velocity model (the cotangent rows diverge); they are DOF-losing fold
@@ -23,8 +26,8 @@ over whole x-planes: the distal angles depend only on x, so one numpy pass
 labels every (y, z) point of a run of consecutive planes across the 32
 sign branches.  A pass holds up to ``_PASS_POINTS`` points and a plane
 larger than that runs alone: a 41 x 41 cross-section takes two passes, a
-41^3 scan 41 passes of one plane, and memory never holds the whole grid.
-The two agree bit for bit, which keeps exports byte-identical, because
+41^3 scan 41 passes of one plane, and no numpy array spans the whole
+grid.  The two agree bit for bit, which keeps exports byte-identical, because
 the kernel
 
 * computes the distal angles, their sines, cosines and cotangents once
@@ -38,7 +41,9 @@ the kernel
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import filterfalse
 
 import numpy as np
 
@@ -92,6 +97,56 @@ class WorkspaceSample:
     min_norm_det_jq: float
     #: worst class over branches; None when infeasible.
     kind: SingularityKind | None
+
+
+# no generated __eq__: list equality of NaN dets depends on object identity
+@dataclass(frozen=True, eq=False)
+class ScanResult:
+    """Labelled points as columns, one entry per point in the same order.
+
+    A point is feasible when its ``real_solution_count`` is positive.
+    ``severity`` is the worst class as an index into regular, serial,
+    parallel, comprehensive, and 0 on infeasible points.  ``len``,
+    indexing, slices and iteration work as on a list of
+    :class:`WorkspaceSample`; each sample is built on demand.
+    """
+
+    x: list[float]
+    y: list[float]
+    z: list[float]
+    real_solution_count: list[int]
+    min_norm_det_jp: list[float]
+    min_norm_det_jq: list[float]
+    severity: list[int]
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[WorkspaceSample]) -> ScanResult:
+        """The columns of a list of samples."""
+        rows = [(s.pose.x, s.pose.y, s.pose.z, s.real_solution_count, s.min_norm_det_jp,
+                 s.min_norm_det_jq, _SEVERITY.get(s.kind, 0)) for s in samples]
+        return cls(*map(list, zip(*rows) if rows else [()] * 7))
+
+    def _columns(self) -> tuple[list, ...]:
+        return (self.x, self.y, self.z, self.real_solution_count, self.min_norm_det_jp,
+                self.min_norm_det_jq, self.severity)
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, index):
+        """One sample for an integer index, a :class:`ScanResult` for a slice."""
+        if isinstance(index, slice):
+            return ScanResult(*(column[index] for column in self._columns()))
+        return _sample(*(column[index] for column in self._columns()))
+
+    def __iter__(self) -> Iterator[WorkspaceSample]:
+        return map(_sample, *self._columns())
+
+
+def _sample(x, y, z, count, min_jp, min_jq, severity) -> WorkspaceSample:
+    # coordinates come from a ScanSpec grid or from a sample's Pose: finite
+    return WorkspaceSample(Pose._trusted(x, y, z), count > 0, count, min_jp, min_jq,
+                           _KINDS[severity] if count else None)
 
 
 def _axis_values(bounds: tuple[float, float], n: int) -> list[float]:
@@ -266,23 +321,23 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
             per_point(np.where(chosen, severity, 0).max(axis=_BRANCHES)))
 
 
-def _kernel(xs, ys, zs, params: ValidatedParams, threshold: float) -> list[WorkspaceSample]:
-    """:func:`sample_point` of every point of ``xs`` x ``ys`` x ``zs``, row-major,
-    in numpy passes of consecutive whole x-planes of up to ``_PASS_POINTS`` points."""
-    step = max(1, _PASS_POINTS // (len(ys) * len(zs)))
-    out: list[WorkspaceSample] = []
+def _kernel(xs, ys, zs, params: ValidatedParams, threshold: float) -> ScanResult:
+    """:func:`sample_point` of every point of ``xs`` x ``ys`` x ``zs``, row-major, as
+    columns, in numpy passes of consecutive whole x-planes of up to ``_PASS_POINTS`` points."""
+    plane = len(ys) * len(zs)
+    step = max(1, _PASS_POINTS // plane)
+    labels = ([], [], [], [])
     for i in range(0, len(xs), step):
-        block = xs[i:i + step]
-        # grid coordinates come from a ScanSpec, which checked them finite
-        poses = [Pose._trusted(x, y, z) for x in block for y in ys for z in zs]
-        out.extend(WorkspaceSample(p, True, n, jp, jq, _KINDS[k]) if n else
-                   WorkspaceSample(p, False, 0, math.nan, math.nan, None)
-                   for p, n, jp, jq, k in zip(poses, *_label(block, ys, zs, params, threshold)))
-    return out
+        for column, part in zip(labels, _label(xs[i:i + step], ys, zs, params, threshold)):
+            column.extend(part)
+    return ScanResult([x for x in xs for _ in range(plane)],
+                      [y for y in ys for _ in zs] * len(xs),
+                      zs * (len(xs) * len(ys)),
+                      *labels)
 
 
-def scan(spec: ScanSpec, params: ValidatedParams, *, workers: int = 1) -> list[WorkspaceSample]:
-    """One sample per grid point in row-major (x, then y, then z) order.
+def scan(spec: ScanSpec, params: ValidatedParams, *, workers: int = 1) -> ScanResult:
+    """One labelled point per grid point in row-major (x, then y, then z) order.
 
     ``workers`` is accepted for compatibility and has no effect.
     """
@@ -296,11 +351,11 @@ def cross_section(
     value: float,
     *,
     workers: int = 1,
-) -> list[WorkspaceSample]:
+) -> ScanResult:
     """Planar slice with the same per-point semantics as :func:`scan`.
 
     ``axis`` is one of "x", "y", "z"; ``value`` must lie within the spec's
-    (inclusive) range on that axis, else :class:`OutOfRange`.  Samples run
+    (inclusive) range on that axis, else :class:`OutOfRange`.  Points run
     row-major over the two remaining axes.  ``workers`` has no effect.
     """
     key = axis.lower()
@@ -312,53 +367,55 @@ def cross_section(
     return _kernel(*_grid(spec, key, float(value)), params, spec.singularity_threshold)
 
 
-def _csv_lines(samples) -> list[str]:
-    lines = [CSV_HEADER]
-    for s in samples:
-        lines.append(",".join((
-            repr(s.pose.x),
-            repr(s.pose.y),
-            repr(s.pose.z),
-            "true" if s.feasible else "false",
-            str(s.real_solution_count),
-            repr(s.min_norm_det_jp),
-            repr(s.min_norm_det_jq),
-            s.kind.value if s.kind is not None else "none",
-        )))
-    return lines
+def _reprs(values: list[float]) -> list[str]:
+    """``repr`` of each value, computed once per distinct value (a grid axis has few)."""
+    if len(set(map(repr, filterfalse(None, values)))) > 1:
+        # 0.0 and -0.0 are one set element but two reprs
+        return list(map(repr, values))
+    memo = {v: repr(v) for v in set(values)}
+    return list(map(memo.__getitem__, values))
 
 
-#: one record as ``json.dumps(records, indent=1)`` writes it: floats by
-#: ``float.__repr__``, NaN dets as null, the class as a quoted ASCII string
-_JSON_RECORD = (' {\n  "x": %r,\n  "y": %r,\n  "z": %r,\n  "feasible": %s,\n'
-                '  "real_solution_count": %d,\n  "min_norm_det_jp": %s,\n'
-                '  "min_norm_det_jq": %s,\n  "class": "%s"\n }')
+def _rows(result: ScanResult):
+    """(x, y, z reprs, count, min jp, min jq, class name) of each point."""
+    names = [kind.value for kind in _KINDS]
+    return zip(_reprs(result.x), _reprs(result.y), _reprs(result.z),
+               result.real_solution_count, result.min_norm_det_jp, result.min_norm_det_jq,
+               map(names.__getitem__, result.severity))
 
 
-def _json_text(samples) -> str:
-    """The samples as ``json.dumps`` of their records with ``indent=1``, byte for byte."""
-    if not samples:
-        return "[]"
-    return "[\n" + ",\n".join(_JSON_RECORD % (
-        s.pose.x,
-        s.pose.y,
-        s.pose.z,
-        "true" if s.feasible else "false",
-        s.real_solution_count,
-        "null" if math.isnan(s.min_norm_det_jp) else repr(s.min_norm_det_jp),
-        "null" if math.isnan(s.min_norm_det_jq) else repr(s.min_norm_det_jq),
-        s.kind.value if s.kind is not None else "none",
-    ) for s in samples) + "\n]"
+def _csv_text(result: ScanResult) -> str:
+    """The points as CSV rows: floats by ``repr``, NaN dets as ``nan``."""
+    rows = [f"{x},{y},{z},true,{n},{jp!r},{jq!r},{name}" if n
+            else f"{x},{y},{z},false,0,nan,nan,none"
+            for x, y, z, n, jp, jq, name in _rows(result)]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
-def export(samples: list[WorkspaceSample], fmt: str, destination) -> None:
-    """Write samples as CSV or JSON; bit-stable for identical inputs."""
+def _json_text(result: ScanResult) -> str:
+    """The points as ``json.dumps`` of their records with ``indent=1``, byte for byte:
+    floats by ``float.__repr__`` (which ``str`` is), NaN dets as null, the class
+    as a quoted ASCII string."""
+    if not len(result):
+        return "[]\n"
+    return "[\n" + ",\n".join([
+        f' {{\n  "x": {x},\n  "y": {y},\n  "z": {z},\n  "feasible": true,\n'
+        f'  "real_solution_count": {n},\n  "min_norm_det_jp": {jp if jp == jp else "null"},\n'
+        f'  "min_norm_det_jq": {jq if jq == jq else "null"},\n  "class": "{name}"\n }}'
+        if n else
+        f' {{\n  "x": {x},\n  "y": {y},\n  "z": {z},\n  "feasible": false,\n'
+        f'  "real_solution_count": 0,\n  "min_norm_det_jp": null,\n'
+        f'  "min_norm_det_jq": null,\n  "class": "none"\n }}'
+        for x, y, z, n, jp, jq, name in _rows(result)]) + "\n]\n"
+
+
+def export(samples: ScanResult | list[WorkspaceSample], fmt: str, destination) -> None:
+    """Write points as CSV or JSON; bit-stable for identical inputs."""
     if fmt not in ("csv", "json"):
         raise InvalidParameter("format", f"must be csv or json, got {fmt!r}")
-    if fmt == "csv":
-        payload = "\n".join(_csv_lines(samples)) + "\n"
-    else:
-        payload = _json_text(samples) + "\n"
+    if not isinstance(samples, ScanResult):
+        samples = ScanResult.from_samples(samples)
+    payload = _csv_text(samples) if fmt == "csv" else _json_text(samples)
     try:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
@@ -366,18 +423,12 @@ def export(samples: list[WorkspaceSample], fmt: str, destination) -> None:
         raise OSError(f"writing {destination}: {exc}") from exc
 
 
-def summary(samples: list[WorkspaceSample]) -> dict[str, int]:
+def summary(samples: ScanResult | list[WorkspaceSample]) -> dict[str, int]:
     """Counts by label: total, feasible, and one bucket per class."""
-    out = {
-        "total": len(samples),
-        "feasible": 0,
-        "regular": 0,
-        "serial": 0,
-        "parallel": 0,
-        "comprehensive": 0,
-    }
-    for s in samples:
-        if s.feasible:
-            out["feasible"] += 1
-            out[s.kind.value] += 1
-    return out
+    if not isinstance(samples, ScanResult):
+        samples = ScanResult.from_samples(samples)
+    infeasible = samples.real_solution_count.count(0)
+    by_class = {kind.value: samples.severity.count(k) for k, kind in enumerate(_KINDS)}
+    # infeasible points carry severity 0
+    by_class[SingularityKind.REGULAR.value] -= infeasible
+    return {"total": len(samples), "feasible": len(samples) - infeasible, **by_class}

@@ -49,6 +49,15 @@ def test_overflowing_geometry_is_config_error(runner, tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+@pytest.mark.parametrize("option", ["--tol-closure", "--singularity-threshold", "--tol-table"])
+def test_tolerances_must_be_finite_and_positive(runner, option, value):
+    result = runner.invoke(main, [option, value, "ik", "-15.4714", "9.6849", "456.3315"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {option} must be finite and > 0" in result.output
+
+
 def test_output_schema_outlives_the_result_types(runner):
     ik_lines = runner.invoke(
         main, ["--format", "csv", "ik", "-15.4714", "9.6849", "456.3315"]
@@ -286,6 +295,30 @@ class TestWorkspace:
         assert proc.stdout == ""
         assert not out.exists()
 
+    def test_unwritable_out_is_config_error(self, runner, tmp_path):
+        out = tmp_path / "missing" / "scan.csv"
+        result = runner.invoke(main, ["--out", str(out), "workspace", *self.BOUNDS,
+                                      "--resolution", "2"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: writing {out}" in result.output
+
+    def test_scan_script_reports_unwritable_out(self, tmp_path):
+        out = tmp_path / "missing" / "scan.csv"
+        proc = run_script("scan_workspace.py", "--resolution", "2", "--out", str(out))
+        assert proc.returncode == 1
+        assert f"error: writing {out}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_scan_script_reports_unwritable_section(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        (tmp_path / "scan_z300.csv").mkdir()
+        proc = run_script("scan_workspace.py", "--resolution", "2", "--out", str(out),
+                          "--sections", "300")
+        assert proc.returncode == 1
+        assert f"error: writing {tmp_path / 'scan_z300.csv'}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_scan_script_rejects_inverted_bounds(self, tmp_path):
         out = tmp_path / "scan.csv"
         proc = run_script("scan_workspace.py", "--bounds", "1", "0", "0", "1", "0", "1",
@@ -355,6 +388,13 @@ class TestTopology:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload == {"dof": 3, "deltas": [1, -1], "coupling_degree": 1}
+
+    def test_unwritable_out_is_config_error(self, runner, tmp_path):
+        out = tmp_path / "missing" / "report.txt"
+        result = runner.invoke(main, ["--out", str(out), "topology"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: writing {out}" in result.output
 
     def test_invalid_akc_rejected(self, runner):
         spec = json.dumps({"total_joint_dof_sum": 11, "loops": [[6, 2, 3], [5, 1, 4]]})

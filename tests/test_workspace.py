@@ -9,14 +9,16 @@ from trirail import ik, workspace
 from trirail.errors import InvalidParameter, OutOfRange
 from trirail.jacobian import SingularityKind
 from trirail.params import Pose, REFERENCE_PARAMS
-from trirail.workspace import ScanSpec, cross_section, export, scan, summary
+from trirail.workspace import ScanResult, ScanSpec, cross_section, export, scan, summary
 
 from test_geometry_variants import SPACER_PARAMS
 
 
 def rows(samples):
     """Canonical serialised form; NaN-safe sample comparison."""
-    return workspace._csv_lines(samples)[1:]
+    if not isinstance(samples, ScanResult):
+        samples = ScanResult.from_samples(samples)
+    return workspace._csv_text(samples).splitlines()[1:]
 
 P = REFERENCE_PARAMS
 
@@ -26,6 +28,9 @@ SMALL_SPEC = ScanSpec(resolution=5, **REFERENCE_BOX)
 # refinement, so coarse and fine grids share points bitwise
 DYADIC_SPEC = ScanSpec(x_range=(-64.0, 0.0), y_range=(0.0, 64.0), z_range=(192.0, 320.0),
                        resolution=3)
+# both signs of zero in one column: one set element, two reprs
+SIGNED_ZEROS = [workspace.sample_point(Pose(x, y, z), P, 1e-3)
+                for x in (0.0, -0.0) for y in (-0.0, 0.0) for z in (250.0, 1000.0)]
 
 
 def independent_feasible(pose: Pose) -> bool:
@@ -186,6 +191,9 @@ class TestExport:
         pytest.param(cross_section(ScanSpec(resolution=5, **REFERENCE_BOX), P, "x", 80.0),
                      id="fold-rows"),
         pytest.param([], id="empty"),
+        pytest.param(cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P, "z", 330.0),
+                     id="section-z330"),
+        pytest.param(SIGNED_ZEROS, id="signed-zeros"),
     ])
     def test_json_is_byte_identical_to_json_dumps(self, tmp_path, samples):
         records = [{
@@ -202,6 +210,32 @@ class TestExport:
         export(samples, "json", path)
         assert path.read_bytes() == (json.dumps(records, indent=1) + "\n").encode()
 
+    @pytest.mark.parametrize("samples", [
+        pytest.param(scan(SMALL_SPEC, P), id="infeasible-rows"),
+        pytest.param(cross_section(ScanSpec(resolution=5, **REFERENCE_BOX), P, "x", 80.0),
+                     id="fold-rows"),
+        pytest.param(SIGNED_ZEROS, id="signed-zeros"),
+    ])
+    def test_csv_rows_are_per_sample_reprs(self, tmp_path, samples):
+        lines = [workspace.CSV_HEADER] + [",".join((
+            repr(s.pose.x), repr(s.pose.y), repr(s.pose.z),
+            "true" if s.feasible else "false", str(s.real_solution_count),
+            repr(s.min_norm_det_jp), repr(s.min_norm_det_jq),
+            s.kind.value if s.kind is not None else "none",
+        )) for s in samples]
+        path = tmp_path / "points.csv"
+        export(samples, "csv", path)
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sample_list_exports_like_its_columns(self, tmp_path, fmt):
+        columns = scan(ScanSpec(resolution=21, **REFERENCE_BOX), P)
+        samples = list(columns)
+        assert summary(samples) == summary(columns)
+        export(samples, fmt, tmp_path / "samples")
+        export(columns, fmt, tmp_path / "columns")
+        assert (tmp_path / "samples").read_bytes() == (tmp_path / "columns").read_bytes()
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(InvalidParameter):
             export([], "xml", tmp_path / "nope.xml")
@@ -212,6 +246,24 @@ class TestExport:
         with pytest.raises(OSError) as err:
             export([], "csv", target)
         assert str(target) in str(err.value)
+
+
+def fields(sample):
+    """A sample as a tuple that compares NaN dets equal."""
+    return (sample.pose.as_tuple(), sample.feasible, sample.real_solution_count,
+            repr(sample.min_norm_det_jp), repr(sample.min_norm_det_jq), sample.kind)
+
+
+class TestScanResult:
+    def test_len_slice_and_iteration_match_sample_point(self):
+        result = scan(SMALL_SPEC, P)
+        expected = oracle(SMALL_SPEC, P)
+        assert len(result) == len(expected) == 5 ** 3
+        assert list(map(fields, result)) == list(map(fields, expected))
+        part = result[10:80:3]
+        assert isinstance(part, ScanResult)
+        assert list(map(fields, part)) == list(map(fields, expected[10:80:3]))
+        assert fields(result[-1]) == fields(expected[-1])
 
 
 class TestLabels:
