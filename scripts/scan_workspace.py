@@ -15,7 +15,7 @@ import time
 
 from trirail.errors import InvalidParameter, OutOfRange
 from trirail.params import REFERENCE_PARAMS, load_params
-from trirail.workspace import ScanSpec, cross_section, export, scan, summary
+from trirail.workspace import ScanSpec, check_writable, cross_section, export, scan, summary
 
 
 def parse_args():
@@ -37,6 +37,12 @@ def parse_args():
     return parser.parse_args()
 
 
+def section_path(out: str, height: float) -> str:
+    """``out`` with ``_z<height>`` inserted before its extension."""
+    stem, dot, ext = out.rpartition(".")
+    return f"{stem or out}_z{height:g}{dot}{ext}" if dot else f"{out}_z{height:g}"
+
+
 def main():
     args = parse_args()
     if args.workers < 1:
@@ -51,6 +57,10 @@ def main():
             resolution=args.resolution,
             singularity_threshold=args.threshold,
         )
+        # unwritable outputs fail here, not after the scans
+        section_paths = [section_path(args.out, height) for height in args.sections]
+        for path in (args.out, *section_paths):
+            check_writable(path)
     except (InvalidParameter, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -65,9 +75,7 @@ def main():
     print(f"scanned {len(samples)} points in {elapsed:.1f} s -> {args.out}")
     for key, value in summary(samples).items():
         print(f"  {key}: {value}")
-    for height in args.sections:
-        stem, dot, ext = args.out.rpartition(".")
-        path = f"{stem or args.out}_z{height:g}{dot}{ext}" if dot else f"{args.out}_z{height:g}"
+    for height, path in zip(args.sections, section_paths):
         try:
             section = cross_section(spec, params, "z", height)
             export(section, args.format, path)

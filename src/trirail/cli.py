@@ -267,12 +267,14 @@ def cmd_workspace(ctx, bounds, resolution, section, workers):
             resolution=resolution,
             singularity_threshold=cfg["threshold"],
         )
+        # an unwritable --out fails here, not after the scan
+        workspace.check_writable(cfg["out"])
         if section:
             axis, value = section
             samples = workspace.cross_section(spec, params, axis, float(value))
         else:
             samples = workspace.scan(spec, params)
-    except (InvalidParameter, OutOfRange, ValueError) as exc:
+    except (InvalidParameter, OutOfRange, ValueError, OSError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     try:
         workspace.export(samples, fmt, cfg["out"])

@@ -24,7 +24,11 @@ Every one of the up-to-eight candidates is then checked against the full
 set of loop-closure residuals; :func:`solve` returns only candidates whose
 worst residual is below tolerance, sorted by pose.  Sign conventions are
 never trusted: a candidate assembled with the wrong elbow simply fails its
-residual check.
+residual check.  Candidates that coincide (a double root, or both elbows at
+sin(gamma) = 0) share a dedup key, the pose rounded to 1e-9 mm and the
+angles to 1e-12 rad, and only the first is kept.  ``round`` runs only for a
+candidate lying within a few rounding steps of a kept one, which decides
+exactly as keying every candidate would (see :func:`_finish`).
 """
 
 from __future__ import annotations
@@ -191,17 +195,26 @@ def residuals(
     In order: planar-loop link length |B2C2| - l2, parallelogram-chain
     link length |B3C3| - l6, the t-definition, and the X-direction closure.
     """
-    l1, l2, l3, l4 = params.l1, params.l2, params.l3, params.l4
-    l6, l7, l8, b, d = params.l6, params.l7, params.l8, params.b, params.d
-    sin_g, cos_g = math.sin(intermediates.gamma), math.cos(intermediates.gamma)
-    sin_a, cos_a = math.sin(intermediates.alpha), math.cos(intermediates.alpha)
-    sin_b, cos_b = math.sin(intermediates.beta), math.cos(intermediates.beta)
-    r1 = abs(math.hypot(inputs.yA1 + l2 * cos_g - l3 - inputs.yA2, l2 * sin_g) - l2)
-    z_c3 = pose.z - l8 - l6 * sin_b - l7
-    r2 = abs(math.hypot(pose.y - inputs.yA3, z_c3 - l1) - l6)
-    r3 = abs(l4 * sin_a - l6 * sin_b - intermediates.t)
-    r4 = abs(l4 * cos_a + 2.0 * d - l6 * cos_b - 2.0 * b)
-    return (r1, r2, r3, r4)
+    gamma, alpha, beta = intermediates.gamma, intermediates.alpha, intermediates.beta
+    return (_planar_residual(inputs, params, math.sin(gamma), math.cos(gamma)),
+            *_chain_residuals(pose, intermediates.t, inputs.yA3, params, math.sin(alpha),
+                              math.cos(alpha), math.sin(beta), math.cos(beta)))
+
+
+def _planar_residual(inputs: JointInputs, params: ValidatedParams, sin_g: float, cos_g: float):
+    """|B2C2| - l2 of :func:`residuals`, from sin and cos of gamma."""
+    l2 = params.l2
+    return abs(math.hypot(inputs.yA1 + l2 * cos_g - params.l3 - inputs.yA2, l2 * sin_g) - l2)
+
+
+def _chain_residuals(pose: Pose, t: float, yA3: float, params: ValidatedParams,
+                     sin_a: float, cos_a: float, sin_b: float, cos_b: float):
+    """The last three violations of :func:`residuals`, from sin and cos of alpha and beta."""
+    l4, l6 = params.l4, params.l6
+    z_c3 = pose.z - params.l8 - l6 * sin_b - params.l7
+    return (abs(math.hypot(pose.y - yA3, z_c3 - params.l1) - l6),
+            abs(l4 * sin_a - l6 * sin_b - t),
+            abs(l4 * cos_a + 2.0 * params.d - l6 * cos_b - 2.0 * params.b))
 
 
 def enumerate_candidates(
@@ -230,6 +243,8 @@ def enumerate_candidates(
             t_values = solve_t(gamma, inputs.yA3, y, params)
         except ChainIIUnreachable:
             continue
+        # one elbow: the planar-loop residual does not depend on t or alpha
+        r1 = _planar_residual(inputs, params, math.sin(gamma), math.cos(gamma))
         for t_index, t in enumerate(t_values):
             t_sign = 1 if t_index == 0 else -1
             try:
@@ -237,41 +252,72 @@ def enumerate_candidates(
             except AlphaUnreachable:
                 continue
             for alpha_sign, alpha, beta in alphas:
-                pose = Pose._trusted(
-                    -b + l4 * math.cos(alpha) + d,
-                    y,
-                    l1 + l2 * sin_gamma + l4 * math.sin(alpha),
-                )
-                inter = FkIntermediates(gamma, alpha, beta, t)
-                vec = residuals(pose, inter, inputs, params)
+                sin_a, cos_a = math.sin(alpha), math.cos(alpha)
+                pose = Pose._trusted(-b + l4 * cos_a + d, y, l1 + l2 * sin_gamma + l4 * sin_a)
+                vec = (r1, *_chain_residuals(pose, t, inputs.yA3, params, sin_a, cos_a,
+                                             math.sin(beta), math.cos(beta)))
                 out.append(FkSolution(
                     pose=pose,
                     branch=FkBranch(gamma_sign, t_sign, alpha_sign),
-                    intermediates=inter,
+                    intermediates=FkIntermediates(gamma, alpha, beta, t),
                     residual=max(vec),
                     residual_vector=vec,
                 ))
     return out
 
 
+#: Candidates closer than this in x, y and z (mm) and in gamma, alpha and beta
+#: (rad) may share a dedup key of :func:`_finish`; farther ones never do.
+_KEY_NEAR_MM = 2e-9
+_KEY_NEAR_RAD = 2e-12
+
+
+def _key(sol: FkSolution) -> tuple[float, ...]:
+    """Dedup key: the pose rounded to 1e-9 mm and the angles to 1e-12 rad."""
+    pose, inter = sol.pose, sol.intermediates
+    return (round(pose.x, 9), round(pose.y, 9), round(pose.z, 9),
+            round(inter.gamma, 12), round(inter.alpha, 12), round(inter.beta, 12))
+
+
+def _near(a: FkSolution, b: FkSolution) -> bool:
+    pa, pb, ia, ib = a.pose, b.pose, a.intermediates, b.intermediates
+    return (abs(pa.x - pb.x) <= _KEY_NEAR_MM and abs(pa.y - pb.y) <= _KEY_NEAR_MM
+            and abs(pa.z - pb.z) <= _KEY_NEAR_MM
+            and abs(ia.gamma - ib.gamma) <= _KEY_NEAR_RAD
+            and abs(ia.alpha - ib.alpha) <= _KEY_NEAR_RAD
+            and abs(ia.beta - ib.beta) <= _KEY_NEAR_RAD)
+
+
+def _order(sol: FkSolution) -> tuple[float, ...]:
+    pose, inter = sol.pose, sol.intermediates
+    return (pose.x, pose.y, pose.z, inter.gamma, inter.alpha, inter.beta)
+
+
 def _finish(candidates: list[FkSolution], closure_tol: float) -> list[FkSolution]:
-    kept: dict[tuple, FkSolution] = {}
+    """Candidates within ``closure_tol``, one per dedup key, sorted by pose then angles.
+
+    A candidate is dropped when its :func:`_key` equals the key of one
+    already kept (a double root, or both elbows at sin(gamma) = 0).
+    ``round`` is correctly rounded, so two values with one rounded value lie
+    within the rounding step plus one ulp of each other: under 2e-9 mm for
+    coordinates (where the ulp exceeds 1e-9 mm, ``round`` returns the value
+    itself) and under 2e-12 rad for angles.  A candidate that is not
+    :func:`_near` a kept one therefore cannot share its key, and the key is
+    computed only for near pairs.  The decisions are those of keying every
+    candidate, without ``round`` on the far-apart candidates of a typical
+    call.  Coordinates are finite.
+    """
+    kept: list[FkSolution] = []
     for sol in candidates:
         if sol.residual > closure_tol:
             continue
-        key = (
-            round(sol.pose.x, 9), round(sol.pose.y, 9), round(sol.pose.z, 9),
-            round(sol.intermediates.gamma, 12),
-            round(sol.intermediates.alpha, 12),
-            round(sol.intermediates.beta, 12),
-        )
-        if key not in kept:
-            kept[key] = sol
-    return sorted(
-        kept.values(),
-        key=lambda s: (s.pose.x, s.pose.y, s.pose.z,
-                       s.intermediates.gamma, s.intermediates.alpha, s.intermediates.beta),
-    )
+        for k in kept:
+            if _near(sol, k) and _key(sol) == _key(k):
+                break
+        else:
+            kept.append(sol)
+    kept.sort(key=_order)
+    return kept
 
 
 def solve(

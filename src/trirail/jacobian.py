@@ -18,7 +18,11 @@ classes follow the two determinants: det(Jq) -> 0 is a serial singularity
 
 Raw determinants carry mm^3; classification therefore normalises each Jp
 row by its Euclidean norm and each u by its link length (l2, l2, l6) so a
-single dimensionless threshold works at any scale.
+single dimensionless threshold works at any scale.  The determinant is
+formed on Python floats and the three row norms come from one stacked
+``np.matmul`` (:func:`_row_norms`, which the workspace kernel shares): the
+same IEEE operations as numpy-scalar cofactors and ``np.dot`` per row,
+without their per-call overhead on a 3x3 matrix.
 """
 
 from __future__ import annotations
@@ -76,12 +80,21 @@ class Classification:
     min_norm_u: float
 
 
-def _det3(m: np.ndarray) -> float:
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+def _det3(m) -> float:
+    """Determinant of a 3x3 matrix given as nested sequences of floats, by cofactors."""
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of stacked 3-vectors (the last axis), each bitwise equal to
+    ``sqrt(np.dot(r, r))``: ``np.matmul`` of stacked rows calls the same BLAS dot
+    as ``np.dot`` (``einsum`` or ``(r * r).sum(-1)`` differ in the last ulp for
+    some rows)."""
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
 
 
 def build(pose: Pose, solution: IkSolution, params: ValidatedParams) -> JacobianPair:
@@ -106,15 +119,12 @@ def build(pose: Pose, solution: IkSolution, params: ValidatedParams) -> Jacobian
     u11 = y_c1 - inputs.yA1
     u22 = y_c2 - inputs.yA2
     u33 = y_c3 - inputs.yA3
-    cot_a = cos_a / sin_a
-    cot_b = cos_b / sin_b
-    jp = np.array([
-        [cot_a * h12, u11, h12],
-        [cot_a * h12, u22, h12],
-        [cot_b * h3, u33, h3],
-    ])
-    jq = np.diag([u11, u22, u33])
-    return JacobianPair(jp=jp, jq=jq, det_jp=_det3(jp), det_jq=u11 * u22 * u33)
+    j0 = (cos_a / sin_a) * h12
+    j2 = (cos_b / sin_b) * h3
+    jp = ((j0, u11, h12), (j0, u22, h12), (j2, u33, h3))
+    jq = ((u11, 0.0, 0.0), (0.0, u22, 0.0), (0.0, 0.0, u33))
+    return JacobianPair(jp=np.array(jp), jq=np.array(jq), det_jp=_det3(jp),
+                        det_jq=u11 * u22 * u33)
 
 
 def classify(
@@ -130,14 +140,13 @@ def classify(
     the diagonal, modulo float noise).  The witness records which chain or
     which row pair fired.
     """
-    u = pair.u
-    scales = (params.l2, params.l2, params.l6)
-    norm_u = tuple(abs(ui) / si for ui, si in zip(u, scales))
-    norm_det_jq = (u[0] / scales[0]) * (u[1] / scales[1]) * (u[2] / scales[2])
+    u11, u22, u33 = pair.u
+    l2, l6 = params.l2, params.l6
+    norm_u = (abs(u11) / l2, abs(u22) / l2, abs(u33) / l6)
+    norm_det_jq = (u11 / l2) * (u22 / l2) * (u33 / l6)
     serial_witnesses = tuple(i + 1 for i, nu in enumerate(norm_u) if nu <= SERIAL_THRESHOLD)
 
-    rows = [pair.jp[i] for i in range(3)]
-    norms = [float(np.sqrt(np.dot(r, r))) for r in rows]
+    norms = _row_norms(pair.jp).tolist()
     if min(norms) == 0.0:
         norm_det_jp = 0.0
         parallel_witness = "zero row"
@@ -145,7 +154,7 @@ def classify(
         norm_det_jp = pair.det_jp / (norms[0] * norms[1] * norms[2])
         parallel_witness = None
         if abs(norm_det_jp) <= threshold:
-            units = [(r / n).tolist() for r, n in zip(rows, norms)]
+            units = [(r / n).tolist() for r, n in zip(pair.jp, norms)]
             for i, j in ((0, 1), (0, 2), (1, 2)):
                 (a0, a1, a2), (b0, b1, b2) = units[i], units[j]
                 # np.cross written out: the same IEEE operations without its per-call overhead

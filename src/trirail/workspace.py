@@ -41,9 +41,10 @@ the kernel
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import filterfalse, islice
 
 import numpy as np
 
@@ -236,9 +237,8 @@ def _at(values, axis: int) -> np.ndarray:
 
 
 def _norms(*row) -> np.ndarray:
-    """Euclidean norms of stacked 3-vectors, bitwise equal to ``sqrt(np.dot(r, r))``."""
-    r = np.stack(np.broadcast_arrays(*row), axis=-1)
-    return np.sqrt(np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0])
+    """Euclidean norms of the 3-vectors ``row`` broadcast to one shape, as in ``classify``."""
+    return jacobian._row_norms(np.stack(np.broadcast_arrays(*row), axis=-1))
 
 
 def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
@@ -367,6 +367,11 @@ def cross_section(
     return _kernel(*_grid(spec, key, float(value)), params, spec.singularity_threshold)
 
 
+#: points per piece of export text: bounds the memory an export holds, and the
+#: 21^3 box (9,261 points) still goes out in one piece
+_EXPORT_ROWS = 1 << 16
+
+
 def _reprs(values: list[float]) -> list[str]:
     """``repr`` of each value, computed once per distinct value (a grid axis has few)."""
     if len(set(map(repr, filterfalse(None, values)))) > 1:
@@ -384,21 +389,20 @@ def _rows(result: ScanResult):
                map(names.__getitem__, result.severity))
 
 
-def _csv_text(result: ScanResult) -> str:
-    """The points as CSV rows: floats by ``repr``, NaN dets as ``nan``."""
-    rows = [f"{x},{y},{z},true,{n},{jp!r},{jq!r},{name}" if n
-            else f"{x},{y},{z},false,0,nan,nan,none"
-            for x, y, z, n, jp, jq, name in _rows(result)]
-    return "\n".join([CSV_HEADER, *rows]) + "\n"
+def _csv_text(rows, first: bool) -> str:
+    """CSV lines of ``rows`` (of :func:`_rows`), after the header on the ``first``
+    piece: floats by ``repr``, NaN dets as ``nan``."""
+    lines = "".join([f"{x},{y},{z},true,{n},{jp!r},{jq!r},{name}\n" if n
+                     else f"{x},{y},{z},false,0,nan,nan,none\n"
+                     for x, y, z, n, jp, jq, name in rows])
+    return f"{CSV_HEADER}\n{lines}" if first else lines
 
 
-def _json_text(result: ScanResult) -> str:
-    """The points as ``json.dumps`` of their records with ``indent=1``, byte for byte:
-    floats by ``float.__repr__`` (which ``str`` is), NaN dets as null, the class
-    as a quoted ASCII string."""
-    if not len(result):
-        return "[]\n"
-    return "[\n" + ",\n".join([
+def _json_text(rows, first: bool, last: bool) -> str:
+    """The records of ``rows`` (of :func:`_rows`) as one piece of ``json.dumps`` of
+    all records with ``indent=1``, byte for byte: floats by ``float.__repr__``
+    (which ``str`` is), NaN dets as null, the class as a quoted ASCII string."""
+    records = ",\n".join([
         f' {{\n  "x": {x},\n  "y": {y},\n  "z": {z},\n  "feasible": true,\n'
         f'  "real_solution_count": {n},\n  "min_norm_det_jp": {jp if jp == jp else "null"},\n'
         f'  "min_norm_det_jq": {jq if jq == jq else "null"},\n  "class": "{name}"\n }}'
@@ -406,21 +410,51 @@ def _json_text(result: ScanResult) -> str:
         f' {{\n  "x": {x},\n  "y": {y},\n  "z": {z},\n  "feasible": false,\n'
         f'  "real_solution_count": 0,\n  "min_norm_det_jp": null,\n'
         f'  "min_norm_det_jq": null,\n  "class": "none"\n }}'
-        for x, y, z, n, jp, jq, name in _rows(result)]) + "\n]\n"
+        for x, y, z, n, jp, jq, name in rows])
+    if first and last and not records:
+        return "[]\n"
+    return ("[\n" if first else ",\n") + records + ("\n]\n" if last else "")
+
+
+def _chunks(result: ScanResult, fmt: str) -> Iterator[str]:
+    """The export text of ``result`` in pieces of up to ``_EXPORT_ROWS`` points."""
+    rows = _rows(result)
+    # no points still make one piece: the header, or "[]"
+    for start in range(0, max(len(result), 1), _EXPORT_ROWS):
+        piece = islice(rows, _EXPORT_ROWS)
+        first, last = start == 0, start + _EXPORT_ROWS >= len(result)
+        yield _csv_text(piece, first) if fmt == "csv" else _json_text(piece, first, last)
 
 
 def export(samples: ScanResult | list[WorkspaceSample], fmt: str, destination) -> None:
-    """Write points as CSV or JSON; bit-stable for identical inputs."""
+    """Write points as CSV or JSON; bit-stable for identical inputs.
+
+    The text is built and written ``_EXPORT_ROWS`` points at a time, so an
+    export holds one piece of it in memory, not the whole file.
+    """
     if fmt not in ("csv", "json"):
         raise InvalidParameter("format", f"must be csv or json, got {fmt!r}")
     if not isinstance(samples, ScanResult):
         samples = ScanResult.from_samples(samples)
-    payload = _csv_text(samples) if fmt == "csv" else _json_text(samples)
     try:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            fh.writelines(_chunks(samples, fmt))
     except OSError as exc:
         raise OSError(f"writing {destination}: {exc}") from exc
+
+
+def check_writable(destination) -> None:
+    """Raise the error :func:`export` would raise if ``destination`` cannot be
+    opened for writing, before any work is spent on the points; a file that
+    did not exist is not left behind."""
+    existed = os.path.lexists(destination)
+    try:
+        with open(destination, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise OSError(f"writing {destination}: {exc}") from exc
+    if not existed:
+        os.remove(destination)
 
 
 def summary(samples: ScanResult | list[WorkspaceSample]) -> dict[str, int]:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from trirail import workspace
 from trirail.cli import main
 from trirail.params import PARAM_KEYS, REFERENCE_PARAMS
 
@@ -318,6 +320,41 @@ class TestWorkspace:
         assert proc.returncode == 1
         assert f"error: writing {tmp_path / 'scan_z300.csv'}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("section", [[], ["--section", "z", "300"]], ids=["box", "section"])
+    def test_unwritable_out_fails_before_the_scan(self, runner, tmp_path, monkeypatch, section):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before checking --out")
+
+        monkeypatch.setattr(workspace, "scan", no_scan)
+        monkeypatch.setattr(workspace, "cross_section", no_scan)
+        out = tmp_path / "missing" / "scan.csv"
+        result = runner.invoke(main, ["--out", str(out), "workspace", *self.BOUNDS,
+                                      "--resolution", "101", *section])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: writing {out}" in result.output
+
+    @pytest.mark.parametrize("unwritable", ["out", "section"])
+    def test_scan_script_fails_before_the_scan(self, tmp_path, monkeypatch, capsys, unwritable):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before checking the outputs")
+
+        monkeypatch.setattr(workspace, "scan", no_scan)
+        monkeypatch.setattr(workspace, "cross_section", no_scan)
+        out = tmp_path / ("missing" if unwritable == "out" else "") / "scan.csv"
+        section = tmp_path / "scan_z300.csv"
+        if unwritable == "section":
+            section.mkdir()
+        script = Path(__file__).resolve().parent.parent / "scripts" / "scan_workspace.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--resolution", "101", "--out", str(out),
+                                          "--sections", "300"])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_.value.code == 1
+        bad = out if unwritable == "out" else section
+        assert f"error: writing {bad}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scan_script_rejects_inverted_bounds(self, tmp_path):
         out = tmp_path / "scan.csv"

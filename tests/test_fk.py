@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trirail import fk
 from trirail.errors import (
@@ -11,7 +11,7 @@ from trirail.errors import (
     GammaOutOfRange,
     IndeterminateGamma,
 )
-from trirail.params import JointInputs, REFERENCE_PARAMS
+from trirail.params import MAX_LENGTH, JointInputs, Pose, REFERENCE_PARAMS
 
 from _closure_oracle import oracle_poses
 from conftest import random_feasible_inputs
@@ -220,6 +220,77 @@ class TestSolveAtGamma:
 
     def test_off_circle_gamma_yields_nothing(self):
         assert fk.solve_at_gamma(WORKED_INPUTS, P, 0.9, 0.9) == []
+
+
+def rounding_key_finish(candidates, closure_tol):
+    """Reference dedup: every kept candidate keyed by its rounded pose and angles."""
+    kept = {}
+    for sol in candidates:
+        if sol.residual > closure_tol:
+            continue
+        key = (
+            round(sol.pose.x, 9), round(sol.pose.y, 9), round(sol.pose.z, 9),
+            round(sol.intermediates.gamma, 12),
+            round(sol.intermediates.alpha, 12),
+            round(sol.intermediates.beta, 12),
+        )
+        if key not in kept:
+            kept[key] = sol
+    return sorted(
+        kept.values(),
+        key=lambda s: (s.pose.x, s.pose.y, s.pose.z,
+                       s.intermediates.gamma, s.intermediates.alpha, s.intermediates.beta),
+    )
+
+
+def candidate(x, y, z, gamma, alpha, beta, residual=0.0):
+    return fk.FkSolution(Pose._trusted(x, y, z), fk.FkBranch(1, 1, 1),
+                         fk.FkIntermediates(gamma, alpha, beta, 0.0), residual, (residual,) * 4)
+
+
+#: anchor coordinates (mm): zero, worked-example values, a rounding midpoint, and
+#: values near and beyond MAX_LENGTH, where the ulp nears or exceeds 1e-9
+MM_ANCHORS = (0.0, -83.087262, 456.331547, 0.5e-9, MAX_LENGTH, -MAX_LENGTH,
+              3.0 * MAX_LENGTH, 1e7)
+RAD_ANCHORS = (0.0, 1.2345678901235, 0.5e-12, -math.pi, math.pi)
+
+
+@st.composite
+def candidate_lists(draw):
+    """Candidates that copy one of a few anchors (a copy is a double root) and move
+    some coordinates by up to 2.5 rounding steps, so that neighbours share a key
+    or straddle a rounding boundary; some carry a signed zero or fail closure."""
+    anchors = draw(st.lists(st.tuples(*[st.sampled_from(MM_ANCHORS)] * 3,
+                                      *[st.sampled_from(RAD_ANCHORS)] * 3),
+                            min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        coords = list(draw(st.sampled_from(anchors)))
+        for i in draw(st.sets(st.integers(0, 5), max_size=6)):
+            coords[i] += draw(st.integers(-25, 25)) * (1e-10 if i < 3 else 1e-13)
+            if coords[i] == 0.0 and draw(st.booleans()):
+                coords[i] = -0.0
+        residual = draw(st.sampled_from((0.0, 5e-7, fk.CLOSURE_TOL, 2e-6)))
+        out.append(candidate(*coords, residual))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate_lists())
+# one key, 0.8e-9 mm apart: dropped
+@example([candidate(-0.4e-9, 1.0, 2.0, 0.1, 0.2, 0.3), candidate(0.4e-9, 1.0, 2.0, 0.1, 0.2, 0.3)])
+# 0.02e-9 mm apart across a rounding boundary: both kept
+@example([candidate(0.49e-9, 1.0, 2.0, 0.1, 0.2, 0.3), candidate(0.51e-9, 1.0, 2.0, 0.1, 0.2, 0.3)])
+# one key, 0.9e-12 rad apart: dropped
+@example([candidate(1.0, 2.0, 3.0, 0.1, -0.45e-12, 0.3),
+          candidate(1.0, 2.0, 3.0, 0.1, 0.45e-12, 0.3)])
+# signed zeros and an exact double root: one kept
+@example([candidate(0.0, -0.0, 5.0, 0.0, 1.0, 2.0), candidate(-0.0, 0.0, 5.0, -0.0, 1.0, 2.0)])
+def test_finish_keeps_what_the_rounding_key_dict_keeps(candidates):
+    got = fk._finish(candidates, fk.CLOSURE_TOL)
+    want = rounding_key_finish(candidates, fk.CLOSURE_TOL)
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))
 
 
 @settings(max_examples=60, deadline=None)

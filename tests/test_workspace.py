@@ -18,7 +18,7 @@ def rows(samples):
     """Canonical serialised form; NaN-safe sample comparison."""
     if not isinstance(samples, ScanResult):
         samples = ScanResult.from_samples(samples)
-    return workspace._csv_text(samples).splitlines()[1:]
+    return "".join(workspace._chunks(samples, "csv")).splitlines()[1:]
 
 P = REFERENCE_PARAMS
 
@@ -235,6 +235,26 @@ class TestExport:
         export(samples, fmt, tmp_path / "samples")
         export(columns, fmt, tmp_path / "columns")
         assert (tmp_path / "samples").read_bytes() == (tmp_path / "columns").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("piece", [1, 7, 25, 26])
+    def test_pieces_join_to_the_one_piece_export(self, tmp_path, monkeypatch, fmt, piece):
+        samples = scan(SMALL_SPEC, P)[:25]
+        export(samples, fmt, tmp_path / "whole")
+        monkeypatch.setattr(workspace, "_EXPORT_ROWS", piece)
+        assert len(list(workspace._chunks(samples, fmt))) == -(-25 // piece)
+        export(samples, fmt, tmp_path / "pieces")
+        assert (tmp_path / "pieces").read_bytes() == (tmp_path / "whole").read_bytes()
+
+    def test_check_writable_leaves_files_as_they_were(self, tmp_path):
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        workspace.check_writable(fresh)
+        workspace.check_writable(kept)
+        assert not fresh.exists()
+        assert kept.read_text() == "old\n"
+        with pytest.raises(OSError, match=f"writing {tmp_path / 'missing'}"):
+            workspace.check_writable(tmp_path / "missing" / "x.csv")
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(InvalidParameter):
