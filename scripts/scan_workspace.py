@@ -57,11 +57,13 @@ def main():
             resolution=args.resolution,
             singularity_threshold=args.threshold,
         )
-        # unwritable outputs fail here, not after the scans
+        # unwritable outputs and heights outside the z range fail here, not after
+        # the box scan
         section_paths = [section_path(args.out, height) for height in args.sections]
         for path in (args.out, *section_paths):
             check_writable(path)
-    except (InvalidParameter, OSError) as exc:
+        sections = [cross_section(spec, params, "z", height) for height in args.sections]
+    except (InvalidParameter, OutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     start = time.perf_counter()
@@ -75,11 +77,10 @@ def main():
     print(f"scanned {len(samples)} points in {elapsed:.1f} s -> {args.out}")
     for key, value in summary(samples).items():
         print(f"  {key}: {value}")
-    for height, path in zip(args.sections, section_paths):
+    for height, path, section in zip(args.sections, section_paths, sections):
         try:
-            section = cross_section(spec, params, "z", height)
             export(section, args.format, path)
-        except (OutOfRange, OSError) as exc:
+        except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         counts = summary(section)

@@ -15,7 +15,7 @@ import math
 import sys
 
 from trirail import ik
-from trirail.errors import InvalidParameter
+from trirail.errors import InvalidParameter, Unreachable
 from trirail.params import Pose, REFERENCE_PARAMS, load_params
 from trirail.verify import rail_spacing_sweep
 
@@ -40,7 +40,7 @@ def serial_sweep(params, offsets):
         pose = Pose(x, 0.0, z_star + offset)
         try:
             solutions = ik.solve(pose, params, check_roundtrip=False)
-        except Exception:
+        except Unreachable:
             solutions = []
         if solutions:
             u33 = min(abs(s.inputs.yA3 - pose.y) for s in solutions)

@@ -20,7 +20,7 @@ from .params import (
     validate,
 )
 from .topology import LoopSpec, TopologyReport
-from .workspace import ScanResult, ScanSpec, WorkspaceSample
+from .workspace import ScanResult, ScanSpec
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "SingularityKind",
     "TopologyReport",
     "ValidatedParams",
-    "WorkspaceSample",
     "errors",
     "load_params",
     "validate",

@@ -213,6 +213,11 @@ def cmd_ik(ctx, x, y, z):
         "angle_unit": unit,
     } for s in solutions]
     if cfg["fmt"] == "json":
+        # a round trip that finds no direct solution leaves an infinite
+        # residual, which strict JSON cannot hold
+        for r in records:
+            if not math.isfinite(r["roundtrip_residual"]):
+                r["roundtrip_residual"] = None
         _emit(json.dumps({"pose": [x, y, z], "solutions": records,
                           "count": len(records)}, indent=1), cfg["out"])
     elif cfg["fmt"] == "csv":

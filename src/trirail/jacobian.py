@@ -15,6 +15,9 @@ where angle_i is alpha for chains 1 and 2 and beta for chain 3.  The
 classes follow the two determinants: det(Jq) -> 0 is a serial singularity
 (a chain folds, the platform loses freedom), det(Jp) -> 0 a parallel one
 (the platform gains uncontrolled freedom), both at once comprehensive.
+:class:`SingularityKind` lists regular, serial, parallel, comprehensive in
+that order, so a class is the member at index ``serial + 2 * parallel``;
+the workspace labels points with the same index.
 
 Raw determinants carry mm^3; classification therefore normalises each Jp
 row by its Euclidean norm and each u by its link length (l2, l2, l6) so a
@@ -71,13 +74,8 @@ class JacobianPair:
 @dataclass(frozen=True)
 class Classification:
     kind: SingularityKind
-    #: 1-based chains whose normalised |u| fell below threshold.
-    serial_witnesses: tuple[int, ...]
-    #: which row dependence fired, e.g. "rows 1,2 dependent"; None if regular.
-    parallel_witness: str | None
     norm_det_jp: float
     norm_det_jq: float
-    min_norm_u: float
 
 
 def _det3(m) -> float:
@@ -137,51 +135,20 @@ def classify(
     Parallel fires when the determinant of the row-normalised Jp is at
     most ``threshold`` in magnitude; serial when any |u| normalised by its
     link length is at most :data:`SERIAL_THRESHOLD` (exact rank loss of
-    the diagonal, modulo float noise).  The witness records which chain or
-    which row pair fired.
+    the diagonal, modulo float noise).  The class is the
+    :class:`SingularityKind` at index ``serial + 2 * parallel``.
     """
     u11, u22, u33 = pair.u
     l2, l6 = params.l2, params.l6
-    norm_u = (abs(u11) / l2, abs(u22) / l2, abs(u33) / l6)
-    norm_det_jq = (u11 / l2) * (u22 / l2) * (u33 / l6)
-    serial_witnesses = tuple(i + 1 for i, nu in enumerate(norm_u) if nu <= SERIAL_THRESHOLD)
-
+    serial = (abs(u11) / l2 <= SERIAL_THRESHOLD or abs(u22) / l2 <= SERIAL_THRESHOLD
+              or abs(u33) / l6 <= SERIAL_THRESHOLD)
     norms = _row_norms(pair.jp).tolist()
-    if min(norms) == 0.0:
-        norm_det_jp = 0.0
-        parallel_witness = "zero row"
-    else:
-        norm_det_jp = pair.det_jp / (norms[0] * norms[1] * norms[2])
-        parallel_witness = None
-        if abs(norm_det_jp) <= threshold:
-            units = [(r / n).tolist() for r, n in zip(pair.jp, norms)]
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                (a0, a1, a2), (b0, b1, b2) = units[i], units[j]
-                # np.cross written out: the same IEEE operations without its per-call overhead
-                cross = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-                if float(np.sqrt(np.dot(cross, cross))) <= threshold:
-                    parallel_witness = f"rows {i + 1},{j + 1} dependent"
-                    break
-            else:
-                parallel_witness = "rank deficiency across all three rows"
-
-    serial = bool(serial_witnesses)
+    norm_det_jp = 0.0 if min(norms) == 0.0 else pair.det_jp / (norms[0] * norms[1] * norms[2])
     parallel = abs(norm_det_jp) <= threshold
-    if serial and parallel:
-        kind = SingularityKind.COMPREHENSIVE
-    elif serial:
-        kind = SingularityKind.SERIAL
-    elif parallel:
-        kind = SingularityKind.PARALLEL
-    else:
-        kind = SingularityKind.REGULAR
     return Classification(
-        kind=kind,
-        serial_witnesses=serial_witnesses,
-        parallel_witness=parallel_witness if parallel else None,
+        kind=tuple(SingularityKind)[serial + 2 * parallel],
         norm_det_jp=norm_det_jp,
-        norm_det_jq=norm_det_jq,
-        min_norm_u=min(norm_u),
+        norm_det_jq=(u11 / l2) * (u22 / l2) * (u33 / l6),
     )
 
 

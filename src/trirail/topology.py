@@ -16,6 +16,11 @@ from dataclasses import dataclass
 from .errors import InvalidAkc, InvalidParameter
 
 
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise InvalidParameter(name, f"must be a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LoopSpec:
     """One loop of the decomposition.
@@ -31,9 +36,7 @@ class LoopSpec:
 
     def __post_init__(self):
         for name in ("joint_dof_sum", "actuated_count", "independent_eq_count"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise InvalidParameter(name, f"must be a non-negative integer, got {value!r}")
+            _check_count(name, getattr(self, name))
         if self.independent_eq_count > 6:
             raise InvalidParameter(
                 "independent_eq_count", f"must be <= 6, got {self.independent_eq_count}"
@@ -76,6 +79,9 @@ def coupling_degree(deltas: list[int] | tuple[int, ...]) -> int:
 
 
 def report(total_joint_dof_sum: int, loops: list[LoopSpec] | tuple[LoopSpec, ...]) -> TopologyReport:
+    """Mobility report of a decomposition; :class:`InvalidParameter` unless
+    ``total_joint_dof_sum`` is a non-negative integer."""
+    _check_count("total_joint_dof_sum", total_joint_dof_sum)
     deltas = constraint_degrees(loops)
     return TopologyReport(
         dof=dof(total_joint_dof_sum, loops),

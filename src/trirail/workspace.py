@@ -5,9 +5,9 @@ feasibility and every real solution branch is classified through the
 velocity model.  A scan returns a :class:`ScanResult`: Python-list columns
 (coordinates, solution count, the two smallest determinants, the worst
 class) with one entry per point in row-major order, ready for CSV/JSON
-export (plot-ready point clouds rather than figures).  :func:`export` and
-:func:`summary` read the columns; a :class:`WorkspaceSample` is built for
-a point only when a caller iterates or indexes the result.
+export (plot-ready point clouds rather than figures).  A point's class is
+the index ``serial + 2 * parallel`` into :class:`SingularityKind`, the
+rule of :func:`jacobian.classify`, maximised over the point's branches.
 
 Branches where a distal link folds onto the X axis have no finite
 velocity model (the cotangent rows diverge); they are DOF-losing fold
@@ -20,15 +20,15 @@ entire workspace singular.  Labels therefore come from the working
 (non-degenerate) assemblies, with the degenerate ones consulted only when
 nothing else exists (exact boundary poses).
 
-:func:`sample_point` states these rules one pose at a time and is the
-reference.  :func:`scan` and :func:`cross_section` apply them with numpy
-over whole x-planes: the distal angles depend only on x, so one numpy pass
-labels every (y, z) point of a run of consecutive planes across the 32
-sign branches.  A pass holds up to ``_PASS_POINTS`` points and a plane
-larger than that runs alone: a 41 x 41 cross-section takes two passes, a
-41^3 scan 41 passes of one plane, and no numpy array spans the whole
-grid.  The two agree bit for bit, which keeps exports byte-identical, because
-the kernel
+:func:`sample_point` states these rules one pose at a time, returning the
+kernel's row for that pose, and is the reference.  :func:`scan` and
+:func:`cross_section` apply them with numpy over whole x-planes: the distal
+angles depend only on x, so one numpy pass labels every (y, z) point of a
+run of consecutive planes across the 32 sign branches.  A pass holds up to
+``_PASS_POINTS`` points and a plane larger than that runs alone: a 41 x 41
+cross-section takes two passes, a 41^3 scan 41 passes of one plane, and no
+numpy array spans the whole grid.  The two agree bit for bit, which keeps
+exports byte-identical, because the kernel
 
 * computes the distal angles, their sines, cosines and cotangents once
   per x as Python scalars (``math``, never ``np.sin``/``np.arccos``);
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import filterfalse, islice
 
@@ -52,14 +52,6 @@ from . import fk, ik, jacobian
 from .errors import CotangentSingular, InvalidParameter, OutOfRange, Unreachable
 from .jacobian import SingularityKind
 from .params import Pose, ValidatedParams
-
-_SEVERITY = {
-    SingularityKind.REGULAR: 0,
-    SingularityKind.SERIAL: 1,
-    SingularityKind.PARALLEL: 2,
-    SingularityKind.COMPREHENSIVE: 3,
-}
-_KINDS = sorted(_SEVERITY, key=_SEVERITY.get)
 
 CSV_HEADER = "x,y,z,feasible,real_solution_count,min_norm_det_jp,min_norm_det_jq,class"
 
@@ -88,28 +80,14 @@ class ScanSpec:
             )
 
 
-@dataclass(frozen=True)
-class WorkspaceSample:
-    pose: Pose
-    feasible: bool
-    real_solution_count: int
-    #: smallest |normalised det| over classifiable branches; NaN if none.
-    min_norm_det_jp: float
-    min_norm_det_jq: float
-    #: worst class over branches; None when infeasible.
-    kind: SingularityKind | None
-
-
 # no generated __eq__: list equality of NaN dets depends on object identity
 @dataclass(frozen=True, eq=False)
 class ScanResult:
     """Labelled points as columns, one entry per point in the same order.
 
     A point is feasible when its ``real_solution_count`` is positive.
-    ``severity`` is the worst class as an index into regular, serial,
-    parallel, comprehensive, and 0 on infeasible points.  ``len``,
-    indexing, slices and iteration work as on a list of
-    :class:`WorkspaceSample`; each sample is built on demand.
+    ``severity`` is the worst class as an index into
+    :class:`SingularityKind`, and 0 on infeasible points.
     """
 
     x: list[float]
@@ -120,34 +98,8 @@ class ScanResult:
     min_norm_det_jq: list[float]
     severity: list[int]
 
-    @classmethod
-    def from_samples(cls, samples: Iterable[WorkspaceSample]) -> ScanResult:
-        """The columns of a list of samples."""
-        rows = [(s.pose.x, s.pose.y, s.pose.z, s.real_solution_count, s.min_norm_det_jp,
-                 s.min_norm_det_jq, _SEVERITY.get(s.kind, 0)) for s in samples]
-        return cls(*map(list, zip(*rows) if rows else [()] * 7))
-
-    def _columns(self) -> tuple[list, ...]:
-        return (self.x, self.y, self.z, self.real_solution_count, self.min_norm_det_jp,
-                self.min_norm_det_jq, self.severity)
-
     def __len__(self) -> int:
         return len(self.x)
-
-    def __getitem__(self, index):
-        """One sample for an integer index, a :class:`ScanResult` for a slice."""
-        if isinstance(index, slice):
-            return ScanResult(*(column[index] for column in self._columns()))
-        return _sample(*(column[index] for column in self._columns()))
-
-    def __iter__(self) -> Iterator[WorkspaceSample]:
-        return map(_sample, *self._columns())
-
-
-def _sample(x, y, z, count, min_jp, min_jq, severity) -> WorkspaceSample:
-    # coordinates come from a ScanSpec grid or from a sample's Pose: finite
-    return WorkspaceSample(Pose._trusted(x, y, z), count > 0, count, min_jp, min_jq,
-                           _KINDS[severity] if count else None)
 
 
 def _axis_values(bounds: tuple[float, float], n: int) -> list[float]:
@@ -156,33 +108,36 @@ def _axis_values(bounds: tuple[float, float], n: int) -> list[float]:
     return [float(lo + i * step) for i in range(n)]
 
 
-def sample_point(pose: Pose, params: ValidatedParams, threshold: float) -> WorkspaceSample:
-    """Feasibility plus worst-case singularity label of one pose."""
+def sample_point(pose: Pose, params: ValidatedParams,
+                 threshold: float) -> tuple[int, float, float, int]:
+    """The kernel's row for one pose: (solution count, min |norm det Jp|,
+    min |norm det Jq|, worst class index), with NaN dets where no branch is
+    classified and (0, nan, nan, 0) when the pose is infeasible."""
     try:
         solutions = ik.solve(pose, params, check_roundtrip=False)
     except Unreachable:
         solutions = []
     if not solutions:
-        return WorkspaceSample(pose, False, 0, math.nan, math.nan, None)
+        return 0, math.nan, math.nan, 0
     working = [s for s in solutions if not s.parallel_singular]
-    worst = SingularityKind.REGULAR
+    kinds = tuple(SingularityKind)
+    worst = 0
     min_jp = math.nan
     min_jq = math.nan
     for solution in working or solutions:
         try:
             pair = jacobian.build(pose, solution, params)
         except CotangentSingular:
-            if _SEVERITY[SingularityKind.SERIAL] > _SEVERITY[worst]:
-                worst = SingularityKind.SERIAL
+            # a folded branch has no velocity model and is serial
+            worst = max(worst, kinds.index(SingularityKind.SERIAL))
             continue
         cls = jacobian.classify(pair, params, threshold)
-        if _SEVERITY[cls.kind] > _SEVERITY[worst]:
-            worst = cls.kind
+        worst = max(worst, kinds.index(cls.kind))
         if math.isnan(min_jp) or abs(cls.norm_det_jp) < min_jp:
             min_jp = abs(cls.norm_det_jp)
         if math.isnan(min_jq) or abs(cls.norm_det_jq) < min_jq:
             min_jq = abs(cls.norm_det_jq)
-    return WorkspaceSample(pose, True, len(solutions), min_jp, min_jq, worst)
+    return len(solutions), min_jp, min_jq, worst
 
 
 _AXES = ("x", "y", "z")
@@ -314,9 +269,8 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     serial = ((np.abs(u11) / l2 <= jacobian.SERIAL_THRESHOLD)
               | (np.abs(u22) / l2 <= jacobian.SERIAL_THRESHOLD)
               | (np.abs(u33) / l6 <= jacobian.SERIAL_THRESHOLD))
-    severity = np.where(fold, np.int8(_SEVERITY[SingularityKind.SERIAL]),
-                        serial * np.int8(_SEVERITY[SingularityKind.SERIAL])
-                        + parallel * np.int8(_SEVERITY[SingularityKind.PARALLEL]))
+    # the class index serial + 2 * parallel of classify; a folded branch is serial
+    severity = np.where(fold, np.int8(1), serial + parallel * np.int8(2))
     return (per_point(exists.sum(axis=_BRANCHES)), min_jp, min_jq,
             per_point(np.where(chosen, severity, 0).max(axis=_BRANCHES)))
 
@@ -383,7 +337,7 @@ def _reprs(values: list[float]) -> list[str]:
 
 def _rows(result: ScanResult):
     """(x, y, z reprs, count, min jp, min jq, class name) of each point."""
-    names = [kind.value for kind in _KINDS]
+    names = [kind.value for kind in SingularityKind]
     return zip(_reprs(result.x), _reprs(result.y), _reprs(result.z),
                result.real_solution_count, result.min_norm_det_jp, result.min_norm_det_jq,
                map(names.__getitem__, result.severity))
@@ -426,7 +380,7 @@ def _chunks(result: ScanResult, fmt: str) -> Iterator[str]:
         yield _csv_text(piece, first) if fmt == "csv" else _json_text(piece, first, last)
 
 
-def export(samples: ScanResult | list[WorkspaceSample], fmt: str, destination) -> None:
+def export(samples: ScanResult, fmt: str, destination) -> None:
     """Write points as CSV or JSON; bit-stable for identical inputs.
 
     The text is built and written ``_EXPORT_ROWS`` points at a time, so an
@@ -434,8 +388,6 @@ def export(samples: ScanResult | list[WorkspaceSample], fmt: str, destination) -
     """
     if fmt not in ("csv", "json"):
         raise InvalidParameter("format", f"must be csv or json, got {fmt!r}")
-    if not isinstance(samples, ScanResult):
-        samples = ScanResult.from_samples(samples)
     try:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(_chunks(samples, fmt))
@@ -457,12 +409,10 @@ def check_writable(destination) -> None:
         os.remove(destination)
 
 
-def summary(samples: ScanResult | list[WorkspaceSample]) -> dict[str, int]:
+def summary(samples: ScanResult) -> dict[str, int]:
     """Counts by label: total, feasible, and one bucket per class."""
-    if not isinstance(samples, ScanResult):
-        samples = ScanResult.from_samples(samples)
     infeasible = samples.real_solution_count.count(0)
-    by_class = {kind.value: samples.severity.count(k) for k, kind in enumerate(_KINDS)}
+    by_class = {kind.value: samples.severity.count(k) for k, kind in enumerate(SingularityKind)}
     # infeasible points carry severity 0
     by_class[SingularityKind.REGULAR.value] -= infeasible
     return {"total": len(samples), "feasible": len(samples) - infeasible, **by_class}

@@ -186,6 +186,25 @@ class TestIk:
             expected = "parallel" if record["parallel_singular"] else "regular"
             assert record["singularity"]["class"] == expected
 
+    def test_failed_roundtrip_residual_is_null_in_strict_json(self, runner):
+        # rails near 1e17 mm: no round trip finds a direct solution, and the
+        # residual stays infinite
+        args = ["ik", "0", "1e17", "300"]
+        result = runner.invoke(main, ["--format", "json", *args])
+        assert result.exit_code == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        payload = json.loads(result.stdout, parse_constant=reject)
+        assert payload["count"] == 8
+        assert all(s["roundtrip"] == "failed" and s["roundtrip_residual"] is None
+                   for s in payload["solutions"])
+        csv = runner.invoke(main, ["--format", "csv", *args])
+        assert csv.exit_code == 0
+        rows = csv.stdout.splitlines()[1:]
+        assert len(rows) == 8 and all(row.endswith(",failed,inf") for row in rows)
+
     def test_unreachable_reports_arccos_domain(self, runner):
         result = runner.invoke(main, ["ik", "200", "0", "300"])
         assert result.exit_code == 2
@@ -366,11 +385,15 @@ class TestWorkspace:
         assert not out.exists()
 
     def test_scan_script_rejects_section_out_of_range(self, tmp_path):
+        out = tmp_path / "scan.csv"
         proc = run_script("scan_workspace.py", "--resolution", "2",
-                          "--out", str(tmp_path / "scan.csv"), "--sections", "90")
+                          "--out", str(out), "--sections", "300", "90")
         assert proc.returncode == 1
         assert "error: z = 90 outside scan range" in proc.stderr
         assert "Traceback" not in proc.stderr
+        # the height is checked before the box scan: nothing scanned, nothing written
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_format(self, runner, tmp_path):
         out = tmp_path / "scan.json"
@@ -432,6 +455,15 @@ class TestTopology:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert f"error: writing {out}" in result.output
+
+    @pytest.mark.parametrize("total", ["1e400", "11.5", "true", '"a"', "-3", "null"])
+    def test_invalid_total_joint_dof_sum_rejected(self, runner, total):
+        spec = '{"total_joint_dof_sum": %s, "loops": [[6, 2, 3], [5, 1, 5]]}' % total
+        result = runner.invoke(main, ["--format", "json", "topology", "--loops", spec])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: loop specification: total_joint_dof_sum: must be a non-negative " \
+               "integer" in result.output
 
     def test_invalid_akc_rejected(self, runner):
         spec = json.dumps({"total_joint_dof_sum": 11, "loops": [[6, 2, 3], [5, 1, 4]]})

@@ -27,6 +27,29 @@ def worked_configuration():
     return pose, solution
 
 
+def det_jp_factors(pose, solution):
+    """(B, h12, h3, cot(alpha) - cot(beta)): det(Jp) is their product, with
+    B = yA1 - l3 - yA2 the planar-loop gap."""
+    b_value = solution.inputs.yA1 - P.l3 - solution.inputs.yA2
+    h12 = (pose.z - P.l4 * math.sin(solution.alpha)) - P.l1
+    h3 = (pose.z - P.l8 - P.l6 * math.sin(solution.beta) - P.l7) - P.l1
+    cot_a = math.cos(solution.alpha) / math.sin(solution.alpha)
+    cot_b = math.cos(solution.beta) / math.sin(solution.beta)
+    return b_value, h12, h3, cot_a - cot_b
+
+
+def assert_b_factor_vanishes(pose, solution, pair):
+    """The parallel class comes from the B factor: |B| is the only factor of
+    det(Jp) that vanishes at the threshold's scale, and rows 1 and 2 of Jp then
+    coincide, differing by -B in the u column alone."""
+    b_value, h12, h3, cot_gap = det_jp_factors(pose, solution)
+    assert abs(b_value) / P.l2 <= jacobian.SINGULARITY_THRESHOLD
+    assert min(abs(h12) / P.l2, abs(h3) / P.l6, abs(cot_gap)) > jacobian.SINGULARITY_THRESHOLD
+    row1, row2 = pair.jp.tolist()[:2]
+    assert (row1[0], row1[2]) == (row2[0], row2[2])
+    assert row1[1] - row2[1] == pytest.approx(-b_value, abs=1e-9)
+
+
 class TestBuild:
     def test_worked_configuration_diagonal(self):
         pose, solution = worked_configuration()
@@ -105,12 +128,8 @@ class TestDeterminantFactorisation:
                 except CotangentSingular:
                     continue
                 checked += 1
-                b_value = solution.inputs.yA1 - P.l3 - solution.inputs.yA2
-                h12 = (pose.z - P.l4 * math.sin(solution.alpha)) - P.l1
-                h3 = (pose.z - P.l8 - P.l6 * math.sin(solution.beta) - P.l7) - P.l1
-                cot_a = math.cos(solution.alpha) / math.sin(solution.alpha)
-                cot_b = math.cos(solution.beta) / math.sin(solution.beta)
-                expected = b_value * h12 * h3 * (cot_a - cot_b)
+                b_value, h12, h3, cot_gap = det_jp_factors(pose, solution)
+                expected = b_value * h12 * h3 * cot_gap
                 assert pair.det_jp == pytest.approx(expected, rel=1e-9, abs=1e-6)
 
 
@@ -140,13 +159,19 @@ class TestFdCheck:
             jacobian.fd_check(Pose(pose.x, pose.y, pose.z + 5.0), solution, P)
 
 
+def min_norm_u(pair):
+    """Smallest |u| normalised by its link length (l2, l2, l6)."""
+    return min(abs(u) / length for u, length in zip(pair.u, (P.l2, P.l2, P.l6)))
+
+
 class TestClassify:
     def test_worked_configuration_regular(self):
         pose, solution = worked_configuration()
-        cls = jacobian.classify(jacobian.build(pose, solution, P), P)
+        pair = jacobian.build(pose, solution, P)
+        cls = jacobian.classify(pair, P)
         assert cls.kind is SingularityKind.REGULAR
-        assert cls.serial_witnesses == ()
-        assert cls.parallel_witness is None
+        assert min_norm_u(pair) > jacobian.SERIAL_THRESHOLD
+        assert abs(cls.norm_det_jp) > jacobian.SINGULARITY_THRESHOLD
 
     def test_serial_equivalence_invariant(self):
         # min normalised |u| at or below the serial threshold <=> serial class
@@ -158,7 +183,7 @@ class TestClassify:
                 except CotangentSingular:
                     continue
                 cls = jacobian.classify(pair, P)
-                fired = cls.min_norm_u <= jacobian.SERIAL_THRESHOLD
+                fired = min_norm_u(pair) <= jacobian.SERIAL_THRESHOLD
                 is_serial = cls.kind in (SingularityKind.SERIAL,
                                          SingularityKind.COMPREHENSIVE)
                 assert fired == is_serial
@@ -169,9 +194,10 @@ class TestClassify:
         for solution in ik.solve(pose, P, check_roundtrip=False):
             if 3 not in solution.serial_witnesses or solution.parallel_singular:
                 continue
-            cls = jacobian.classify(jacobian.build(pose, solution, P), P)
+            pair = jacobian.build(pose, solution, P)
+            cls = jacobian.classify(pair, P)
             assert cls.kind in (SingularityKind.SERIAL, SingularityKind.COMPREHENSIVE)
-            assert 3 in cls.serial_witnesses
+            assert pair.u[2] == 0.0
             hits += 1
         assert hits > 0
 
@@ -185,10 +211,11 @@ class TestClassify:
             if 1 not in solution.serial_witnesses:
                 continue
             assert solution.M1 == 0.0
-            cls = jacobian.classify(jacobian.build(pose, solution, P), P)
+            pair = jacobian.build(pose, solution, P)
+            cls = jacobian.classify(pair, P)
             assert cls.kind is SingularityKind.COMPREHENSIVE
-            assert 1 in cls.serial_witnesses and 2 in cls.serial_witnesses
-            assert cls.parallel_witness == "rows 1,2 dependent"
+            assert pair.u[0] == 0.0 and pair.u[1] == 0.0
+            assert_b_factor_vanishes(pose, solution, pair)
             hits += 1
         assert hits > 0
 
@@ -204,7 +231,7 @@ class TestClassify:
             cls = jacobian.classify(pair, P)
             assert cls.kind is expected
             if expected is SingularityKind.PARALLEL:
-                assert cls.parallel_witness == "rows 1,2 dependent"
+                assert_b_factor_vanishes(sol.pose, ik_sol, pair)
 
     def test_distal_rows_never_pairwise_dependent_on_sample(self):
         # the distal row (3) should stay independent of rows 1/2 for this

@@ -52,6 +52,12 @@ def test_coupling_degree_requires_zero_sum():
         topology.coupling_degree((1, 1))
 
 
+@pytest.mark.parametrize("total", [-1, 11.0, 3.5, float("inf"), True, "11", None])
+def test_report_rejects_a_total_that_is_not_a_non_negative_integer(total):
+    with pytest.raises(InvalidParameter, match="total_joint_dof_sum"):
+        topology.report(total, [LoopSpec(6, 2, 3), LoopSpec(5, 1, 5)])
+
+
 def test_loop_spec_validation():
     with pytest.raises(InvalidParameter):
         LoopSpec(-1, 0, 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,12 +16,29 @@ from test_geometry_variants import SPACER_PARAMS
 
 
 def rows(samples):
-    """Canonical serialised form; NaN-safe sample comparison."""
-    if not isinstance(samples, ScanResult):
-        samples = ScanResult.from_samples(samples)
+    """Canonical serialised form; NaN-safe point comparison."""
     return "".join(workspace._chunks(samples, "csv")).splitlines()[1:]
 
+
+def sliced(result, index):
+    """The points of ``result`` at a slice ``index``, as a :class:`ScanResult`."""
+    return ScanResult(*(getattr(result, f.name)[index] for f in dataclasses.fields(result)))
+
+
+def labelled(points, params, threshold):
+    """A :class:`ScanResult` of ``points`` labelled one at a time by ``sample_point``."""
+    return ScanResult(*map(list, zip(*[
+        (x, y, z, *workspace.sample_point(Pose(x, y, z), params, threshold))
+        for x, y, z in points])))
+
+
+def kind(severity):
+    """The class at a severity index."""
+    return tuple(SingularityKind)[severity]
+
+
 P = REFERENCE_PARAMS
+EMPTY = ScanResult([], [], [], [], [], [], [])
 
 REFERENCE_BOX = dict(x_range=(-110.0, 90.0), y_range=(-250.0, 250.0), z_range=(180.0, 480.0))
 SMALL_SPEC = ScanSpec(resolution=5, **REFERENCE_BOX)
@@ -29,8 +47,8 @@ SMALL_SPEC = ScanSpec(resolution=5, **REFERENCE_BOX)
 DYADIC_SPEC = ScanSpec(x_range=(-64.0, 0.0), y_range=(0.0, 64.0), z_range=(192.0, 320.0),
                        resolution=3)
 # both signs of zero in one column: one set element, two reprs
-SIGNED_ZEROS = [workspace.sample_point(Pose(x, y, z), P, 1e-3)
-                for x in (0.0, -0.0) for y in (-0.0, 0.0) for z in (250.0, 1000.0)]
+SIGNED_ZEROS = labelled([(x, y, z) for x in (0.0, -0.0) for y in (-0.0, 0.0)
+                         for z in (250.0, 1000.0)], P, 1e-3)
 
 
 def independent_feasible(pose: Pose) -> bool:
@@ -73,33 +91,39 @@ class TestScan:
     def test_row_major_order_and_cardinality(self):
         samples = scan(SMALL_SPEC, P)
         assert len(samples) == 5 ** 3
-        coords = [(s.pose.x, s.pose.y, s.pose.z) for s in samples]
+        coords = list(zip(samples.x, samples.y, samples.z))
         assert coords == sorted(coords)
         assert coords[0] == (-110.0, -250.0, 180.0)
         assert coords[-1] == (90.0, 250.0, 480.0)
 
     def test_feasible_flag_matches_solution_count(self):
-        for s in scan(SMALL_SPEC, P):
-            assert s.feasible == (s.real_solution_count > 0)
+        samples = scan(SMALL_SPEC, P)
+        for row, count, severity in zip(rows(samples), samples.real_solution_count,
+                                        samples.severity):
+            assert row.split(",")[3] == ("true" if count > 0 else "false")
+            assert count > 0 or severity == 0
 
     def test_feasibility_matches_independent_predicate(self):
-        for s in scan(SMALL_SPEC, P):
-            assert s.feasible == independent_feasible(s.pose)
+        samples = scan(SMALL_SPEC, P)
+        for x, y, z, count in zip(samples.x, samples.y, samples.z, samples.real_solution_count):
+            assert (count > 0) == independent_feasible(Pose(x, y, z))
 
     def test_out_of_reach_box_is_all_infeasible(self):
         spec = ScanSpec(x_range=(0.0, 10.0), y_range=(0.0, 10.0),
                         z_range=(1000.0, 1010.0), resolution=3)
         samples = scan(spec, P)
-        assert all(not s.feasible for s in samples)
-        assert all(s.kind is None for s in samples)
+        assert set(samples.real_solution_count) == {0}
+        assert set(samples.severity) == {0}
+        assert all(row.endswith(",false,0,nan,nan,none") for row in rows(samples))
 
     def test_feasible_samples_respect_reach_invariants(self):
-        for s in scan(SMALL_SPEC, P):
-            if not s.feasible:
+        samples = scan(SMALL_SPEC, P)
+        for x, y, z, count in zip(samples.x, samples.y, samples.z, samples.real_solution_count):
+            if not count:
                 continue
-            assert abs(s.pose.x + P.b - P.d) <= P.l4
-            assert abs(s.pose.x + P.d - P.b) <= P.l6
-            for sol in ik.solve(s.pose, P, check_roundtrip=False):
+            assert abs(x + P.b - P.d) <= P.l4
+            assert abs(x + P.d - P.b) <= P.l6
+            for sol in ik.solve(Pose(x, y, z), P, check_roundtrip=False):
                 assert sol.M1 >= 0.0 and sol.M3 >= 0.0
 
     def test_workers_do_not_change_results(self):
@@ -111,15 +135,17 @@ class TestScan:
         coarse = scan(DYADIC_SPEC, P)
         fine = scan(ScanSpec(x_range=DYADIC_SPEC.x_range, y_range=DYADIC_SPEC.y_range,
                              z_range=DYADIC_SPEC.z_range, resolution=5), P)
-        fine_map = {s.pose.as_tuple(): s for s in fine}
+        fine_map = {point: (row, count) for point, row, count in zip(
+            zip(fine.x, fine.y, fine.z), rows(fine), fine.real_solution_count)}
         shared = 0
-        for s in coarse:
-            twin = fine_map.get(s.pose.as_tuple())
+        for point, row, count in zip(zip(coarse.x, coarse.y, coarse.z), rows(coarse),
+                                     coarse.real_solution_count):
+            twin = fine_map.get(point)
             if twin is None:
                 continue
             shared += 1
-            assert rows([twin]) == rows([s])
-            assert s.feasible == twin.feasible
+            assert twin[0] == row
+            assert (twin[1] > 0) == (count > 0)
         assert shared == len(coarse)  # dyadic grids nest exactly
 
 
@@ -129,8 +155,8 @@ class TestCrossSection:
         z_slice = z_values[2]
         full = scan(SMALL_SPEC, P)
         section = cross_section(SMALL_SPEC, P, "z", z_slice)
-        plane = [s for s in full if s.pose.z == z_slice]
-        assert rows(section) == rows(plane)
+        plane = [row for row, z in zip(rows(full), full.z) if z == z_slice]
+        assert rows(section) == plane
 
     def test_endpoint_slice_is_valid(self):
         section = cross_section(SMALL_SPEC, P, "x", -110.0)
@@ -147,12 +173,12 @@ class TestCrossSection:
     def test_below_reach_slice_infeasible(self):
         spec = ScanSpec(x_range=(-110.0, 90.0), y_range=(-250.0, 250.0),
                         z_range=(900.0, 1000.0), resolution=3)
-        assert all(not s.feasible for s in cross_section(spec, P, "z", 950.0))
+        assert set(cross_section(spec, P, "z", 950.0).real_solution_count) == {0}
 
 
 class TestExport:
     def test_csv_shape_and_header(self, tmp_path):
-        samples = scan(DYADIC_SPEC, P)[:2]
+        samples = sliced(scan(DYADIC_SPEC, P), slice(2))
         path = tmp_path / "points.csv"
         export(samples, "csv", path)
         lines = path.read_text().splitlines()
@@ -161,7 +187,7 @@ class TestExport:
 
     def test_empty_csv_is_header_only(self, tmp_path):
         path = tmp_path / "points.csv"
-        export([], "csv", path)
+        export(EMPTY, "csv", path)
         assert path.read_text() == workspace.CSV_HEADER + "\n"
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
@@ -181,31 +207,33 @@ class TestExport:
             "x", "y", "z", "feasible", "real_solution_count",
             "min_norm_det_jp", "min_norm_det_jq", "class",
         }
-        for record, sample in zip(records, samples):
-            assert record["x"] == sample.pose.x
-            assert record["feasible"] == sample.feasible
+        for record, x, count in zip(records, samples.x, samples.real_solution_count):
+            assert record["x"] == x
+            assert record["feasible"] == (count > 0)
 
     @pytest.mark.parametrize("samples", [
         pytest.param(scan(SMALL_SPEC, P), id="infeasible-rows"),
         # every branch folds at x = 80: feasible rows with no determinant
         pytest.param(cross_section(ScanSpec(resolution=5, **REFERENCE_BOX), P, "x", 80.0),
                      id="fold-rows"),
-        pytest.param([], id="empty"),
+        pytest.param(EMPTY, id="empty"),
         pytest.param(cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P, "z", 330.0),
                      id="section-z330"),
         pytest.param(SIGNED_ZEROS, id="signed-zeros"),
     ])
     def test_json_is_byte_identical_to_json_dumps(self, tmp_path, samples):
         records = [{
-            "x": s.pose.x,
-            "y": s.pose.y,
-            "z": s.pose.z,
-            "feasible": s.feasible,
-            "real_solution_count": s.real_solution_count,
-            "min_norm_det_jp": None if math.isnan(s.min_norm_det_jp) else s.min_norm_det_jp,
-            "min_norm_det_jq": None if math.isnan(s.min_norm_det_jq) else s.min_norm_det_jq,
-            "class": s.kind.value if s.kind is not None else "none",
-        } for s in samples]
+            "x": x,
+            "y": y,
+            "z": z,
+            "feasible": count > 0,
+            "real_solution_count": count,
+            "min_norm_det_jp": None if math.isnan(jp) else jp,
+            "min_norm_det_jq": None if math.isnan(jq) else jq,
+            "class": kind(severity).value if count else "none",
+        } for x, y, z, count, jp, jq, severity in zip(
+            samples.x, samples.y, samples.z, samples.real_solution_count,
+            samples.min_norm_det_jp, samples.min_norm_det_jq, samples.severity)]
         path = tmp_path / "points.json"
         export(samples, "json", path)
         assert path.read_bytes() == (json.dumps(records, indent=1) + "\n").encode()
@@ -218,28 +246,19 @@ class TestExport:
     ])
     def test_csv_rows_are_per_sample_reprs(self, tmp_path, samples):
         lines = [workspace.CSV_HEADER] + [",".join((
-            repr(s.pose.x), repr(s.pose.y), repr(s.pose.z),
-            "true" if s.feasible else "false", str(s.real_solution_count),
-            repr(s.min_norm_det_jp), repr(s.min_norm_det_jq),
-            s.kind.value if s.kind is not None else "none",
-        )) for s in samples]
+            repr(x), repr(y), repr(z), "true" if count else "false", str(count),
+            repr(jp), repr(jq), kind(severity).value if count else "none",
+        )) for x, y, z, count, jp, jq, severity in zip(
+            samples.x, samples.y, samples.z, samples.real_solution_count,
+            samples.min_norm_det_jp, samples.min_norm_det_jq, samples.severity)]
         path = tmp_path / "points.csv"
         export(samples, "csv", path)
         assert path.read_text() == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_sample_list_exports_like_its_columns(self, tmp_path, fmt):
-        columns = scan(ScanSpec(resolution=21, **REFERENCE_BOX), P)
-        samples = list(columns)
-        assert summary(samples) == summary(columns)
-        export(samples, fmt, tmp_path / "samples")
-        export(columns, fmt, tmp_path / "columns")
-        assert (tmp_path / "samples").read_bytes() == (tmp_path / "columns").read_bytes()
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("piece", [1, 7, 25, 26])
     def test_pieces_join_to_the_one_piece_export(self, tmp_path, monkeypatch, fmt, piece):
-        samples = scan(SMALL_SPEC, P)[:25]
+        samples = sliced(scan(SMALL_SPEC, P), slice(25))
         export(samples, fmt, tmp_path / "whole")
         monkeypatch.setattr(workspace, "_EXPORT_ROWS", piece)
         assert len(list(workspace._chunks(samples, fmt))) == -(-25 // piece)
@@ -258,56 +277,38 @@ class TestExport:
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(InvalidParameter):
-            export([], "xml", tmp_path / "nope.xml")
+            export(EMPTY, "xml", tmp_path / "nope.xml")
 
     def test_io_failure_carries_path_context(self, tmp_path):
         target = tmp_path / "a_directory"
         target.mkdir()
         with pytest.raises(OSError) as err:
-            export([], "csv", target)
+            export(EMPTY, "csv", target)
         assert str(target) in str(err.value)
-
-
-def fields(sample):
-    """A sample as a tuple that compares NaN dets equal."""
-    return (sample.pose.as_tuple(), sample.feasible, sample.real_solution_count,
-            repr(sample.min_norm_det_jp), repr(sample.min_norm_det_jq), sample.kind)
-
-
-class TestScanResult:
-    def test_len_slice_and_iteration_match_sample_point(self):
-        result = scan(SMALL_SPEC, P)
-        expected = oracle(SMALL_SPEC, P)
-        assert len(result) == len(expected) == 5 ** 3
-        assert list(map(fields, result)) == list(map(fields, expected))
-        part = result[10:80:3]
-        assert isinstance(part, ScanResult)
-        assert list(map(fields, part)) == list(map(fields, expected[10:80:3]))
-        assert fields(result[-1]) == fields(expected[-1])
 
 
 class TestLabels:
     def test_fold_plane_labelled_serial(self):
         # x = 80 puts cos(alpha) = 1 exactly: every branch folds
-        sample = workspace.sample_point(Pose(80.0, 0.0, 250.0), P, 1e-3)
-        assert sample.feasible
-        assert sample.kind is SingularityKind.SERIAL
-        assert math.isnan(sample.min_norm_det_jp)
+        count, min_jp, _, severity = workspace.sample_point(Pose(80.0, 0.0, 250.0), P, 1e-3)
+        assert count > 0
+        assert kind(severity) is SingularityKind.SERIAL
+        assert math.isnan(min_jp)
 
     def test_interior_point_regular(self):
-        sample = workspace.sample_point(Pose(-20.0, 0.0, 450.0), P, 1e-3)
-        assert sample.feasible
-        assert sample.kind is SingularityKind.REGULAR
-        assert sample.min_norm_det_jp > 1e-3
+        count, min_jp, _, severity = workspace.sample_point(Pose(-20.0, 0.0, 450.0), P, 1e-3)
+        assert count > 0
+        assert kind(severity) is SingularityKind.REGULAR
+        assert min_jp > 1e-3
 
     def test_low_sheet_labelled_parallel(self):
         # near z = l1 + l6*sin(beta(x)): the chain-3 height term vanishes
         x = -20.0
         sin_b = math.sqrt(1.0 - ((x + P.d - P.b) / P.l6) ** 2)
         z = P.l1 + P.l6 * sin_b + 0.01
-        sample = workspace.sample_point(Pose(x, 0.0, z), P, 1e-3)
-        assert sample.feasible
-        assert sample.kind is SingularityKind.PARALLEL
+        count, _, _, severity = workspace.sample_point(Pose(x, 0.0, z), P, 1e-3)
+        assert count > 0
+        assert kind(severity) is SingularityKind.PARALLEL
 
     def test_exact_stroke_boundary_grid_point_labels_serial(self):
         # grid engineered to contain the M3 = 0 pose exactly (x = -38,
@@ -315,10 +316,13 @@ class TestLabels:
         spec = ScanSpec(x_range=(-48.0, -28.0), y_range=(-10.0, 10.0),
                         z_range=(434.0, 454.0), resolution=3)
         samples = scan(spec, P)
-        boundary = [s for s in samples if s.pose.as_tuple() == (-38.0, 0.0, 444.0)]
+        boundary = [(count, severity) for point, count, severity in zip(
+            zip(samples.x, samples.y, samples.z), samples.real_solution_count, samples.severity)
+            if point == (-38.0, 0.0, 444.0)]
         assert len(boundary) == 1
-        assert boundary[0].feasible
-        assert boundary[0].kind in (SingularityKind.SERIAL, SingularityKind.COMPREHENSIVE)
+        count, severity = boundary[0]
+        assert count > 0
+        assert kind(severity) in (SingularityKind.SERIAL, SingularityKind.COMPREHENSIVE)
 
     def test_reference_box_41_is_pinned(self, tmp_path):
         # the full-resolution reference scan: 41 passes of one 1681-point plane
@@ -336,7 +340,7 @@ class TestLabels:
         samples = scan(SMALL_SPEC, P)
         counts = summary(samples)
         assert counts["total"] == len(samples)
-        assert counts["feasible"] == sum(1 for s in samples if s.feasible)
+        assert counts["feasible"] == sum(count > 0 for count in samples.real_solution_count)
         assert counts["feasible"] == (counts["regular"] + counts["serial"]
                                       + counts["parallel"] + counts["comprehensive"])
 
@@ -352,8 +356,8 @@ def oracle(spec, params, axis=None, value=None):
     axes = [grid(r, spec.resolution) for r in (spec.x_range, spec.y_range, spec.z_range)]
     if axis is not None:
         axes["xyz".index(axis)] = [value]
-    return [workspace.sample_point(Pose(x, y, z), params, spec.singularity_threshold)
-            for x in axes[0] for y in axes[1] for z in axes[2]]
+    return labelled([(x, y, z) for x in axes[0] for y in axes[1] for z in axes[2]],
+                    params, spec.singularity_threshold)
 
 
 class TestKernelMatchesSamplePoint:
