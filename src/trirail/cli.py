@@ -317,6 +317,33 @@ def cmd_verify(ctx):
     sys.exit(EXIT_OK)
 
 
+_LOOP_FIELDS = "[joint_dof_sum, actuated_count, independent_eq_count]"
+
+
+def _loop_spec(data):
+    """(total joint freedoms, loops) of a parsed ``--loops`` value.
+
+    Raises :class:`InvalidParameter` naming the missing key or the part
+    whose shape is wrong; the counts themselves are checked by
+    :mod:`topology`.
+    """
+    if not isinstance(data, dict):
+        raise InvalidParameter("--loops", "must be a JSON object with keys "
+                                          f"total_joint_dof_sum and loops, got {data!r}")
+    for key in ("total_joint_dof_sum", "loops"):
+        if key not in data:
+            raise InvalidParameter(key, "missing")
+    loops = data["loops"]
+    if not isinstance(loops, list):
+        raise InvalidParameter("loops", f"must be a list of {_LOOP_FIELDS} triples, "
+                                        f"got {loops!r}")
+    for i, triple in enumerate(loops):
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise InvalidParameter(f"loops[{i}]", f"must be a list of three integers "
+                                                  f"{_LOOP_FIELDS}, got {triple!r}")
+    return data["total_joint_dof_sum"], [topology.LoopSpec(*triple) for triple in loops]
+
+
 @main.command("topology")
 @click.option("--loops", "loops_json", default=None,
               help="JSON object {\"total_joint_dof_sum\": N, \"loops\": [[dof, actuated, "
@@ -329,11 +356,8 @@ def cmd_topology(ctx, loops_json):
         if loops_json is None:
             rep = topology.reference_report()
         else:
-            data = json.loads(loops_json)
-            loops = [topology.LoopSpec(*triple) for triple in data["loops"]]
-            rep = topology.report(data["total_joint_dof_sum"], loops)
-    except (InvalidAkc, InvalidParameter, KeyError, TypeError,
-            json.JSONDecodeError) as exc:
+            rep = topology.report(*_loop_spec(json.loads(loops_json)))
+    except (InvalidAkc, InvalidParameter, json.JSONDecodeError) as exc:
         _fail(EXIT_CONFIG, f"loop specification: {exc}")
     if cfg["fmt"] == "json":
         _emit(json.dumps({"dof": rep.dof, "deltas": list(rep.deltas),

@@ -29,12 +29,17 @@ sin(gamma) = 0) share a dedup key, the pose rounded to 1e-9 mm and the
 angles to 1e-12 rad, and only the first is kept.  ``round`` runs only for a
 candidate lying within a few rounding steps of a kept one, which decides
 exactly as keying every candidate would (see :func:`_finish`).
+
+Each candidate is an :class:`FkSolution` holding an :class:`FkBranch` and
+an :class:`FkIntermediates`.  All three are immutable named tuples: the
+inverse round trip builds several per solution, and a tuple costs a
+fraction of a frozen dataclass to construct.  Read them by field name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AlphaUnreachable,
@@ -56,8 +61,7 @@ CIRCLE_TOL = 1e-9
 TAN_HALF_GUARD = 1e-9
 
 
-@dataclass(frozen=True)
-class FkBranch:
+class FkBranch(NamedTuple):
     """Sign choices that select one assembly out of up to eight."""
 
     sin_gamma_sign: int
@@ -65,11 +69,10 @@ class FkBranch:
     alpha_sign: int
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.sin_gamma_sign, self.t_sign, self.alpha_sign)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class FkIntermediates:
+class FkIntermediates(NamedTuple):
     """The angles and chain offset that fix a candidate's configuration.
 
     gamma, alpha and beta are radians; t is the parallelogram-chain
@@ -82,8 +85,7 @@ class FkIntermediates:
     t: float
 
 
-@dataclass(frozen=True)
-class FkSolution:
+class FkSolution(NamedTuple):
     pose: Pose
     branch: FkBranch
     intermediates: FkIntermediates
@@ -256,13 +258,8 @@ def enumerate_candidates(
                 pose = Pose._trusted(-b + l4 * cos_a + d, y, l1 + l2 * sin_gamma + l4 * sin_a)
                 vec = (r1, *_chain_residuals(pose, t, inputs.yA3, params, sin_a, cos_a,
                                              math.sin(beta), math.cos(beta)))
-                out.append(FkSolution(
-                    pose=pose,
-                    branch=FkBranch(gamma_sign, t_sign, alpha_sign),
-                    intermediates=FkIntermediates(gamma, alpha, beta, t),
-                    residual=max(vec),
-                    residual_vector=vec,
-                ))
+                out.append(FkSolution(pose, FkBranch(gamma_sign, t_sign, alpha_sign),
+                                      FkIntermediates(gamma, alpha, beta, t), max(vec), vec))
     return out
 
 

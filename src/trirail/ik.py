@@ -21,13 +21,16 @@ is the one the solution fixes through ``zC1 - l1``.  Both routes end in one
 :func:`fk.solve_at_gamma` call, which still enumerates both t roots and
 both alpha roots under the full residual filter.  The ``roundtrip`` field
 records which route confirmed each solution.
+
+:class:`IkSolution` and :class:`IkBranch` are immutable named tuples, like
+the direct map's results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import fk
 from .errors import Unreachable
@@ -38,8 +41,7 @@ from .params import JointInputs, Pose, ValidatedParams
 ROUNDTRIP_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class IkBranch:
+class IkBranch(NamedTuple):
     """Five independent sign choices: distal elbows plus one root per chain."""
 
     alpha_sign: int
@@ -47,8 +49,7 @@ class IkBranch:
     root_signs: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class IkSolution:
+class IkSolution(NamedTuple):
     inputs: JointInputs
     branch: IkBranch
     #: chain-1 radicand; chains 1 and 2 share the attachment height, so
@@ -170,15 +171,8 @@ def solve(
                     )
                 else:
                     roundtrip, residual = "skipped", math.nan
-                out.append(IkSolution(
-                    inputs=inputs,
-                    branch=IkBranch(s_alpha, s_beta, (s1, s2, s3)),
-                    M1=M1, M3=M3,
-                    alpha=alpha, beta=beta,
-                    serial_witnesses=merged,
-                    parallel_singular=parallel_singular,
-                    roundtrip=roundtrip,
-                    roundtrip_residual=residual,
-                ))
+                out.append(IkSolution(inputs, IkBranch(s_alpha, s_beta, (s1, s2, s3)),
+                                      M1, M3, alpha, beta, merged, parallel_singular,
+                                      roundtrip, residual))
     out.sort(key=lambda s: (s.inputs.yA1, s.inputs.yA2, s.inputs.yA3, s.alpha, s.beta))
     return out

@@ -26,13 +26,17 @@ formed on Python floats and the three row norms come from one stacked
 ``np.matmul`` (:func:`_row_norms`, which the workspace kernel shares): the
 same IEEE operations as numpy-scalar cofactors and ``np.dot`` per row,
 without their per-call overhead on a 3x3 matrix.
+
+:class:`JacobianPair` and :class:`Classification` are immutable named
+tuples, built once per classified branch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +63,12 @@ class SingularityKind(Enum):
     COMPREHENSIVE = "comprehensive"
 
 
-@dataclass(frozen=True)
-class JacobianPair:
+#: The classes in index order: the class of a configuration is
+#: ``_KINDS[serial + 2 * parallel]``.
+_KINDS = tuple(SingularityKind)
+
+
+class JacobianPair(NamedTuple):
     jp: np.ndarray
     jq: np.ndarray
     det_jp: float
@@ -71,8 +79,7 @@ class JacobianPair:
         return (float(self.jq[0, 0]), float(self.jq[1, 1]), float(self.jq[2, 2]))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: SingularityKind
     norm_det_jp: float
     norm_det_jq: float
@@ -121,8 +128,7 @@ def build(pose: Pose, solution: IkSolution, params: ValidatedParams) -> Jacobian
     j2 = (cos_b / sin_b) * h3
     jp = ((j0, u11, h12), (j0, u22, h12), (j2, u33, h3))
     jq = ((u11, 0.0, 0.0), (0.0, u22, 0.0), (0.0, 0.0, u33))
-    return JacobianPair(jp=np.array(jp), jq=np.array(jq), det_jp=_det3(jp),
-                        det_jq=u11 * u22 * u33)
+    return JacobianPair(np.array(jp), np.array(jq), _det3(jp), u11 * u22 * u33)
 
 
 def classify(
@@ -145,11 +151,8 @@ def classify(
     norms = _row_norms(pair.jp).tolist()
     norm_det_jp = 0.0 if min(norms) == 0.0 else pair.det_jp / (norms[0] * norms[1] * norms[2])
     parallel = abs(norm_det_jp) <= threshold
-    return Classification(
-        kind=tuple(SingularityKind)[serial + 2 * parallel],
-        norm_det_jp=norm_det_jp,
-        norm_det_jq=(u11 / l2) * (u22 / l2) * (u33 / l6),
-    )
+    return Classification(_KINDS[serial + 2 * parallel], norm_det_jp,
+                          (u11 / l2) * (u22 / l2) * (u33 / l6))
 
 
 def _matched_pose(

@@ -127,9 +127,7 @@ class JointInputs:
     def _trusted(cls, yA1: float, yA2: float, yA3: float) -> "JointInputs":
         """Inputs from rail positions already known to be finite floats, unvalidated."""
         inputs = object.__new__(cls)
-        object.__setattr__(inputs, "yA1", yA1)
-        object.__setattr__(inputs, "yA2", yA2)
-        object.__setattr__(inputs, "yA3", yA3)
+        inputs.__dict__.update(yA1=yA1, yA2=yA2, yA3=yA3)
         return inputs
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -151,9 +149,7 @@ class Pose:
     def _trusted(cls, x: float, y: float, z: float) -> "Pose":
         """Pose from coordinates already known to be finite floats, unvalidated."""
         pose = object.__new__(cls)
-        object.__setattr__(pose, "x", x)
-        object.__setattr__(pose, "y", y)
-        object.__setattr__(pose, "z", z)
+        pose.__dict__.update(x=x, y=y, z=z)
         return pose
 
     def as_tuple(self) -> tuple[float, float, float]:

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import fk, ik, jacobian
 from .errors import CotangentSingular, InvalidParameter, OutOfRange, Unreachable
-from .jacobian import SingularityKind
+from .jacobian import _KINDS, SingularityKind
 from .params import Pose, ValidatedParams
 
 CSV_HEADER = "x,y,z,feasible,real_solution_count,min_norm_det_jp,min_norm_det_jq,class"
@@ -120,7 +120,6 @@ def sample_point(pose: Pose, params: ValidatedParams,
     if not solutions:
         return 0, math.nan, math.nan, 0
     working = [s for s in solutions if not s.parallel_singular]
-    kinds = tuple(SingularityKind)
     worst = 0
     min_jp = math.nan
     min_jq = math.nan
@@ -129,10 +128,10 @@ def sample_point(pose: Pose, params: ValidatedParams,
             pair = jacobian.build(pose, solution, params)
         except CotangentSingular:
             # a folded branch has no velocity model and is serial
-            worst = max(worst, kinds.index(SingularityKind.SERIAL))
+            worst = max(worst, _KINDS.index(SingularityKind.SERIAL))
             continue
         cls = jacobian.classify(pair, params, threshold)
-        worst = max(worst, kinds.index(cls.kind))
+        worst = max(worst, _KINDS.index(cls.kind))
         if math.isnan(min_jp) or abs(cls.norm_det_jp) < min_jp:
             min_jp = abs(cls.norm_det_jp)
         if math.isnan(min_jq) or abs(cls.norm_det_jq) < min_jq:
@@ -337,7 +336,7 @@ def _reprs(values: list[float]) -> list[str]:
 
 def _rows(result: ScanResult):
     """(x, y, z reprs, count, min jp, min jq, class name) of each point."""
-    names = [kind.value for kind in SingularityKind]
+    names = [kind.value for kind in _KINDS]
     return zip(_reprs(result.x), _reprs(result.y), _reprs(result.z),
                result.real_solution_count, result.min_norm_det_jp, result.min_norm_det_jq,
                map(names.__getitem__, result.severity))
@@ -412,7 +411,7 @@ def check_writable(destination) -> None:
 def summary(samples: ScanResult) -> dict[str, int]:
     """Counts by label: total, feasible, and one bucket per class."""
     infeasible = samples.real_solution_count.count(0)
-    by_class = {kind.value: samples.severity.count(k) for k, kind in enumerate(SingularityKind)}
+    by_class = {kind.value: samples.severity.count(k) for k, kind in enumerate(_KINDS)}
     # infeasible points carry severity 0
     by_class[SingularityKind.REGULAR.value] -= infeasible
     return {"total": len(samples), "feasible": len(samples) - infeasible, **by_class}

@@ -465,6 +465,23 @@ class TestTopology:
         assert "error: loop specification: total_joint_dof_sum: must be a non-negative " \
                "integer" in result.output
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"total_joint_dof_sum": 11, "loops": 5},
+         "loops: must be a list of [joint_dof_sum, actuated_count, independent_eq_count] "
+         "triples, got 5"),
+        ({"total_joint_dof_sum": 11, "loops": [[6, 2]]},
+         "loops[0]: must be a list of three integers [joint_dof_sum, actuated_count, "
+         "independent_eq_count], got [6, 2]"),
+        ([1], "--loops: must be a JSON object with keys total_joint_dof_sum and loops, "
+              "got [1]"),
+        ({"loops": [[6, 2, 3], [5, 1, 5]]}, "total_joint_dof_sum: missing"),
+    ], ids=["loops-not-a-list", "short-triple", "top-level-list", "missing-total"])
+    def test_malformed_structure_names_the_key_or_shape(self, runner, spec, message):
+        result = runner.invoke(main, ["topology", "--loops", json.dumps(spec)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: loop specification: {message}\n"
+
     def test_invalid_akc_rejected(self, runner):
         spec = json.dumps({"total_joint_dof_sum": 11, "loops": [[6, 2, 3], [5, 1, 4]]})
         result = runner.invoke(main, ["topology", "--loops", spec])

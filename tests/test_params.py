@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -81,6 +82,30 @@ def test_non_finite_rejected_at_construction():
         JointInputs(0.0, math.nan, 0.0)
     with pytest.raises(InvalidParameter):
         Pose(math.inf, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("cls, values", [
+    (Pose, (-15.4714, 0.0, 456.3315)),
+    (Pose, (-0.0, 1e-300, -2.5e5)),
+    (JointInputs, (162.6907, -143.3209, -24.6776)),
+    (JointInputs, (0.0, -0.0, 3.0)),
+], ids=["pose", "pose-edge", "inputs", "inputs-edge"])
+def test_trusted_equals_the_validated_constructor(cls, values):
+    trusted, checked = cls._trusted(*values), cls(*values)
+    assert type(trusted) is cls
+    assert trusted == checked and checked == trusted
+    assert hash(trusted) == hash(checked)
+    assert repr(trusted) == repr(checked)
+    assert trusted.as_tuple() == values
+    name = dataclasses.fields(cls)[1].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(trusted, name, 1.0)
+    # replace builds through the constructor, so __post_init__ still checks
+    with pytest.raises(InvalidParameter) as err:
+        dataclasses.replace(trusted, **{name: math.nan})
+    assert err.value.name == name
+    assert dataclasses.replace(trusted, **{name: 1.0}) == cls(
+        *(1.0 if f.name == name else getattr(trusted, f.name) for f in dataclasses.fields(cls)))
 
 
 def test_reference_params_constant():
