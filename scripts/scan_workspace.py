@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 
+from trirail import jacobian
 from trirail.errors import InvalidParameter, OutOfRange
 from trirail.params import REFERENCE_PARAMS, load_params
 from trirail.workspace import ScanSpec, check_writable, cross_section, export, scan, summary
@@ -25,7 +26,7 @@ def parse_args():
                         default=[-110.0, 90.0, -250.0, 250.0, 180.0, 480.0],
                         metavar=("XMIN", "XMAX", "YMIN", "YMAX", "ZMIN", "ZMAX"))
     parser.add_argument("--resolution", type=int, default=41)
-    parser.add_argument("--threshold", type=float, default=1e-3,
+    parser.add_argument("--threshold", type=float, default=jacobian.SINGULARITY_THRESHOLD,
                         help="normalised det(Jp) threshold for the parallel label")
     parser.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; has no effect (the scan runs in "

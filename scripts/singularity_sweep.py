@@ -14,7 +14,7 @@ import argparse
 import math
 import sys
 
-from trirail import ik
+from trirail import ik, jacobian
 from trirail.errors import InvalidParameter, Unreachable
 from trirail.params import Pose, REFERENCE_PARAMS, load_params
 from trirail.verify import rail_spacing_sweep
@@ -52,8 +52,12 @@ def serial_sweep(params, offsets):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--params", help="geometry JSON (default: reference design)")
-    parser.add_argument("--threshold", type=float, default=1e-3)
+    parser.add_argument("--threshold", type=float, default=jacobian.SINGULARITY_THRESHOLD)
     args = parser.parse_args()
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        print(f"error: --threshold must be finite and > 0, got {args.threshold!r}",
+              file=sys.stderr)
+        return 1
     try:
         params = load_params(args.params) if args.params else REFERENCE_PARAMS
     except (InvalidParameter, OSError) as exc:

@@ -79,7 +79,8 @@ def _emit(payload: str, out_path):
                    "used as the IK round-trip tolerance (mm).")
 @click.option("--tol-table", type=float, default=None,
               help="Override the worked-example tolerances used by verify (mm).")
-@click.option("--singularity-threshold", type=float, default=1e-3, show_default=True,
+@click.option("--singularity-threshold", type=float, default=jacobian.SINGULARITY_THRESHOLD,
+              show_default=True,
               help="Dimensionless threshold on normalised determinants.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text", show_default=True)
@@ -317,20 +318,24 @@ def cmd_verify(ctx):
     sys.exit(EXIT_OK)
 
 
+_LOOP_KEYS = ("total_joint_dof_sum", "loops")
 _LOOP_FIELDS = "[joint_dof_sum, actuated_count, independent_eq_count]"
 
 
 def _loop_spec(data):
     """(total joint freedoms, loops) of a parsed ``--loops`` value.
 
-    Raises :class:`InvalidParameter` naming the missing key or the part
-    whose shape is wrong; the counts themselves are checked by
+    Raises :class:`InvalidParameter` naming the unknown or missing key or
+    the part whose shape is wrong; the counts themselves are checked by
     :mod:`topology`.
     """
     if not isinstance(data, dict):
         raise InvalidParameter("--loops", "must be a JSON object with keys "
                                           f"total_joint_dof_sum and loops, got {data!r}")
-    for key in ("total_joint_dof_sum", "loops"):
+    for key in data:
+        if key not in _LOOP_KEYS:
+            raise InvalidParameter(key, "unknown key")
+    for key in _LOOP_KEYS:
         if key not in data:
             raise InvalidParameter(key, "missing")
     loops = data["loops"]

@@ -24,11 +24,11 @@ Every one of the up-to-eight candidates is then checked against the full
 set of loop-closure residuals; :func:`solve` returns only candidates whose
 worst residual is below tolerance, sorted by pose.  Sign conventions are
 never trusted: a candidate assembled with the wrong elbow simply fails its
-residual check.  Candidates that coincide (a double root, or both elbows at
-sin(gamma) = 0) share a dedup key, the pose rounded to 1e-9 mm and the
-angles to 1e-12 rad, and only the first is kept.  ``round`` runs only for a
-candidate lying within a few rounding steps of a kept one, which decides
-exactly as keying every candidate would (see :func:`_finish`).
+residual check.  Coincident candidates are merged by one rule, in
+:func:`_finish`: a candidate within 2e-9 mm in x, y and z and within
+2e-12 rad in gamma, alpha and beta of one already kept is dropped.  A double
+root needs no case of its own: :func:`solve_t` and the alpha solver always
+return both roots, and the second copy falls to that rule.
 
 Each candidate is an :class:`FkSolution` holding an :class:`FkBranch` and
 an :class:`FkIntermediates`.  All three are immutable named tuples: the
@@ -46,6 +46,7 @@ from .errors import (
     ChainIIUnreachable,
     GammaOutOfRange,
     IndeterminateGamma,
+    NonComparable,
 )
 from .params import JointInputs, Pose, ValidatedParams
 
@@ -115,11 +116,12 @@ def solve_gamma(inputs: JointInputs, params: ValidatedParams) -> tuple[float, tu
     return cos_gamma, (sin_gamma, -sin_gamma)
 
 
-def solve_t(gamma: float, yA3: float, pose_y: float, params: ValidatedParams) -> tuple[float, ...]:
+def solve_t(gamma: float, yA3: float, pose_y: float, params: ValidatedParams) -> tuple[float, float]:
     """Both roots of the parallelogram-chain offset t = -H1 +/- sqrt(H2).
 
     Raises :class:`ChainIIUnreachable` when H2 < 0 (platform y out of reach
-    of rail 3); returns a single merged root when H2 = 0.
+    of rail 3).  At H2 = 0 the two roots are equal; :func:`_finish` keeps one
+    of the coincident candidates they give.
     """
     H1 = params.l2 * math.sin(gamma) - params.l8 - params.l7
     H2 = params.l6 * params.l6 - (pose_y - yA3) * (pose_y - yA3)
@@ -128,8 +130,6 @@ def solve_t(gamma: float, yA3: float, pose_y: float, params: ValidatedParams) ->
             f"|y - yA3| = {abs(pose_y - yA3):.6g} mm exceeds l6 = {params.l6:.6g} mm"
         )
     root = math.sqrt(H2)
-    if root == 0.0:
-        return (-H1,)
     return (-H1 + root, -H1 - root)
 
 
@@ -144,8 +144,9 @@ def _alpha_coefficients(t: float, params: ValidatedParams) -> tuple[float, float
 def _alpha_candidates(t: float, params: ValidatedParams):
     """(sign, alpha, beta) triples solving J1*sin + J2*cos + J3 = 0.
 
-    Roots whose recovered beta leaves the unit circle are dropped.  Raises
-    :class:`AlphaUnreachable` when no real angle exists.
+    Roots whose recovered beta leaves the unit circle are dropped; a double
+    root is listed twice.  Raises :class:`AlphaUnreachable` when no real
+    angle exists.
     """
     J1, J2, J3 = _alpha_coefficients(t, params)
     disc = J1 * J1 + J2 * J2 - J3 * J3
@@ -170,8 +171,6 @@ def _alpha_candidates(t: float, params: ValidatedParams):
         beta = _recover_beta(alpha, t, params)
         if beta is not None:
             out.append((sign, alpha, beta))
-    if disc == 0.0 and len(out) == 2:
-        out = out[:1]  # double root
     return out
 
 
@@ -236,7 +235,9 @@ def enumerate_candidates(
     seen_sin = set()
     for sin_gamma in sin_gammas:
         if sin_gamma in seen_sin:
-            continue  # sin = -0.0 duplicates sin = 0.0
+            # sin = -0.0 duplicates sin = 0.0; at cos(gamma) = -1 their gammas
+            # are +pi and -pi, which no tolerance on gamma in _finish merges
+            continue
         seen_sin.add(sin_gamma)
         gamma_sign = 1 if sin_gamma >= 0.0 else -1
         gamma = math.atan2(sin_gamma, cos_gamma)
@@ -247,8 +248,7 @@ def enumerate_candidates(
             continue
         # one elbow: the planar-loop residual does not depend on t or alpha
         r1 = _planar_residual(inputs, params, math.sin(gamma), math.cos(gamma))
-        for t_index, t in enumerate(t_values):
-            t_sign = 1 if t_index == 0 else -1
+        for t_sign, t in zip((1, -1), t_values):
             try:
                 alphas = _alpha_candidates(t, params)
             except AlphaUnreachable:
@@ -263,26 +263,19 @@ def enumerate_candidates(
     return out
 
 
-#: Candidates closer than this in x, y and z (mm) and in gamma, alpha and beta
-#: (rad) may share a dedup key of :func:`_finish`; farther ones never do.
-_KEY_NEAR_MM = 2e-9
-_KEY_NEAR_RAD = 2e-12
-
-
-def _key(sol: FkSolution) -> tuple[float, ...]:
-    """Dedup key: the pose rounded to 1e-9 mm and the angles to 1e-12 rad."""
-    pose, inter = sol.pose, sol.intermediates
-    return (round(pose.x, 9), round(pose.y, 9), round(pose.z, 9),
-            round(inter.gamma, 12), round(inter.alpha, 12), round(inter.beta, 12))
+#: A candidate within this of a kept one in x, y and z (mm) and in gamma,
+#: alpha and beta (rad) coincides with it, and :func:`_finish` drops it.
+_COINCIDENT_MM = 2e-9
+_COINCIDENT_RAD = 2e-12
 
 
 def _near(a: FkSolution, b: FkSolution) -> bool:
     pa, pb, ia, ib = a.pose, b.pose, a.intermediates, b.intermediates
-    return (abs(pa.x - pb.x) <= _KEY_NEAR_MM and abs(pa.y - pb.y) <= _KEY_NEAR_MM
-            and abs(pa.z - pb.z) <= _KEY_NEAR_MM
-            and abs(ia.gamma - ib.gamma) <= _KEY_NEAR_RAD
-            and abs(ia.alpha - ib.alpha) <= _KEY_NEAR_RAD
-            and abs(ia.beta - ib.beta) <= _KEY_NEAR_RAD)
+    return (abs(pa.x - pb.x) <= _COINCIDENT_MM and abs(pa.y - pb.y) <= _COINCIDENT_MM
+            and abs(pa.z - pb.z) <= _COINCIDENT_MM
+            and abs(ia.gamma - ib.gamma) <= _COINCIDENT_RAD
+            and abs(ia.alpha - ib.alpha) <= _COINCIDENT_RAD
+            and abs(ia.beta - ib.beta) <= _COINCIDENT_RAD)
 
 
 def _order(sol: FkSolution) -> tuple[float, ...]:
@@ -291,25 +284,18 @@ def _order(sol: FkSolution) -> tuple[float, ...]:
 
 
 def _finish(candidates: list[FkSolution], closure_tol: float) -> list[FkSolution]:
-    """Candidates within ``closure_tol``, one per dedup key, sorted by pose then angles.
+    """Candidates within ``closure_tol``, coincident ones merged, sorted by pose then angles.
 
-    A candidate is dropped when its :func:`_key` equals the key of one
-    already kept (a double root, or both elbows at sin(gamma) = 0).
-    ``round`` is correctly rounded, so two values with one rounded value lie
-    within the rounding step plus one ulp of each other: under 2e-9 mm for
-    coordinates (where the ulp exceeds 1e-9 mm, ``round`` returns the value
-    itself) and under 2e-12 rad for angles.  A candidate that is not
-    :func:`_near` a kept one therefore cannot share its key, and the key is
-    computed only for near pairs.  The decisions are those of keying every
-    candidate, without ``round`` on the far-apart candidates of a typical
-    call.  Coordinates are finite.
+    A passing candidate is dropped when it is :func:`_near` one already kept
+    (the second copy of a double root of t or alpha), so the first of a
+    coincident group in enumeration order is the one kept.
     """
     kept: list[FkSolution] = []
     for sol in candidates:
         if sol.residual > closure_tol:
             continue
         for k in kept:
-            if _near(sol, k) and _key(sol) == _key(k):
+            if _near(sol, k):
                 break
         else:
             kept.append(sol)
@@ -356,3 +342,24 @@ def solve_at_gamma(
     return _finish(
         enumerate_candidates(inputs, params, cos_gamma, (sin_gamma,)), closure_tol
     )
+
+
+def nearest(pose: Pose, solutions) -> tuple[FkSolution | None, float]:
+    """The solution whose pose is nearest ``pose`` and its worst-coordinate
+    distance (mm); ``(None, inf)`` when there are no solutions."""
+    best, best_dev = None, math.inf
+    for sol in solutions:
+        dev = max(abs(sol.pose.x - pose.x), abs(sol.pose.y - pose.y), abs(sol.pose.z - pose.z))
+        if dev < best_dev:
+            best, best_dev = sol, dev
+    return best, best_dev
+
+
+def matched_pose(inputs: JointInputs, branch: tuple[int, int, int],
+                 params: ValidatedParams) -> Pose:
+    """The pose of the direct solution on ``branch``; raises :class:`NonComparable`
+    when no solution of ``inputs`` is on it."""
+    for sol in solve(inputs, params):
+        if sol.branch == branch:
+            return sol.pose
+    raise NonComparable(f"branch {branch} disappeared at inputs {inputs.as_tuple()}")

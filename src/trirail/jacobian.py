@@ -43,7 +43,7 @@ import numpy as np
 from . import fk
 from .errors import CotangentSingular, NonComparable
 from .ik import IkSolution
-from .params import JointInputs, Pose, ValidatedParams
+from .params import Pose, ValidatedParams
 
 #: |sin| below this makes the cotangent rows meaningless.
 COT_GUARD = 1e-9
@@ -155,17 +155,6 @@ def classify(
                           (u11 / l2) * (u22 / l2) * (u33 / l6))
 
 
-def _matched_pose(
-    inputs: JointInputs,
-    branch_key: tuple[int, int, int],
-    params: ValidatedParams,
-) -> Pose:
-    for sol in fk.solve(inputs, params):
-        if sol.branch.as_tuple() == branch_key:
-            return sol.pose
-    raise NonComparable(f"branch {branch_key} disappeared at inputs {inputs.as_tuple()}")
-
-
 def fd_check(
     pose: Pose,
     solution: IkSolution,
@@ -180,13 +169,8 @@ def fd_check(
     propagates direct-map errors.  Deviations are relative to the largest
     Jacobian entry (floored at 1).
     """
-    base_branch = None
-    for sol in fk.solve(solution.inputs, params):
-        dev = max(abs(sol.pose.x - pose.x), abs(sol.pose.y - pose.y), abs(sol.pose.z - pose.z))
-        if dev <= 1e-6:
-            base_branch = sol.branch.as_tuple()
-            break
-    if base_branch is None:
+    base, dev = fk.nearest(pose, fk.solve(solution.inputs, params))
+    if dev > 1e-6:
         raise NonComparable("pose is not a direct solution of the given inputs")
 
     pair = build(pose, solution, params)
@@ -195,13 +179,13 @@ def fd_check(
     numeric = np.empty((3, 3))
     names = ("yA1", "yA2", "yA3")
     for j, name in enumerate(names):
-        plus = _matched_pose(
+        plus = fk.matched_pose(
             replace(solution.inputs, **{name: getattr(solution.inputs, name) + step}),
-            base_branch, params,
+            base.branch, params,
         )
-        minus = _matched_pose(
+        minus = fk.matched_pose(
             replace(solution.inputs, **{name: getattr(solution.inputs, name) - step}),
-            base_branch, params,
+            base.branch, params,
         )
         numeric[:, j] = [
             (plus.x - minus.x) / (2.0 * step),

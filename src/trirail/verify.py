@@ -88,17 +88,6 @@ def pose_consistency_residual(pose: Pose, inputs: JointInputs, params: Validated
     return best
 
 
-def _nearest(pose: Pose, solutions) -> tuple[Pose | None, float]:
-    """The solution pose nearest ``pose`` and its worst-coordinate distance
-    (mm); ``(None, inf)`` when there are no solutions."""
-    best, best_dev = None, math.inf
-    for sol in solutions:
-        dev = max(abs(sol.pose.x - pose.x), abs(sol.pose.y - pose.y), abs(sol.pose.z - pose.z))
-        if dev < best_dev:
-            best, best_dev = sol.pose, dev
-    return best, best_dev
-
-
 def matching_ik_solution(pose: Pose, inputs: JointInputs, params: ValidatedParams, tol: float = 1e-6):
     """The inverse solution of ``pose`` whose inputs match ``inputs``."""
     for sol in ik.solve(pose, params, check_roundtrip=False):
@@ -129,14 +118,14 @@ def rail_spacing_sweep(
         inputs = JointInputs(REFERENCE_INPUTS.yA1,
                              REFERENCE_INPUTS.yA1 - params.l3 - delta,
                              REFERENCE_INPUTS.yA3)
-        sol = next((s for s in fk.solve(inputs, params)
-                    if s.branch.as_tuple() == (1, 1, 1)), None)
-        if sol is None:
-            raise NonComparable(f"tracked branch vanished at delta={delta}")
-        ik_sol = matching_ik_solution(sol.pose, inputs, params)
+        try:
+            pose = fk.matched_pose(inputs, (1, 1, 1), params)
+        except NonComparable:
+            raise NonComparable(f"tracked branch vanished at delta={delta}") from None
+        ik_sol = matching_ik_solution(pose, inputs, params)
         if ik_sol is None:
             raise NonComparable(f"branch matching failed at delta={delta}")
-        out.append(jacobian.classify(jacobian.build(sol.pose, ik_sol, params),
+        out.append(jacobian.classify(jacobian.build(pose, ik_sol, params),
                                      params, threshold))
     return out
 
@@ -195,7 +184,7 @@ def run_builtin_checks(
 
     def direct_worked_example():
         solutions = fk.solve(REFERENCE_INPUTS, params)
-        _, dist = _nearest(REFERENCE_POSE, solutions)
+        _, dist = fk.nearest(REFERENCE_POSE, solutions)
         return dist <= tol_direct, (
             f"{len(solutions)} closure-consistent poses; starred pose matched to {dist:.2e} mm"
         )
@@ -207,7 +196,7 @@ def run_builtin_checks(
             if index == STARRED_DIRECT_INDEX:
                 continue
             residual = pose_consistency_residual(pose, REFERENCE_INPUTS, params)
-            _, nearest = _nearest(pose, solutions)
+            _, nearest = fk.nearest(pose, solutions)
             parts.append(f"row {index + 1}: closure residual {residual:.2f} mm, "
                          f"nearest consistent pose {nearest:.2f} mm away")
         return True, "; ".join(parts)
@@ -219,7 +208,7 @@ def run_builtin_checks(
             return False, "sign-flipped elbow produced no candidates to reject"
         worst = min(c.residual_vector[0] for c in candidates)
         emitted = fk.solve(REFERENCE_INPUTS, params)
-        leaked = any(_nearest(c.pose, emitted)[1] < 1e-6 for c in candidates)
+        leaked = any(fk.nearest(c.pose, emitted)[1] < 1e-6 for c in candidates)
         return worst > 10.0 and not leaked, (
             f"flipped cos(gamma) violates planar closure by {worst:.2f} mm on every branch"
         )
@@ -265,12 +254,12 @@ def run_builtin_checks(
 
     def jacobian_fd():
         points = sample_regular_configurations(params, 5)
-        base_pose, _ = _nearest(REFERENCE_POSE, fk.solve(REFERENCE_INPUTS, params))
-        if base_pose is None:
+        base, _ = fk.nearest(REFERENCE_POSE, fk.solve(REFERENCE_INPUTS, params))
+        if base is None:
             raise TrirailError("no solutions to match against")
-        starred = matching_ik_solution(base_pose, REFERENCE_INPUTS, params, tol=1e-3)
+        starred = matching_ik_solution(base.pose, REFERENCE_INPUTS, params, tol=1e-3)
         if starred is not None:
-            points.append((base_pose, starred))
+            points.append((base.pose, starred))
         if not points:
             return False, "no regular configurations found"
         worst = max(jacobian.fd_check(pose, sol, params) for pose, sol in points)

@@ -316,6 +316,18 @@ class TestWorkspace:
         assert proc.stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("script", ["scan_workspace.py", "singularity_sweep.py"])
+    def test_script_rejects_invalid_threshold(self, tmp_path, script, value):
+        out = tmp_path / "scan.csv"
+        args = ["--resolution", "2", "--out", str(out)] if script == "scan_workspace.py" else []
+        proc = run_script(script, "--threshold", value, *args)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "threshold" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
     def test_unwritable_out_is_config_error(self, runner, tmp_path):
         out = tmp_path / "missing" / "scan.csv"
         result = runner.invoke(main, ["--out", str(out), "workspace", *self.BOUNDS,
@@ -475,7 +487,8 @@ class TestTopology:
         ([1], "--loops: must be a JSON object with keys total_joint_dof_sum and loops, "
               "got [1]"),
         ({"loops": [[6, 2, 3], [5, 1, 5]]}, "total_joint_dof_sum: missing"),
-    ], ids=["loops-not-a-list", "short-triple", "top-level-list", "missing-total"])
+        ({"total_joint_dof_sum": 11, "loops": [[6, 2, 3], [5, 1, 5]], "x": 1}, "x: unknown key"),
+    ], ids=["loops-not-a-list", "short-triple", "top-level-list", "missing-total", "unknown-key"])
     def test_malformed_structure_names_the_key_or_shape(self, runner, spec, message):
         result = runner.invoke(main, ["topology", "--loops", json.dumps(spec)])
         assert result.exit_code == 1

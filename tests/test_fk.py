@@ -222,25 +222,16 @@ class TestSolveAtGamma:
         assert fk.solve_at_gamma(WORKED_INPUTS, P, 0.9, 0.9) == []
 
 
-def rounding_key_finish(candidates, closure_tol):
-    """Reference dedup: every kept candidate keyed by its rounded pose and angles."""
-    kept = {}
-    for sol in candidates:
-        if sol.residual > closure_tol:
-            continue
-        key = (
-            round(sol.pose.x, 9), round(sol.pose.y, 9), round(sol.pose.z, 9),
-            round(sol.intermediates.gamma, 12),
-            round(sol.intermediates.alpha, 12),
-            round(sol.intermediates.beta, 12),
-        )
-        if key not in kept:
-            kept[key] = sol
-    return sorted(
-        kept.values(),
-        key=lambda s: (s.pose.x, s.pose.y, s.pose.z,
-                       s.intermediates.gamma, s.intermediates.alpha, s.intermediates.beta),
-    )
+#: Two candidates within these of each other in x, y and z (mm) and in gamma,
+#: alpha and beta (rad) are one solution.
+SAME_MM = 2e-9
+SAME_RAD = 2e-12
+
+
+def coincident(a, b):
+    return (all(abs(u - v) <= SAME_MM for u, v in zip(a.pose.as_tuple(), b.pose.as_tuple()))
+            and all(abs(u - v) <= SAME_RAD
+                    for u, v in zip(a.intermediates[:3], b.intermediates[:3])))
 
 
 def candidate(x, y, z, gamma, alpha, beta, residual=0.0):
@@ -258,8 +249,9 @@ RAD_ANCHORS = (0.0, 1.2345678901235, 0.5e-12, -math.pi, math.pi)
 @st.composite
 def candidate_lists(draw):
     """Candidates that copy one of a few anchors (a copy is a double root) and move
-    some coordinates by up to 2.5 rounding steps, so that neighbours share a key
-    or straddle a rounding boundary; some carry a signed zero or fail closure."""
+    some coordinates by up to 2.5 rounding steps, so that neighbours coincide,
+    straddle a rounding boundary or just miss the merge tolerance; some carry a
+    signed zero or fail closure."""
     anchors = draw(st.lists(st.tuples(*[st.sampled_from(MM_ANCHORS)] * 3,
                                       *[st.sampled_from(RAD_ANCHORS)] * 3),
                             min_size=1, max_size=3))
@@ -277,20 +269,42 @@ def candidate_lists(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(candidate_lists())
-# one key, 0.8e-9 mm apart: dropped
+# 0.8e-9 mm apart: one kept
 @example([candidate(-0.4e-9, 1.0, 2.0, 0.1, 0.2, 0.3), candidate(0.4e-9, 1.0, 2.0, 0.1, 0.2, 0.3)])
-# 0.02e-9 mm apart across a rounding boundary: both kept
+# 0.02e-9 mm apart across a rounding boundary: one kept
 @example([candidate(0.49e-9, 1.0, 2.0, 0.1, 0.2, 0.3), candidate(0.51e-9, 1.0, 2.0, 0.1, 0.2, 0.3)])
-# one key, 0.9e-12 rad apart: dropped
+# 0.9e-12 rad apart: one kept
 @example([candidate(1.0, 2.0, 3.0, 0.1, -0.45e-12, 0.3),
           candidate(1.0, 2.0, 3.0, 0.1, 0.45e-12, 0.3)])
 # signed zeros and an exact double root: one kept
 @example([candidate(0.0, -0.0, 5.0, 0.0, 1.0, 2.0), candidate(-0.0, 0.0, 5.0, -0.0, 1.0, 2.0)])
-def test_finish_keeps_what_the_rounding_key_dict_keeps(candidates):
+def test_finish_keeps_the_first_of_each_coincident_group(candidates):
     got = fk._finish(candidates, fk.CLOSURE_TOL)
-    want = rounding_key_finish(candidates, fk.CLOSURE_TOL)
-    assert len(got) == len(want)
-    assert all(a is b for a, b in zip(got, want))
+    passing = [c for c in candidates if c.residual <= fk.CLOSURE_TOL]
+    # kept objects are passing inputs, each once
+    kept_at = [next(i for i, c in enumerate(passing) if c is k) for k in got]
+    assert len(set(kept_at)) == len(got)
+    assert [fk._order(k) for k in got] == sorted(fk._order(k) for k in got)
+    for i, a in enumerate(got):
+        assert not any(coincident(a, b) for b in got[i + 1:])
+    for i, c in enumerate(passing):
+        if i not in kept_at:
+            assert any(coincident(c, passing[j]) for j in kept_at if j < i)
+
+
+def test_exact_double_t_root_gives_one_solution_per_branch():
+    # B = -l3 puts the platform at y = 0, so |y - yA3| = l6 and H2 = 0 exactly
+    inputs = JointInputs(0.0, 0.0, -P.l6)
+    cos_g, sines = fk.solve_gamma(inputs, P)
+    candidates = fk.enumerate_candidates(inputs, P, cos_g, sines)
+    for gamma_sign in (1, -1):
+        roots = {c.branch.t_sign: c.intermediates.t for c in candidates
+                 if c.branch.sin_gamma_sign == gamma_sign}
+        assert set(roots) == {1, -1} and roots[1] == roots[-1]
+    solutions = fk.solve(inputs, P)
+    assert sorted((s.branch.sin_gamma_sign, s.branch.alpha_sign) for s in solutions) == [
+        (-1, -1), (-1, 1), (1, -1), (1, 1)]
+    assert all(s.branch.t_sign == 1 for s in solutions)
 
 
 @settings(max_examples=60, deadline=None)
