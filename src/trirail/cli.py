@@ -1,4 +1,4 @@
-"""Command-line surface: fk, ik, workspace, verify, topology.
+"""Command-line surface: fk, ik, workspace, verify, sweep, topology.
 
 Geometry comes from a JSON config file (``--params``); per-run targets are
 positional arguments.  Exit codes are a stable contract: 0 success,
@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from . import fk, ik, jacobian, topology, workspace
+from . import fk, ik, jacobian, topology, verify, workspace
 from .errors import (
     CotangentSingular,
     IndeterminateGamma,
@@ -25,7 +25,6 @@ from .errors import (
     Unreachable,
 )
 from .params import JointInputs, Pose, REFERENCE_PARAMS, load_params
-from .verify import run_builtin_checks
 from .workspace import ScanSpec
 
 EXIT_OK = 0
@@ -302,7 +301,7 @@ def cmd_verify(ctx):
     if cfg["tol_table"] is not None:
         kwargs["tol_direct"] = cfg["tol_table"]
         kwargs["tol_inverse"] = cfg["tol_table"]
-    results = run_builtin_checks(params, **kwargs)
+    results = verify.run_builtin_checks(params, **kwargs)
     if cfg["fmt"] == "json":
         _emit(json.dumps([{"name": r.name, "passed": r.passed, "detail": r.detail}
                           for r in results], indent=1), cfg["out"])
@@ -315,6 +314,41 @@ def cmd_verify(ctx):
     if failing:
         click.echo(f"error: first failing check: {failing[0].name}", err=True)
         sys.exit(EXIT_VERIFY_FAILED)
+    sys.exit(EXIT_OK)
+
+
+@main.command("sweep")
+@click.pass_context
+def cmd_sweep(ctx):
+    """Trace the approach to the parallel and the serial singularity."""
+    cfg = ctx.obj
+    params = _load(cfg["params_path"])
+    deltas = verify.RAIL_SPACING_DELTAS
+    try:
+        classes = verify.rail_spacing_sweep(params, deltas, cfg["threshold"])
+        x, z_star, rows = verify.stroke_boundary_sweep(params, verify.STROKE_BOUNDARY_OFFSETS)
+    except TrirailError as exc:
+        _fail(EXIT_NO_SOLUTION, str(exc))
+    if cfg["fmt"] == "json":
+        _emit(json.dumps({
+            "rail_spacing": [{"delta": delta, "norm_det_jp": cls.norm_det_jp,
+                              "class": cls.kind.value} for delta, cls in zip(deltas, classes)],
+            "stroke_boundary": {"x": x, "z_star": z_star, "rows": [
+                {"offset": offset, "solutions": count, "min_abs_u33": u33}
+                for offset, count, u33 in rows]},
+        }, indent=1), cfg["out"])
+    else:
+        lines = ["rail spacing approach: yA1 - yA2 = l3 + delta",
+                 f"{'delta (mm)':>12} {'B (mm)':>10} {'|norm det Jp|':>14} {'class':>14}"]
+        for delta, cls in zip(deltas, classes):
+            lines.append(f"{delta:>12g} {delta:>10g} {abs(cls.norm_det_jp):>14.3e} "
+                         f"{cls.kind.value:>14}")
+        lines += ["", f"chain-3 stroke boundary: x = {x:g}, boundary height z* = {z_star:g} mm",
+                  f"{'z - z* (mm)':>12} {'real solutions':>15} {'min |u33| (mm)':>15}"]
+        for offset, count, u33 in rows:
+            lines.append(f"{offset:>12g} {count:>15} "
+                         + (f"{'-':>15}" if u33 is None else f"{u33:>15.6f}"))
+        _emit("\n".join(lines), cfg["out"])
     sys.exit(EXIT_OK)
 
 

@@ -6,7 +6,9 @@ the assembly actually built) and one inverse case (eight real rail
 triples for the starred pose).  ``run_builtin_checks`` re-derives all of
 it, spot-checks the velocity model against finite differences, and
 exercises the structural properties (partial decoupling, the approach to
-the parallel singularity, mobility arithmetic).
+the parallel singularity, mobility arithmetic).  The two singularity
+sweeps, :func:`rail_spacing_sweep` and :func:`stroke_boundary_sweep`, are
+also the rows that ``trirail sweep`` prints.
 
 Three of the four documented direct poses do not satisfy the planar-loop
 closure under the coordinate conventions used here: two enumerate the
@@ -22,7 +24,7 @@ import random
 from dataclasses import dataclass, replace
 
 from . import fk, ik, jacobian, topology
-from .errors import NonComparable, TrirailError
+from .errors import NonComparable, TrirailError, Unreachable
 from .jacobian import Classification, SingularityKind
 from .params import JointInputs, Pose, ValidatedParams, REFERENCE_PARAMS
 
@@ -47,6 +49,11 @@ EXPECTED_INVERSE_COUNT = 8
 TOL_DIRECT = 5e-3
 TOL_INVERSE = 5e-2
 FD_TOL = 1e-5
+
+#: Rail-spacing excesses over l3 (mm) that ``trirail sweep`` traces.
+RAIL_SPACING_DELTAS = (100.0, 30.0, 10.0, 3.0, 1.0, 0.3, 0.1, 0.03)
+#: Heights relative to the chain-3 stroke boundary (mm) that ``trirail sweep`` traces.
+STROKE_BOUNDARY_OFFSETS = (-2.0, -0.5, 0.0, 0.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -130,6 +137,31 @@ def rail_spacing_sweep(
     return out
 
 
+def stroke_boundary_sweep(params: ValidatedParams, offsets):
+    """Inverse solutions as the platform height crosses the chain-3 stroke boundary.
+
+    The sweep runs at ``x = b - d - 0.6 l6``, where cos(beta) = -0.6 and
+    sin(beta) = 0.8 on the working elbow.  The boundary height, where the
+    radicand M3 vanishes and the merged rail-3 root makes u33 = 0, is then
+    ``z* = l1 + l6 sin(beta) + l6``.  Returns ``(x, z_star, rows)`` with one
+    row ``(offset, real solution count, min |u33| or None)`` per offset of
+    the height from z*.
+    """
+    x = params.b - params.d - 0.6 * params.l6
+    sin_beta = math.sqrt(1.0 - ((x + params.d - params.b) / params.l6) ** 2)
+    z_star = params.l1 + params.l6 * sin_beta + params.l6
+    rows = []
+    for offset in offsets:
+        pose = Pose(x, 0.0, z_star + offset)
+        try:
+            solutions = ik.solve(pose, params, check_roundtrip=False)
+        except Unreachable:
+            solutions = []
+        u33 = min((abs(s.inputs.yA3 - pose.y) for s in solutions), default=None)
+        rows.append((offset, len(solutions), u33))
+    return x, z_star, rows
+
+
 def sample_regular_configurations(params: ValidatedParams, count: int, seed: int = 20260809):
     """Deterministic sample of regular (pose, IkSolution) evaluation points."""
     rng = random.Random(seed)
@@ -164,6 +196,21 @@ def sample_regular_configurations(params: ValidatedParams, count: int, seed: int
     return out
 
 
+def _once(fn, *args):
+    """Evaluate ``fn(*args)`` now; the returned getter gives its value, or
+    raises its exception again, so only the checks that read a shared
+    result fail with it."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # re-raised inside each check that reads it
+        error = exc
+
+        def get():
+            raise error
+        return get
+    return lambda: value
+
+
 def _check(name: str, fn) -> CheckResult:
     try:
         passed, detail = fn()
@@ -181,16 +228,20 @@ def run_builtin_checks(
 ) -> list[CheckResult]:
     """Run every built-in check; all must pass for a healthy build."""
     results = []
+    # the worked example's direct solutions and the regular sample are each
+    # computed once and read by several checks
+    reference_solutions = _once(fk.solve, REFERENCE_INPUTS, params)
+    regular_points = _once(sample_regular_configurations, params, 5)
 
     def direct_worked_example():
-        solutions = fk.solve(REFERENCE_INPUTS, params)
+        solutions = reference_solutions()
         _, dist = fk.nearest(REFERENCE_POSE, solutions)
         return dist <= tol_direct, (
             f"{len(solutions)} closure-consistent poses; starred pose matched to {dist:.2e} mm"
         )
 
     def direct_alternate_rows():
-        solutions = fk.solve(REFERENCE_INPUTS, params)
+        solutions = reference_solutions()
         parts = []
         for index, pose in enumerate(DOCUMENTED_DIRECT_POSES):
             if index == STARRED_DIRECT_INDEX:
@@ -207,7 +258,7 @@ def run_builtin_checks(
         if not candidates:
             return False, "sign-flipped elbow produced no candidates to reject"
         worst = min(c.residual_vector[0] for c in candidates)
-        emitted = fk.solve(REFERENCE_INPUTS, params)
+        emitted = reference_solutions()
         leaked = any(fk.nearest(c.pose, emitted)[1] < 1e-6 for c in candidates)
         return worst > 10.0 and not leaked, (
             f"flipped cos(gamma) violates planar closure by {worst:.2f} mm on every branch"
@@ -231,7 +282,7 @@ def run_builtin_checks(
         )
 
     def inverse_roundtrip():
-        solutions = fk.solve(REFERENCE_INPUTS, params)
+        solutions = reference_solutions()
         worst = 0.0
         checked = 0
         for fk_sol in solutions:
@@ -253,8 +304,8 @@ def run_builtin_checks(
         return ok, f"dof={rep.dof}, deltas={rep.deltas}, coupling={rep.coupling_degree}"
 
     def jacobian_fd():
-        points = sample_regular_configurations(params, 5)
-        base, _ = fk.nearest(REFERENCE_POSE, fk.solve(REFERENCE_INPUTS, params))
+        points = list(regular_points())  # a copy: the starred point is appended
+        base, _ = fk.nearest(REFERENCE_POSE, reference_solutions())
         if base is None:
             raise TrirailError("no solutions to match against")
         starred = matching_ik_solution(base.pose, REFERENCE_INPUTS, params, tol=1e-3)
@@ -266,7 +317,7 @@ def run_builtin_checks(
         return worst <= FD_TOL, f"{len(points)} configurations, worst deviation {worst:.2e}"
 
     def jacobian_det_product():
-        points = sample_regular_configurations(params, 5)
+        points = regular_points()
         for pose, sol in points:
             pair = jacobian.build(pose, sol, params)
             if pair.det_jq != pair.u[0] * pair.u[1] * pair.u[2]:

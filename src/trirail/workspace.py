@@ -76,7 +76,8 @@ class ScanSpec:
             raise InvalidParameter("resolution", f"must be an integer >= 2, got {self.resolution!r}")
         if not (math.isfinite(self.singularity_threshold) and self.singularity_threshold > 0):
             raise InvalidParameter(
-                "singularity_threshold", f"must be > 0, got {self.singularity_threshold!r}"
+                "singularity_threshold",
+                f"must be finite and > 0, got {self.singularity_threshold!r}",
             )
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,3 +275,26 @@ def test_classification_of_sampled_regular_points_is_stable():
         cls = jacobian.classify(pair, P)
         assert cls.kind is SingularityKind.REGULAR
         assert jacobian.fd_check(pose, solution, P) <= 1e-5
+
+
+def _fma(x, y, z):
+    """x * y + z rounded once, computed exactly."""
+    return float(Fraction(x) * Fraction(y) + Fraction(z))
+
+
+def test_row_norms_round_like_an_fma_dot():
+    # classify's norms, and through them the workspace CSV bits, rest on numpy's
+    # BLAS dot accumulating with fused multiply-adds; a plain a*a + b*b + c*c
+    # differs in the last bit on about one vector in twelve
+    rng = random.Random(20261018)
+    rows = np.array([[rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0)
+                      for _ in range(3)] for _ in range(300)])
+    expected = [math.sqrt(_fma(c, c, _fma(b, b, a * a))) for a, b, c in rows.tolist()]
+    for shape in ((300, 3), (100, 3, 3)):
+        norms = jacobian._row_norms(rows.reshape(shape)).reshape(-1).tolist()
+        mismatched = sum(n != e for n, e in zip(norms, expected))
+        assert mismatched == 0, (
+            f"{mismatched} of 300 row norms differ from sqrt(fma(c, c, fma(b, b, a*a))): "
+            "numpy's BLAS dot kernel on this host does not round like an FMA dot, so "
+            "Jacobian norms and the pinned workspace CSV bytes will differ"
+        )

@@ -81,6 +81,13 @@ class TestScanSpec:
         with pytest.raises(InvalidParameter, match="x_range"):
             ScanSpec(x_range=bounds, y_range=(0.0, 1.0), z_range=(0.0, 1.0))
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(InvalidParameter,
+                           match=r"^singularity_threshold: must be finite and > 0, got "):
+            ScanSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
+                     singularity_threshold=threshold)
+
     def test_resolution_floor(self):
         with pytest.raises(InvalidParameter):
             ScanSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
