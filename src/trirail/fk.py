@@ -30,15 +30,21 @@ residual check.  Coincident candidates are merged by one rule, in
 root needs no case of its own: :func:`solve_t` and the alpha solver always
 return both roots, and the second copy falls to that rule.
 
+A caller that already knows the branch, as the inverse round trip does,
+can hint the t and alpha it expects: :func:`enumerate_candidates` then
+builds that one candidate, and solves every root only where another root
+could compete with it.
+
 Each candidate is an :class:`FkSolution` holding an :class:`FkBranch` and
-an :class:`FkIntermediates`.  All three are immutable named tuples: the
-inverse round trip builds several per solution, and a tuple costs a
-fraction of a frozen dataclass to construct.  Read them by field name.
+an :class:`FkIntermediates`.  All three are immutable named tuples, which
+cost a fraction of a frozen dataclass to construct.  Read them by field
+name.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import (
@@ -68,9 +74,6 @@ class FkBranch(NamedTuple):
     sin_gamma_sign: int
     t_sign: int
     alpha_sign: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return tuple(self)
 
 
 class FkIntermediates(NamedTuple):
@@ -141,12 +144,11 @@ def _alpha_coefficients(t: float, params: ValidatedParams) -> tuple[float, float
     return J1, J2, J3
 
 
-def _alpha_candidates(t: float, params: ValidatedParams):
-    """(sign, alpha, beta) triples solving J1*sin + J2*cos + J3 = 0.
+def _alpha_roots(t: float, params: ValidatedParams) -> list[tuple[int, float]]:
+    """Both (sign, alpha) roots of J1*sin + J2*cos + J3 = 0, before beta is recovered.
 
-    Roots whose recovered beta leaves the unit circle are dropped; a double
-    root is listed twice.  Raises :class:`AlphaUnreachable` when no real
-    angle exists.
+    A double root is listed twice.  Raises :class:`AlphaUnreachable` when
+    no real angle exists.
     """
     J1, J2, J3 = _alpha_coefficients(t, params)
     disc = J1 * J1 + J2 * J2 - J3 * J3
@@ -166,8 +168,17 @@ def _alpha_candidates(t: float, params: ValidatedParams):
         raw = [(1, 2.0 * math.atan(-(J2 + J3) / (2.0 * J1))), (-1, math.pi)]
     else:
         raise AlphaUnreachable("degenerate half-angle equation (J1 = 0 and J2 = J3)")
+    return raw
+
+
+def _alpha_candidates(t: float, params: ValidatedParams):
+    """(sign, alpha, beta) triples of :func:`_alpha_roots`.
+
+    Roots whose recovered beta leaves the unit circle are dropped; a double
+    root is listed twice.
+    """
     out = []
-    for sign, alpha in raw:
+    for sign, alpha in _alpha_roots(t, params):
         beta = _recover_beta(alpha, t, params)
         if beta is not None:
             out.append((sign, alpha, beta))
@@ -223,12 +234,22 @@ def enumerate_candidates(
     params: ValidatedParams,
     cos_gamma: float,
     sin_gammas: tuple[float, ...],
+    hint: tuple[float, float, float] | None = None,
+    closure_tol: float = CLOSURE_TOL,
 ) -> list[FkSolution]:
     """All assemblable candidates for given gamma values, residual-unfiltered.
 
     Diagnostic surface: :func:`solve` filters this list by closure
     residual, but spurious-branch investigations (e.g. the sign-flipped
     cos(gamma) of the planar loop) need the rejected candidates too.
+
+    ``hint = (t, alpha, reach)`` predicts an elbow's branch: the candidate
+    on the t root nearest ``t`` and the alpha root nearest ``alpha`` is
+    then the only one built, unless another root of that elbow could give a
+    candidate within ``closure_tol`` that lies within ``2 * reach`` mm of
+    it in x and z or coincides with it (see :func:`_predicted`).  In that
+    case, or when the predicted root has no candidate, every candidate is
+    built as without a hint.
     """
     l1, l2, l3, l4, d, b = params.l1, params.l2, params.l3, params.l4, params.d, params.b
     out: list[FkSolution] = []
@@ -248,11 +269,15 @@ def enumerate_candidates(
             continue
         # one elbow: the planar-loop residual does not depend on t or alpha
         r1 = _planar_residual(inputs, params, math.sin(gamma), math.cos(gamma))
-        for t_sign, t in zip((1, -1), t_values):
-            try:
-                alphas = _alpha_candidates(t, params)
-            except AlphaUnreachable:
-                continue
+        roots = None if hint is None else _predicted(t_values, hint, params, closure_tol)
+        if roots is None:
+            roots = []
+            for t_sign, t in zip((1, -1), t_values):
+                try:
+                    roots.append((t_sign, t, _alpha_candidates(t, params)))
+                except AlphaUnreachable:
+                    continue
+        for t_sign, t, alphas in roots:
             for alpha_sign, alpha, beta in alphas:
                 sin_a, cos_a = math.sin(alpha), math.cos(alpha)
                 pose = Pose._trusted(-b + l4 * cos_a + d, y, l1 + l2 * sin_gamma + l4 * sin_a)
@@ -261,6 +286,62 @@ def enumerate_candidates(
                 out.append(FkSolution(pose, FkBranch(gamma_sign, t_sign, alpha_sign),
                                       FkIntermediates(gamma, alpha, beta, t), max(vec), vec))
     return out
+
+
+def _predicted(t_values: tuple[float, float], hint: tuple[float, float, float],
+               params: ValidatedParams, closure_tol: float):
+    """The hinted root of one elbow as ``[(t_sign, t, [(alpha_sign, alpha, beta)])]``,
+    or None when every root must be enumerated.
+
+    All candidates of an elbow share y, and their x and z depend on alpha
+    only.  A candidate within ``2 * reach`` of the predicted one in x and z
+    has its (cos, sin) of alpha within a chord of ``2 * sqrt(2) * reach / l4``,
+    so within an arc of pi/2 times that; a coincident one (:func:`_near`)
+    is within ``_COINCIDENT_RAD``.  ``window`` is the larger of the two, and
+    the hint is declined when another root could fall inside it:
+
+    * the other alpha root of the same t is compared directly;
+    * a candidate on the other t root t' that passes ``closure_tol`` has,
+      by the X-closure of both candidates, ``l6 |cos(beta') - cos(beta)| <=
+      near = l4 * window + 2 * closure_tol``, hence
+      ``l6 ||sin(beta')| - |sin(beta)|| <= 2 * near / |sin(beta)|``, and by
+      the t-definition of both, t' lies within ``near * (1 + 2 / |sin(beta)|)``
+      of t (same sign of sin(beta)) or of ``t + 2 * l6 * sin(beta)``
+      (opposite sign).  Near the fold planes sin(beta) -> 0 and the bound
+      declines by itself.
+
+    ``slop`` bounds the rounding of the pose and residual sums: a few ulps
+    of their largest terms.
+    """
+    hint_t, hint_alpha, reach = hint
+    t_sign, t, t_other = 1, *t_values
+    if abs(t_other - hint_t) < abs(t - hint_t):
+        t_sign, t_other, t = -1, t, t_other
+    try:
+        (sign, alpha), (other_sign, other) = _alpha_roots(t, params)
+    except AlphaUnreachable:
+        return None
+    if abs(other - hint_alpha) < abs(alpha - hint_alpha):
+        sign, alpha, other = other_sign, other, alpha
+    l4, l6 = params.l4, params.l6
+    slop = 8.0 * sys.float_info.epsilon * (
+        reach + closure_tol + abs(t) + abs(t_other) + l4 + l6
+        + abs(params.b) + abs(params.d) + abs(params.l1) + params.l2)
+    window = max(math.pi * math.sqrt(2.0) * (reach + slop) / l4, _COINCIDENT_RAD)
+    gap = abs(other - alpha)
+    if min(gap, 2.0 * math.pi - gap) <= window:
+        return None
+    beta = _recover_beta(alpha, t, params)
+    if beta is None:
+        return None
+    sin_b = math.sin(beta)
+    near = l4 * window + 2.0 * (closure_tol + slop)
+    # |shift| <= near * (1 + 2/|sin|), multiplied through by |sin| so sin = 0 declines
+    bound = near * (abs(sin_b) + 2.0)
+    shift = t_other - t
+    if abs(shift) * abs(sin_b) <= bound or abs(shift - 2.0 * l6 * sin_b) * abs(sin_b) <= bound:
+        return None
+    return [(t_sign, t, [(sign, alpha, beta)])]
 
 
 #: A candidate within this of a kept one in x, y and z (mm) and in gamma,
@@ -328,6 +409,7 @@ def solve_at_gamma(
     sin_gamma: float,
     *,
     closure_tol: float = CLOSURE_TOL,
+    hint: tuple[float, float, float] | None = None,
 ) -> list[FkSolution]:
     """Direct solutions with the planar-loop angle pinned by the caller.
 
@@ -338,9 +420,18 @@ def solve_at_gamma(
     it, passing one elbow of :func:`solve_gamma` gives that elbow's share
     of :func:`solve`.  The full residual filter applies: a pinned gamma off
     the closure circle yields no solutions.
+
+    With ``hint = (t, alpha, reach)`` (see :func:`enumerate_candidates`)
+    the list holds only the predicted candidate, if it passes the filter,
+    whenever no other root could give a passing candidate within
+    ``2 * reach`` of it in x and z or coincident with it.  For any pose
+    within ``reach`` of the predicted candidate, the distance to the
+    nearest solution is then the same as without the hint; where another
+    root could compete, the hint is declined and every root is solved.
     """
     return _finish(
-        enumerate_candidates(inputs, params, cos_gamma, (sin_gamma,)), closure_tol
+        enumerate_candidates(inputs, params, cos_gamma, (sin_gamma,), hint, closure_tol),
+        closure_tol,
     )
 
 

@@ -18,9 +18,15 @@ solution itself and verifies the pose lies in the singular family.
 Every other solution is confirmed by the direct map on its own planar-loop
 elbow: cos(gamma) is re-derived from the rails, and the sign of sin(gamma)
 is the one the solution fixes through ``zC1 - l1``.  Both routes end in one
-:func:`fk.solve_at_gamma` call, which still enumerates both t roots and
-both alpha roots under the full residual filter.  The ``roundtrip`` field
-records which route confirmed each solution.
+:func:`fk.solve_at_gamma` call on the solution's own branch: its chain
+offset ``t = l4*sin(alpha) - l6*sin(beta)`` and its alpha are passed as a
+hint, so FK builds only the candidate on the t root and alpha root nearest
+them.  FK declines the hint, and solves every root, where another root
+could give a candidate as near the target or coincident with it; if the
+predicted candidate is not within ``roundtrip_tol`` of the target, the
+call is repeated without the hint.  Either way ``roundtrip`` and
+``roundtrip_residual`` are bit for bit what the full enumeration gives.
+The ``roundtrip`` field records which route confirmed each solution.
 
 :class:`IkSolution` and :class:`IkBranch` are immutable named tuples, like
 the direct map's results.
@@ -66,7 +72,9 @@ class IkSolution(NamedTuple):
     #: "direct" (FK on this solution's own gamma elbow, cos(gamma) from the
     #: rails, reproduced the pose), "singular-family" (FK with the loop angle
     #: pinned from this solution reproduced it), "failed", or "skipped" when
-    #: checking was disabled.
+    #: checking was disabled.  FK is hinted with this solution's t and alpha,
+    #: but ``roundtrip_residual`` is still the distance to the nearest of all
+    #: FK solutions on that elbow.
     roundtrip: str
     roundtrip_residual: float
 
@@ -92,6 +100,8 @@ def _roundtrip(
     params: ValidatedParams,
     closure_tol: float,
     roundtrip_tol: float,
+    t: float,
+    alpha: float,
 ) -> tuple[str, float]:
     if parallel_singular:
         cos_gamma = (y_c1 - inputs.yA1) / params.l2
@@ -103,11 +113,14 @@ def _roundtrip(
         if z_c1 < params.l1 and sin_gamma:
             sin_gamma = -sin_gamma
         mode = "direct"
-    best = math.inf
-    for sol in fk.solve_at_gamma(inputs, params, cos_gamma, sin_gamma, closure_tol=closure_tol):
-        dev = max(abs(sol.pose.x - pose.x), abs(sol.pose.y - pose.y), abs(sol.pose.z - pose.z))
-        if dev < best:
-            best = dev
+    _, best = fk.nearest(pose, fk.solve_at_gamma(inputs, params, cos_gamma, sin_gamma,
+                                                 closure_tol=closure_tol,
+                                                 hint=(t, alpha, roundtrip_tol)))
+    if not best <= roundtrip_tol:
+        # the predicted candidate did not confirm: solve every root, so that a
+        # "failed" verdict and its residual are exact too
+        _, best = fk.nearest(pose, fk.solve_at_gamma(inputs, params, cos_gamma, sin_gamma,
+                                                     closure_tol=closure_tol))
     return (mode if best <= roundtrip_tol else "failed"), best
 
 
@@ -140,13 +153,15 @@ def solve(
     out: list[IkSolution] = []
     for s_alpha in alpha_signs:
         alpha = s_alpha * alpha_base
-        z_c1 = pose.z - params.l4 * math.sin(alpha)
+        l4_sin_a = params.l4 * math.sin(alpha)
+        z_c1 = pose.z - l4_sin_a
         M1 = l2 * l2 - (z_c1 - l1) * (z_c1 - l1)
         if M1 < 0.0:
             continue
         for s_beta in beta_signs:
             beta = s_beta * beta_base
-            z_c3 = pose.z - params.l8 - l6 * math.sin(beta) - params.l7
+            l6_sin_b = l6 * math.sin(beta)
+            z_c3 = pose.z - params.l8 - l6_sin_b - params.l7
             M3 = l6 * l6 - (z_c3 - l1) * (z_c3 - l1)
             if M3 < 0.0:
                 continue
@@ -167,7 +182,7 @@ def solve(
                 if check_roundtrip:
                     roundtrip, residual = _roundtrip(
                         pose, inputs, y_c1, z_c1, parallel_singular,
-                        params, closure_tol, roundtrip_tol,
+                        params, closure_tol, roundtrip_tol, l4_sin_a - l6_sin_b, alpha,
                     )
                 else:
                     roundtrip, residual = "skipped", math.nan

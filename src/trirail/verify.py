@@ -113,18 +113,30 @@ def rail_spacing_sweep(
 ) -> list[Classification]:
     """Class of direct branch (1, 1, 1) as the rail spacing closes on l3.
 
-    Rails 1 and 3 stay at the worked example's inputs and
+    Rail 1 stays at the worked example's input and
     ``yA2 = yA1 - l3 - delta``, so the planar loop approaches its parallel
-    singularity as delta shrinks.  Each branch is matched to its inverse
-    solution, whose Jacobian pair is classified.  Raises
-    :class:`NonComparable` when the tracked branch or its inverse solution
-    cannot be found.
+    singularity as delta shrinks.  Rail 3 stays at the worked example's
+    input where the branch exists there at every delta; otherwise it sits
+    at ``yA1 - l3/2``, which centres chain 3 under the platform as B -> 0.
+    Each branch is matched to its inverse solution, whose Jacobian pair is
+    classified.  Raises :class:`NonComparable` (naming the worked rail 3's
+    failure) when the tracked branch or its inverse solution cannot be found
+    on either rail.
     """
+    error = None
+    for y_a3 in (REFERENCE_INPUTS.yA3, REFERENCE_INPUTS.yA1 - params.l3 / 2.0):
+        try:
+            return _rail_spacing_rows(params, deltas, threshold, y_a3)
+        except NonComparable as exc:
+            error = error or exc
+    raise error
+
+
+def _rail_spacing_rows(params, deltas, threshold, y_a3) -> list[Classification]:
     out = []
     for delta in deltas:
         inputs = JointInputs(REFERENCE_INPUTS.yA1,
-                             REFERENCE_INPUTS.yA1 - params.l3 - delta,
-                             REFERENCE_INPUTS.yA3)
+                             REFERENCE_INPUTS.yA1 - params.l3 - delta, y_a3)
         try:
             pose = fk.matched_pose(inputs, (1, 1, 1), params)
         except NonComparable:
@@ -334,7 +346,7 @@ def run_builtin_checks(
             except TrirailError:
                 continue
             for sol in solutions:
-                groups.setdefault(sol.branch.as_tuple(), set()).add(sol.pose.y)
+                groups.setdefault(sol.branch, set()).add(sol.pose.y)
                 hits += 1
         stable = all(len(ys) == 1 for ys in groups.values())
         return hits > 0 and stable, (

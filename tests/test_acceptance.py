@@ -154,7 +154,7 @@ def test_criterion_7_partial_decoupling_bitwise():
             except (IndeterminateGamma, GammaOutOfRange):
                 solutions = []
             for sol in solutions:
-                branch_y.setdefault(sol.branch.as_tuple(), set()).add(sol.pose.y)
+                branch_y.setdefault(sol.branch, set()).add(sol.pose.y)
                 solutions_seen += 1
         if solutions_seen == 0:
             continue

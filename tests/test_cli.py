@@ -471,6 +471,16 @@ class TestVerify:
         assert not records["direct-worked-example"]
         assert records["topology-fixture"]
 
+    def test_parallel_approach_passes_where_the_worked_rails_lose_the_branch(
+            self, runner, tmp_path):
+        # l6 = 100 has no branch (1, 1, 1) on the worked rail 3; the worked
+        # example itself does not hold for this geometry either
+        config = write_config(tmp_path, dict(REFERENCE_VALUES, l6=100.0))
+        result = runner.invoke(main, ["--params", config, "--format", "json", "verify"])
+        assert result.exit_code == 4
+        records = {r["name"]: r for r in json.loads(result.stdout)}
+        assert records["parallel-approach"]["passed"], records["parallel-approach"]["detail"]
+
     def test_first_failing_check_named(self, runner, tmp_path):
         config = write_config(tmp_path, dict(REFERENCE_VALUES, l2=290.0))
         result = runner.invoke(main, ["--params", config, "verify"])
@@ -539,13 +549,27 @@ chain-3 stroke boundary: x = -38, boundary height z* = 444 mm
         assert [r["class"] for r in payload["rail_spacing"]] == ["regular"] * 3 + ["parallel"] * 5
 
     def test_vanished_branch_is_named(self, runner, tmp_path):
-        # with l6 = 100 the tracked direct branch does not exist at delta = 100
-        config = write_config(tmp_path, dict(REFERENCE_VALUES, l6=100.0))
+        # with l6 = 60 the tracked direct branch does not exist at delta = 100
+        # on the worked rail 3, nor on the centred one
+        config = write_config(tmp_path, dict(REFERENCE_VALUES, l6=60.0))
         result = runner.invoke(main, ["--params", config, "sweep"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "error: tracked branch vanished at delta=100" in result.stderr
         assert result.stdout == ""
+
+    def test_branch_missing_on_the_worked_rails_is_tracked_on_the_centred_rail(
+            self, runner, tmp_path):
+        # with l6 = 100 branch (1, 1, 1) does not exist on the worked rail 3
+        # at delta = 100; rail 3 at yA1 - l3/2 keeps it at every delta
+        config = write_config(tmp_path, dict(REFERENCE_VALUES, l6=100.0))
+        result = runner.invoke(main, ["--params", config, "--format", "json", "sweep"])
+        assert result.exit_code == 0
+        rail = json.loads(result.stdout)["rail_spacing"]
+        assert [r["delta"] for r in rail] == list(verify.RAIL_SPACING_DELTAS)
+        assert [r["class"] for r in rail] == ["regular"] * 4 + ["parallel"] * 4
+        dets = [abs(r["norm_det_jp"]) for r in rail]
+        assert dets == sorted(dets, reverse=True)
 
     def test_stroke_abscissa_follows_the_geometry(self, runner, tmp_path):
         # a fixed x = -38 lies outside chain 3's reach once l6 < 138

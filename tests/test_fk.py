@@ -332,8 +332,8 @@ def test_partial_decoupling_is_bitwise(inputs, frac_a, frac_b):
         sols_b = fk.solve(variant_b, P)
     except (IndeterminateGamma, GammaOutOfRange):
         return
-    ys_a = {s.branch.as_tuple(): s.pose.y for s in sols_a}
-    ys_b = {s.branch.as_tuple(): s.pose.y for s in sols_b}
+    ys_a = {s.branch: s.pose.y for s in sols_a}
+    ys_b = {s.branch: s.pose.y for s in sols_b}
     for branch in set(ys_a) & set(ys_b):
         assert ys_a[branch] == ys_b[branch]  # bitwise
 
@@ -347,7 +347,7 @@ def test_determinism_property(inputs):
     except (IndeterminateGamma, GammaOutOfRange):
         return
     assert [s.pose.as_tuple() for s in first] == [s.pose.as_tuple() for s in second]
-    assert [s.branch.as_tuple() for s in first] == [s.branch.as_tuple() for s in second]
+    assert [s.branch for s in first] == [s.branch for s in second]
 
 
 def test_oracle_equivalence_on_random_grid():

@@ -22,7 +22,7 @@ P = REFERENCE_PARAMS
 
 def worked_configuration():
     pose = next(s for s in fk.solve(REFERENCE_INPUTS, P)
-                if s.branch.as_tuple() == (1, 1, 1)).pose
+                if s.branch == (1, 1, 1)).pose
     solution = matching_ik_solution(pose, REFERENCE_INPUTS, P)
     assert solution is not None
     return pose, solution
@@ -149,7 +149,7 @@ class TestFdCheck:
         # small B: conditioning degrades but the check must still return
         inputs = JointInputs(REFERENCE_INPUTS.yA1, REFERENCE_INPUTS.yA1 - P.l3 - 0.05,
                              REFERENCE_INPUTS.yA3)
-        sol = next(s for s in fk.solve(inputs, P) if s.branch.as_tuple() == (1, 1, 1))
+        sol = next(s for s in fk.solve(inputs, P) if s.branch == (1, 1, 1))
         ik_sol = matching_ik_solution(sol.pose, inputs, P)
         deviation = jacobian.fd_check(sol.pose, ik_sol, P, step=1e-6)
         assert math.isfinite(deviation)
@@ -226,7 +226,7 @@ class TestClassify:
                                 (0.05, SingularityKind.PARALLEL)):
             inputs = JointInputs(100.0, 100.0 - P.l3 - delta, 0.0)
             sol = next(s for s in fk.solve(inputs, P)
-                       if s.branch.as_tuple() == (1, 1, 1))
+                       if s.branch == (1, 1, 1))
             ik_sol = matching_ik_solution(sol.pose, inputs, P)
             pair = jacobian.build(sol.pose, ik_sol, P)
             cls = jacobian.classify(pair, P)

@@ -57,7 +57,7 @@ def query_lines(pose):
             yield f"fk {type(exc).__name__}"
             continue
         for a in answers:
-            yield (f"fk {a.pose.as_tuple()!r} {a.branch.as_tuple()!r} {a.intermediates!r} "
+            yield (f"fk {a.pose.as_tuple()!r} {tuple(a.branch)!r} {a.intermediates!r} "
                    f"{a.residual!r} {a.residual_vector!r}")
 
 

@@ -71,13 +71,6 @@ def test_unpacks_and_compares_as_a_tuple(cls):
         assert value == tuple(value)
 
 
-def test_fk_branch_as_tuple_is_a_plain_tuple():
-    branch = RESULTS[fk.FkBranch]
-    got = branch.as_tuple()
-    assert type(got) is tuple
-    assert got == (branch.sin_gamma_sign, branch.t_sign, branch.alpha_sign)
-
-
 def test_ik_solution_consistent():
     solution = RESULTS[ik.IkSolution]
     assert solution.roundtrip == "direct" and solution.consistent
