@@ -4,6 +4,10 @@ Analytical direct and inverse position solutions with rigorous branch
 enumeration and closure filtering, Jacobian-based singularity
 classification, grid workspace mapping, and the mobility arithmetic that
 motivates the design.
+
+The scan types :class:`ScanResult` and :class:`ScanSpec` are served lazily
+(PEP 562): the first access imports :mod:`trirail.workspace`, and numpy with
+it, so importing the package or running a scalar command never loads numpy.
 """
 
 from . import errors
@@ -20,7 +24,6 @@ from .params import (
     validate,
 )
 from .topology import LoopSpec, TopologyReport
-from .workspace import ScanResult, ScanSpec
 
 __version__ = "0.1.0"
 
@@ -47,3 +50,11 @@ __all__ = [
     "validate",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in ("ScanResult", "ScanSpec"):
+        from . import workspace
+
+        return getattr(workspace, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,6 +4,10 @@ Geometry comes from a JSON config file (``--params``); per-run targets are
 positional arguments.  Exit codes are a stable contract: 0 success,
 1 config/usage error, 2 no solution, 3 singular input, 4 verification
 failure.
+
+Only ``ik``, ``workspace``, ``verify`` and ``sweep`` load numpy, when they
+first classify or scan: :mod:`workspace` and :mod:`verify` are imported
+inside their commands, and :mod:`jacobian` imports numpy on first use.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import sys
 
 import click
 
-from . import fk, ik, jacobian, topology, verify, workspace
+from . import fk, ik, jacobian, topology
 from .errors import (
     CotangentSingular,
     IndeterminateGamma,
@@ -25,7 +29,6 @@ from .errors import (
     Unreachable,
 )
 from .params import JointInputs, Pose, REFERENCE_PARAMS, load_params
-from .workspace import ScanSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -259,13 +262,15 @@ def cmd_ik(ctx, x, y, z):
 @click.pass_context
 def cmd_workspace(ctx, bounds, resolution, section, workers):
     """Scan a box (or one cross-section), write samples, print counts."""
+    from . import workspace
+
     cfg = ctx.obj
     params = _load(cfg["params_path"])
     fmt = cfg["fmt"] if cfg["fmt"] in ("csv", "json") else "csv"
     if cfg["out"] is None:
         _fail(EXIT_CONFIG, "workspace requires --out FILE for the sample table")
     try:
-        spec = ScanSpec(
+        spec = workspace.ScanSpec(
             x_range=(bounds[0], bounds[1]),
             y_range=(bounds[2], bounds[3]),
             z_range=(bounds[4], bounds[5]),
@@ -295,6 +300,8 @@ def cmd_workspace(ctx, bounds, resolution, section, workers):
 @click.pass_context
 def cmd_verify(ctx):
     """Reproduce the documented worked example and structural checks."""
+    from . import verify
+
     cfg = ctx.obj
     params = _load(cfg["params_path"])
     kwargs = {"singularity_threshold": cfg["threshold"]}
@@ -321,6 +328,8 @@ def cmd_verify(ctx):
 @click.pass_context
 def cmd_sweep(ctx):
     """Trace the approach to the parallel and the serial singularity."""
+    from . import verify
+
     cfg = ctx.obj
     params = _load(cfg["params_path"])
     deltas = verify.RAIL_SPACING_DELTAS

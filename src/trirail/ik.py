@@ -24,7 +24,9 @@ hint, so FK builds only the candidate on the t root and alpha root nearest
 them.  FK declines the hint, and solves every root, where another root
 could give a candidate as near the target or coincident with it; if the
 predicted candidate is not within ``roundtrip_tol`` of the target, the
-call is repeated without the hint.  Either way ``roundtrip`` and
+call is repeated without the hint, unless it returned more than one
+solution: an accepted hint builds a single candidate, so such a list
+already holds every root.  Either way ``roundtrip`` and
 ``roundtrip_residual`` are bit for bit what the full enumeration gives.
 The ``roundtrip`` field records which route confirmed each solution.
 
@@ -113,12 +115,13 @@ def _roundtrip(
         if z_c1 < params.l1 and sin_gamma:
             sin_gamma = -sin_gamma
         mode = "direct"
-    _, best = fk.nearest(pose, fk.solve_at_gamma(inputs, params, cos_gamma, sin_gamma,
-                                                 closure_tol=closure_tol,
-                                                 hint=(t, alpha, roundtrip_tol)))
-    if not best <= roundtrip_tol:
+    solutions = fk.solve_at_gamma(inputs, params, cos_gamma, sin_gamma,
+                                  closure_tol=closure_tol, hint=(t, alpha, roundtrip_tol))
+    _, best = fk.nearest(pose, solutions)
+    if not best <= roundtrip_tol and len(solutions) <= 1:
         # the predicted candidate did not confirm: solve every root, so that a
-        # "failed" verdict and its residual are exact too
+        # "failed" verdict and its residual are exact too (an accepted hint
+        # builds one candidate, so a longer list is already every root)
         _, best = fk.nearest(pose, fk.solve_at_gamma(inputs, params, cos_gamma, sin_gamma,
                                                      closure_tol=closure_tol))
     return (mode if best <= roundtrip_tol else "failed"), best

@@ -28,7 +28,11 @@ same IEEE operations as numpy-scalar cofactors and ``np.dot`` per row,
 without their per-call overhead on a 3x3 matrix.
 
 :class:`JacobianPair` and :class:`Classification` are immutable named
-tuples, built once per classified branch.
+tuples, built once per classified branch.  ``JacobianPair.jp`` and ``jq``
+are nested tuples of Python floats, so :func:`build` needs no numpy; numpy
+is imported on first use, by :func:`classify` (through :func:`_row_norms`)
+and :func:`fd_check`, which keeps it off the import path of the scalar
+commands.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ import math
 from dataclasses import replace
 from enum import Enum
 from typing import NamedTuple
-
-import numpy as np
 
 from . import fk
 from .errors import CotangentSingular, NonComparable
@@ -69,14 +71,17 @@ _KINDS = tuple(SingularityKind)
 
 
 class JacobianPair(NamedTuple):
-    jp: np.ndarray
-    jq: np.ndarray
+    """Jp and Jq as row tuples of Python floats (Jq diagonal), with their determinants."""
+
+    jp: tuple[tuple[float, float, float], ...]
+    jq: tuple[tuple[float, float, float], ...]
     det_jp: float
     det_jq: float
 
     @property
     def u(self) -> tuple[float, float, float]:
-        return (float(self.jq[0, 0]), float(self.jq[1, 1]), float(self.jq[2, 2]))
+        jq = self.jq
+        return (jq[0][0], jq[1][1], jq[2][2])
 
 
 class Classification(NamedTuple):
@@ -94,11 +99,14 @@ def _det3(m) -> float:
     )
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norms of stacked 3-vectors (the last axis), each bitwise equal to
-    ``sqrt(np.dot(r, r))``: ``np.matmul`` of stacked rows calls the same BLAS dot
-    as ``np.dot`` (``einsum`` or ``(r * r).sum(-1)`` differ in the last ulp for
-    some rows)."""
+def _row_norms(rows):
+    """Euclidean norms of stacked 3-vectors (the last axis of an array or of
+    nested sequences), each bitwise equal to ``sqrt(np.dot(r, r))``: ``np.matmul``
+    of stacked rows calls the same BLAS dot as ``np.dot`` (``einsum`` or
+    ``(r * r).sum(-1)`` differ in the last ulp for some rows)."""
+    import numpy as np
+
+    rows = np.asarray(rows)
     return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
 
 
@@ -128,7 +136,7 @@ def build(pose: Pose, solution: IkSolution, params: ValidatedParams) -> Jacobian
     j2 = (cos_b / sin_b) * h3
     jp = ((j0, u11, h12), (j0, u22, h12), (j2, u33, h3))
     jq = ((u11, 0.0, 0.0), (0.0, u22, 0.0), (0.0, 0.0, u33))
-    return JacobianPair(np.array(jp), np.array(jq), _det3(jp), u11 * u22 * u33)
+    return JacobianPair(jp, jq, _det3(jp), u11 * u22 * u33)
 
 
 def classify(
@@ -172,6 +180,8 @@ def fd_check(
     base, dev = fk.nearest(pose, fk.solve(solution.inputs, params))
     if dev > 1e-6:
         raise NonComparable("pose is not a direct solution of the given inputs")
+
+    import numpy as np
 
     pair = build(pose, solution, params)
     analytic = np.linalg.solve(pair.jp, pair.jq)

@@ -49,7 +49,8 @@ def query_lines(pose):
             yield "jac fold"
         else:
             c = jacobian.classify(pair, P)
-            yield (f"jac {pair.jp.tolist()!r} {pair.jq.tolist()!r} {pair.det_jp!r} "
+            jp, jq = [list(r) for r in pair.jp], [list(r) for r in pair.jq]
+            yield (f"jac {jp!r} {jq!r} {pair.det_jp!r} "
                    f"{pair.det_jq!r} {c.kind.value} {c.norm_det_jp!r} {c.norm_det_jq!r}")
         try:
             answers = fk.solve(s.inputs, P)

@@ -149,6 +149,21 @@ def test_declined_hint_builds_every_candidate(built):
     assert_matches_oracle(pose)
 
 
+#: A pose of rails (0, 0, -230): FK re-derives y as -2.8e-14, so the round trip
+#: of rails (-139.16..., 139.16..., -230) fails by rounding at H2 = 1.5e-11.
+H2_ROUNDING_POSE = Pose(74.91534611252757, 0.0, 258.62799509103365)
+
+
+def test_failed_roundtrip_after_a_declined_hint_solves_once(built):
+    solutions = ik.solve(H2_ROUNDING_POSE, P)
+    failing = next(s for s in solutions
+                   if s.roundtrip == "failed" and s.inputs.yA3 == -230.0)
+    # the declined hint built all four candidates: no unhinted repeat
+    assert built[id(failing.inputs)] == [4]
+    assert math.isfinite(failing.roundtrip_residual)
+    assert_matches_oracle(H2_ROUNDING_POSE)
+
+
 def assert_hint_keeps_the_nearest_distance(inputs, params, cos_gamma, sin_gamma, closure_tol):
     """The contract ``ik`` relies on: for any target within ``reach`` of the
     predicted candidate, the hinted list's nearest distance is the full list's.
