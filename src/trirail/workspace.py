@@ -27,15 +27,19 @@ angles depend only on x, so one numpy pass labels every (y, z) point of a
 run of consecutive planes across the 32 sign branches.  A pass holds up to
 ``_PASS_POINTS`` points and a plane larger than that runs alone: a 41 x 41
 cross-section takes two passes, a 41^3 scan 41 passes of one plane, and no
-numpy array spans the whole grid.  The two agree bit for bit, which keeps
-exports byte-identical, because the kernel
+numpy array spans the whole grid.  The kernel
 
 * computes the distal angles, their sines, cosines and cotangents once
   per x as Python scalars (``math``, never ``np.sin``/``np.arccos``);
 * evaluates every grid expression in the scalar path's operation order;
 * takes row norms with ``np.matmul`` of stacked rows, which calls the
   same BLAS dot as ``np.dot`` (``einsum`` or ``(r * r).sum(-1)`` differ
-  in the last ulp for some rows).
+  in the last ulp for some rows);
+* keeps every array C-ordered, the five branch axes leading and the points
+  last, so no numpy call of a pass walks a scrambled memory order.
+
+The first three make the two agree bit for bit, which keeps exports
+byte-identical.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import filterfalse, islice
+from itertools import filterfalse, repeat
 
 import numpy as np
 
@@ -144,9 +148,9 @@ _AXES = ("x", "y", "z")
 
 #: points per numpy pass: consecutive x-planes are grouped while a pass holds
 #: no more than this (a larger plane runs alone).  Each pass costs a fixed
-#: ~0.4 ms of numpy calls, but bigger passes raise peak memory: on a 21^3
-#: scan, passes of 4 planes (1,764 points) raised peak RSS by ~0.9 MB over
-#: one plane per pass, passes of 2 planes by ~0.2 MB.
+#: ~0.15 ms of numpy calls (a one-point pass), but bigger passes raise peak
+#: memory: on a 21^3 scan, passes of 4 planes (1,764 points) raised peak RSS
+#: by ~1.5 MB over one plane per pass, passes of 2 planes by ~0.55 MB.
 _PASS_POINTS = 1024
 #: the kernel's branch axes: alpha slot, beta slot, root sign of chain 1, 2, 3
 _BRANCHES = (0, 1, 2, 3, 4)
@@ -185,7 +189,8 @@ def _at(values, axis: int) -> np.ndarray:
     a = np.asarray(values)
     shape = [1] * 7
     if a.ndim == 2:
-        a = a.T
+        # a transposed view would scramble the memory order of every array the pass derives
+        a = np.ascontiguousarray(a.T)
         shape[5] = a.shape[1]
     shape[axis] = a.shape[0]
     return a.reshape(shape)
@@ -326,40 +331,46 @@ def cross_section(
 _EXPORT_ROWS = 1 << 16
 
 
-def _reprs(values: list[float]) -> list[str]:
-    """``repr`` of each value, computed once per distinct value (a grid axis has few)."""
+def _reprs(values: list[float], nan: str) -> list[str]:
+    """``repr`` of each value, ``nan`` for NaN, with each distinct value formatted
+    once per call, that is once per export piece (a grid axis or a determinant
+    column has few)."""
     if len(set(map(repr, filterfalse(None, values)))) > 1:
         # 0.0 and -0.0 are one set element but two reprs
-        return list(map(repr, values))
-    memo = {v: repr(v) for v in set(values)}
-    return list(map(memo.__getitem__, values))
+        return [repr(v) if v == v else nan for v in values]
+    memo = {v: repr(v) for v in set(values) if v == v}
+    # a NaN equals no key
+    return list(map(memo.get, values, repeat(nan)))
 
 
-def _rows(result: ScanResult):
-    """(x, y, z reprs, count, min jp, min jq, class name) of each point."""
+def _rows(result: ScanResult, piece: slice, nan: str):
+    """(x, y, z, count, min jp, min jq, class name) of each point of ``piece``,
+    floats as :func:`_reprs` with NaN as ``nan``."""
     names = [kind.value for kind in _KINDS]
-    return zip(_reprs(result.x), _reprs(result.y), _reprs(result.z),
-               result.real_solution_count, result.min_norm_det_jp, result.min_norm_det_jq,
-               map(names.__getitem__, result.severity))
+    return zip(_reprs(result.x[piece], nan), _reprs(result.y[piece], nan),
+               _reprs(result.z[piece], nan), result.real_solution_count[piece],
+               _reprs(result.min_norm_det_jp[piece], nan),
+               _reprs(result.min_norm_det_jq[piece], nan),
+               map(names.__getitem__, result.severity[piece]))
 
 
 def _csv_text(rows, first: bool) -> str:
-    """CSV lines of ``rows`` (of :func:`_rows`), after the header on the ``first``
-    piece: floats by ``repr``, NaN dets as ``nan``."""
-    lines = "".join([f"{x},{y},{z},true,{n},{jp!r},{jq!r},{name}\n" if n
+    """CSV lines of ``rows`` (of :func:`_rows`, NaN as ``nan``), after the header
+    on the ``first`` piece."""
+    lines = "".join([f"{x},{y},{z},true,{n},{jp},{jq},{name}\n" if n
                      else f"{x},{y},{z},false,0,nan,nan,none\n"
                      for x, y, z, n, jp, jq, name in rows])
     return f"{CSV_HEADER}\n{lines}" if first else lines
 
 
 def _json_text(rows, first: bool, last: bool) -> str:
-    """The records of ``rows`` (of :func:`_rows`) as one piece of ``json.dumps`` of
-    all records with ``indent=1``, byte for byte: floats by ``float.__repr__``
-    (which ``str`` is), NaN dets as null, the class as a quoted ASCII string."""
+    """The records of ``rows`` (of :func:`_rows`, NaN as ``null``) as one piece of
+    ``json.dumps`` of all records with ``indent=1``, byte for byte: floats by
+    ``float.__repr__``, the class as a quoted ASCII string."""
     records = ",\n".join([
         f' {{\n  "x": {x},\n  "y": {y},\n  "z": {z},\n  "feasible": true,\n'
-        f'  "real_solution_count": {n},\n  "min_norm_det_jp": {jp if jp == jp else "null"},\n'
-        f'  "min_norm_det_jq": {jq if jq == jq else "null"},\n  "class": "{name}"\n }}'
+        f'  "real_solution_count": {n},\n  "min_norm_det_jp": {jp},\n'
+        f'  "min_norm_det_jq": {jq},\n  "class": "{name}"\n }}'
         if n else
         f' {{\n  "x": {x},\n  "y": {y},\n  "z": {z},\n  "feasible": false,\n'
         f'  "real_solution_count": 0,\n  "min_norm_det_jp": null,\n'
@@ -371,20 +382,22 @@ def _json_text(rows, first: bool, last: bool) -> str:
 
 
 def _chunks(result: ScanResult, fmt: str) -> Iterator[str]:
-    """The export text of ``result`` in pieces of up to ``_EXPORT_ROWS`` points."""
-    rows = _rows(result)
+    """The export text of ``result`` in pieces of up to ``_EXPORT_ROWS`` points,
+    each built from its own slice of the columns."""
     # no points still make one piece: the header, or "[]"
     for start in range(0, max(len(result), 1), _EXPORT_ROWS):
-        piece = islice(rows, _EXPORT_ROWS)
-        first, last = start == 0, start + _EXPORT_ROWS >= len(result)
-        yield _csv_text(piece, first) if fmt == "csv" else _json_text(piece, first, last)
+        stop = start + _EXPORT_ROWS
+        first, last = start == 0, stop >= len(result)
+        rows = _rows(result, slice(start, stop), "nan" if fmt == "csv" else "null")
+        yield _csv_text(rows, first) if fmt == "csv" else _json_text(rows, first, last)
 
 
 def export(samples: ScanResult, fmt: str, destination) -> None:
     """Write points as CSV or JSON; bit-stable for identical inputs.
 
     The text is built and written ``_EXPORT_ROWS`` points at a time, so an
-    export holds one piece of it in memory, not the whole file.
+    export holds one piece of it in memory, not the whole file; each distinct
+    value of a float column is formatted once per piece.
     """
     if fmt not in ("csv", "json"):
         raise InvalidParameter("format", f"must be csv or json, got {fmt!r}")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +50,17 @@ DYADIC_SPEC = ScanSpec(x_range=(-64.0, 0.0), y_range=(0.0, 64.0), z_range=(192.0
 # both signs of zero in one column: one set element, two reprs
 SIGNED_ZEROS = labelled([(x, y, z) for x in (0.0, -0.0) for y in (-0.0, 0.0)
                          for z in (250.0, 1000.0)], P, 1e-3)
+# hand-built determinant columns: repeated values, both signs of zero in one
+# column, NaN on a feasible (folded) row and on an infeasible one, infinity
+DET_COLUMNS = ScanResult(
+    x=[0.0] * 4 + [1.0] * 4,
+    y=[1.0, 1.0, 2.0, 2.0] * 2,
+    z=[2.0, 3.0] * 4,
+    real_solution_count=[4, 4, 2, 2, 4, 0, 1, 1],
+    min_norm_det_jp=[0.5, 0.5, 0.0, -0.0, float("nan"), float("nan"), math.inf, 0.5],
+    min_norm_det_jq=[0.25, 0.25, -0.0, 0.0, float("nan"), float("nan"), 0.5, math.inf],
+    severity=[0, 1, 2, 0, 1, 0, 3, 2],
+)
 
 
 def independent_feasible(pose: Pose) -> bool:
@@ -272,6 +284,32 @@ class TestExport:
         export(samples, fmt, tmp_path / "pieces")
         assert (tmp_path / "pieces").read_bytes() == (tmp_path / "whole").read_bytes()
 
+    @pytest.mark.parametrize("piece", [1, 3, workspace._EXPORT_ROWS])
+    def test_determinant_columns_are_per_row_reprs(self, tmp_path, monkeypatch, piece):
+        samples = DET_COLUMNS
+        columns = list(zip(samples.x, samples.y, samples.z, samples.real_solution_count,
+                           samples.min_norm_det_jp, samples.min_norm_det_jq, samples.severity))
+        csv_lines = [workspace.CSV_HEADER] + [",".join((
+            repr(x), repr(y), repr(z), "true" if count else "false", str(count),
+            repr(jp) if count else "nan", repr(jq) if count else "nan",
+            kind(severity).value if count else "none",
+        )) for x, y, z, count, jp, jq, severity in columns]
+        # dets go in as quoted reprs and come out unquoted: an infinite det is
+        # written by repr, not as json's Infinity
+        records = [{
+            "x": x, "y": y, "z": z, "feasible": count > 0, "real_solution_count": count,
+            "min_norm_det_jp": None if math.isnan(jp) or not count else repr(jp),
+            "min_norm_det_jq": None if math.isnan(jq) or not count else repr(jq),
+            "class": kind(severity).value if count else "none",
+        } for x, y, z, count, jp, jq, severity in columns]
+        json_text = re.sub(r'"(min_norm_det_j[pq])": "([^"]*)"', r'"\1": \2',
+                           json.dumps(records, indent=1)) + "\n"
+        monkeypatch.setattr(workspace, "_EXPORT_ROWS", piece)
+        export(samples, "csv", tmp_path / "points.csv")
+        export(samples, "json", tmp_path / "points.json")
+        assert (tmp_path / "points.csv").read_text() == "\n".join(csv_lines) + "\n"
+        assert (tmp_path / "points.json").read_text() == json_text
+
     def test_check_writable_leaves_files_as_they_were(self, tmp_path):
         fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
         kept.write_text("old\n")
@@ -343,6 +381,20 @@ class TestLabels:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "6285add664d1126a6997a0752d7c9a7dffb0c382c5cb975e5e39c30efea78c05")
 
+    @pytest.mark.parametrize("fmt, samples, digest", [
+        pytest.param("csv", lambda: scan(ScanSpec(resolution=21, **REFERENCE_BOX), P),
+                     "0decae89b27818d47c8bc03e75d3d25cb3c468a3a12140cd0b26780a0f7a1aad",
+                     id="box-21-csv"),
+        pytest.param("json", lambda: cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P,
+                                                   "z", 280.0),
+                     "d78507a1a307c6394a12e7b6e86fca7ac132227574b7e6ad3b1b9d9a0d9d38b8",
+                     id="section-z280-json"),
+    ])
+    def test_export_bytes_are_pinned(self, tmp_path, fmt, samples, digest):
+        path = tmp_path / "points"
+        export(samples(), fmt, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_summary_counts_are_consistent(self):
         samples = scan(SMALL_SPEC, P)
         counts = summary(samples)
@@ -396,6 +448,14 @@ class TestKernelMatchesSamplePoint:
     def test_reference_grids(self, spec, axis, value):
         samples = scan(spec, P) if axis is None else cross_section(spec, P, axis, value)
         assert rows(samples) == rows(oracle(spec, P, axis, value))
+
+    def test_branch_arrays_are_c_ordered(self):
+        # a transposed per-x column would leave every array of a pass non-C-ordered
+        pairs = workspace._at([(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)], 1)
+        signs = workspace._at([1.0, -1.0], 3)
+        assert pairs.shape == (1, 2, 1, 1, 1, 3, 1) and pairs.flags.c_contiguous
+        assert pairs.ravel().tolist() == [1.0, 3.0, 5.0, 2.0, 4.0, 6.0]
+        assert signs.shape == (1, 1, 1, 2, 1, 1, 1) and signs.flags.c_contiguous
 
     @settings(max_examples=40, deadline=None)
     @given(
