@@ -3,7 +3,10 @@
 Geometry comes from a JSON config file (``--params``); per-run targets are
 positional arguments.  Exit codes are a stable contract: 0 success,
 1 config/usage error, 2 no solution, 3 singular input, 4 verification
-failure.
+failure.  The parser is the standard library's :mod:`argparse`; its usage
+errors exit 1 rather than argparse's 2, which is the no-solution code, and
+a float with a leading minus (``-3e2``, ``-inf``, ``-nan``) is a value,
+not an option.
 
 Only ``ik``, ``workspace``, ``verify`` and ``sweep`` load numpy, when they
 first classify or scan: :mod:`workspace` and :mod:`verify` are imported
@@ -12,11 +15,11 @@ inside their commands, and :mod:`jacobian` imports numpy on first use.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import re
 import sys
-
-import click
 
 from . import fk, ik, jacobian, topology
 from .errors import (
@@ -36,21 +39,37 @@ EXIT_NO_SOLUTION = 2
 EXIT_SINGULAR = 3
 EXIT_VERIFY_FAILED = 4
 
-# click exits usage errors with 2 by default, which would collide with the
-# no-solution code; the contract reserves 1 for config/parse problems.
-click.UsageError.exit_code = EXIT_CONFIG
+#: What argparse takes for a negative number: a minus before a digit,
+#: ``.digit``, ``inf`` or ``nan``; ``float`` then rejects what is no number.
+#: argparse itself takes only ``-\d+`` and ``-\d*\.\d+``, so ``fk 1 -2 -3e2``
+#: or ``--bounds -1.1e2 ...`` would read as unknown options.
+_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with the exit-code contract and float-shaped negative values."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message):
+        # argparse exits usage errors with 2, the no-solution code; the
+        # contract reserves 1 for config/parse problems
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
-def _load(ctx_params_path):
-    if ctx_params_path is None:
+def _load(path):
+    if path is None:
         return REFERENCE_PARAMS
     try:
-        return load_params(ctx_params_path)
+        return load_params(path)
     except (InvalidParameter, OSError) as exc:
         _fail(EXIT_CONFIG, str(exc))
 
@@ -67,44 +86,7 @@ def _emit(payload: str, out_path):
         except OSError as exc:
             _fail(EXIT_CONFIG, f"writing {out_path}: {exc}")
     else:
-        click.echo(payload)
-
-
-@click.group()
-@click.option("--params", "params_path", type=click.Path(), default=None,
-              help="JSON file with the eleven geometry keys a,b,d,l1..l8 (mm); "
-                   "defaults to the built-in reference dimensions.")
-@click.option("--angle-unit", type=click.Choice(["rad", "deg"]), default="rad",
-              show_default=True, help="Unit used to render gamma/alpha/beta.")
-@click.option("--tol-closure", type=float, default=fk.CLOSURE_TOL, show_default=True,
-              help="Loop-closure residual accepted for generated solutions, also "
-                   "used as the IK round-trip tolerance (mm).")
-@click.option("--tol-table", type=float, default=None,
-              help="Override the worked-example tolerances used by verify (mm).")
-@click.option("--singularity-threshold", type=float, default=jacobian.SINGULARITY_THRESHOLD,
-              show_default=True,
-              help="Dimensionless threshold on normalised determinants.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
-              default="text", show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None,
-              help="Write the report to a file instead of stdout.")
-@click.pass_context
-def main(ctx, params_path, angle_unit, tol_closure, tol_table, singularity_threshold,
-         fmt, out_path):
-    """Kinematics toolbox for the three-rail translational platform."""
-    for name, value in (("--tol-closure", tol_closure), ("--tol-table", tol_table),
-                        ("--singularity-threshold", singularity_threshold)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            _fail(EXIT_CONFIG, f"{name} must be finite and > 0, got {value!r}")
-    ctx.obj = {
-        "params_path": params_path,
-        "angle_unit": angle_unit,
-        "tol_closure": tol_closure,
-        "tol_table": tol_table,
-        "threshold": singularity_threshold,
-        "fmt": fmt,
-        "out": out_path,
-    }
+        print(payload)
 
 
 def _fk_record(sol, unit):
@@ -122,38 +104,33 @@ def _fk_record(sol, unit):
     }
 
 
-@main.command("fk", context_settings={"ignore_unknown_options": True})
-@click.argument("ya1", type=float)
-@click.argument("ya2", type=float)
-@click.argument("ya3", type=float)
-@click.pass_context
-def cmd_fk(ctx, ya1, ya2, ya3):
+def cmd_fk(args):
     """Direct kinematics: all platform poses for rail inputs (mm)."""
-    cfg = ctx.obj
-    params = _load(cfg["params_path"])
+    ya1, ya2, ya3 = args.yA1, args.yA2, args.yA3
+    params = _load(args.params)
     try:
         inputs = JointInputs(ya1, ya2, ya3)
     except InvalidParameter as exc:
         _fail(EXIT_CONFIG, str(exc))
     try:
-        solutions = fk.solve(inputs, params, closure_tol=cfg["tol_closure"])
+        solutions = fk.solve(inputs, params, closure_tol=args.tol_closure)
     except IndeterminateGamma as exc:
         _fail(EXIT_SINGULAR, str(exc))
     except TrirailError as exc:
         _fail(EXIT_NO_SOLUTION, str(exc))
-    unit = cfg["angle_unit"]
+    unit = args.angle_unit
     records = [_fk_record(s, unit) for s in solutions]
-    if cfg["fmt"] == "json":
+    if args.format == "json":
         _emit(json.dumps({"inputs": [ya1, ya2, ya3], "solutions": records,
-                          "count": len(records)}, indent=1), cfg["out"])
-    elif cfg["fmt"] == "csv":
+                          "count": len(records)}, indent=1), args.out)
+    elif args.format == "csv":
         lines = ["x,y,z,sin_gamma_sign,t_sign,alpha_sign,gamma,alpha,beta,t,residual"]
         for r in records:
             lines.append(",".join(repr(v) for v in (
                 r["x"], r["y"], r["z"], r["branch"]["sin_gamma"], r["branch"]["t"],
                 r["branch"]["alpha"], r["gamma"], r["alpha"], r["beta"], r["t"],
                 r["residual"])))
-        _emit("\n".join(lines), cfg["out"])
+        _emit("\n".join(lines), args.out)
     else:
         lines = [f"direct solutions for yA = ({ya1:g}, {ya2:g}, {ya3:g}) mm "
                  f"[angles in {unit}]:",
@@ -165,7 +142,7 @@ def cmd_fk(ctx, ya1, ya2, ya3):
                          f"{r['residual']:>9.2e}")
         if not records:
             lines.append("  (none: inputs are regular but out of reach)")
-        _emit("\n".join(lines), cfg["out"])
+        _emit("\n".join(lines), args.out)
     sys.exit(EXIT_OK if records else EXIT_NO_SOLUTION)
 
 
@@ -181,27 +158,22 @@ def _branch_class(pose, solution, params, threshold):
             "norm_det_jq": cls.norm_det_jq}
 
 
-@main.command("ik", context_settings={"ignore_unknown_options": True})
-@click.argument("x", type=float)
-@click.argument("y", type=float)
-@click.argument("z", type=float)
-@click.pass_context
-def cmd_ik(ctx, x, y, z):
+def cmd_ik(args):
     """Inverse kinematics: all real rail inputs for a pose (mm)."""
-    cfg = ctx.obj
-    params = _load(cfg["params_path"])
+    x, y, z = args.x, args.y, args.z
+    params = _load(args.params)
     try:
         pose = Pose(x, y, z)
     except InvalidParameter as exc:
         _fail(EXIT_CONFIG, str(exc))
     try:
-        solutions = ik.solve(pose, params, closure_tol=cfg["tol_closure"],
-                             roundtrip_tol=cfg["tol_closure"])
+        solutions = ik.solve(pose, params, closure_tol=args.tol_closure,
+                             roundtrip_tol=args.tol_closure)
     except Unreachable as exc:
         _fail(EXIT_NO_SOLUTION, f"arccos domain: {exc}")
     except TrirailError as exc:
         _fail(EXIT_NO_SOLUTION, str(exc))
-    unit = cfg["angle_unit"]
+    unit = args.angle_unit
     records = [{
         "yA1": s.inputs.yA1, "yA2": s.inputs.yA2, "yA3": s.inputs.yA3,
         "branch": {"alpha": s.branch.alpha_sign, "beta": s.branch.beta_sign,
@@ -212,18 +184,18 @@ def cmd_ik(ctx, x, y, z):
         "roundtrip_residual": s.roundtrip_residual,
         "serial_witnesses": list(s.serial_witnesses),
         "parallel_singular": s.parallel_singular,
-        "singularity": _branch_class(pose, s, params, cfg["threshold"]),
+        "singularity": _branch_class(pose, s, params, args.singularity_threshold),
         "angle_unit": unit,
     } for s in solutions]
-    if cfg["fmt"] == "json":
+    if args.format == "json":
         # a round trip that finds no direct solution leaves an infinite
         # residual, which strict JSON cannot hold
         for r in records:
             if not math.isfinite(r["roundtrip_residual"]):
                 r["roundtrip_residual"] = None
         _emit(json.dumps({"pose": [x, y, z], "solutions": records,
-                          "count": len(records)}, indent=1), cfg["out"])
-    elif cfg["fmt"] == "csv":
+                          "count": len(records)}, indent=1), args.out)
+    elif args.format == "csv":
         lines = ["yA1,yA2,yA3,alpha_sign,beta_sign,root1,root2,root3,"
                  "M1,M2,M3,alpha,beta,roundtrip,roundtrip_residual"]
         for r in records:
@@ -231,7 +203,7 @@ def cmd_ik(ctx, x, y, z):
                 r["yA1"], r["yA2"], r["yA3"], r["branch"]["alpha"], r["branch"]["beta"],
                 *r["branch"]["roots"], r["M1"], r["M2"], r["M3"], r["alpha"], r["beta"]))
                 + f",{r['roundtrip']},{r['roundtrip_residual']!r}")
-        _emit("\n".join(lines), cfg["out"])
+        _emit("\n".join(lines), args.out)
     else:
         lines = [f"inverse solutions for O' = ({x:g}, {y:g}, {z:g}) mm "
                  f"[angles in {unit}]:",
@@ -243,109 +215,88 @@ def cmd_ik(ctx, x, y, z):
                          f"{r['singularity']['class']:>14}")
         if not records:
             lines.append("  (none: every radicand is negative)")
-        _emit("\n".join(lines), cfg["out"])
+        _emit("\n".join(lines), args.out)
     sys.exit(EXIT_OK if records else EXIT_NO_SOLUTION)
 
 
-@main.command("workspace")
-@click.option("--bounds", nargs=6, type=float, required=True,
-              metavar="XMIN XMAX YMIN YMAX ZMIN ZMAX",
-              help="Box to scan (mm).")
-@click.option("--resolution", type=int, default=41, show_default=True,
-              help="Grid points per axis.")
-@click.option("--section", nargs=2, default=None, metavar="AXIS VALUE",
-              help="Scan a planar cross-section instead of the full box, "
-                   "e.g. --section z 300.")
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Accepted for compatibility; has no effect (the scan runs in "
-                   "one process, whole x-planes per numpy pass).")
-@click.pass_context
-def cmd_workspace(ctx, bounds, resolution, section, workers):
+def cmd_workspace(args):
     """Scan a box (or one cross-section), write samples, print counts."""
     from . import workspace
 
-    cfg = ctx.obj
-    params = _load(cfg["params_path"])
-    fmt = cfg["fmt"] if cfg["fmt"] in ("csv", "json") else "csv"
-    if cfg["out"] is None:
+    params = _load(args.params)
+    fmt = args.format if args.format in ("csv", "json") else "csv"
+    if args.out is None:
         _fail(EXIT_CONFIG, "workspace requires --out FILE for the sample table")
     try:
         spec = workspace.ScanSpec(
-            x_range=(bounds[0], bounds[1]),
-            y_range=(bounds[2], bounds[3]),
-            z_range=(bounds[4], bounds[5]),
-            resolution=resolution,
-            singularity_threshold=cfg["threshold"],
+            x_range=(args.bounds[0], args.bounds[1]),
+            y_range=(args.bounds[2], args.bounds[3]),
+            z_range=(args.bounds[4], args.bounds[5]),
+            resolution=args.resolution,
+            singularity_threshold=args.singularity_threshold,
         )
         # an unwritable --out fails here, not after the scan
-        workspace.check_writable(cfg["out"])
-        if section:
-            axis, value = section
+        workspace.check_writable(args.out)
+        if args.section:
+            axis, value = args.section
             samples = workspace.cross_section(spec, params, axis, float(value))
         else:
             samples = workspace.scan(spec, params)
     except (InvalidParameter, OutOfRange, ValueError, OSError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     try:
-        workspace.export(samples, fmt, cfg["out"])
+        workspace.export(samples, fmt, args.out)
     except OSError as exc:
         _fail(EXIT_CONFIG, str(exc))
     counts = workspace.summary(samples)
     for key in ("total", "feasible", "regular", "serial", "parallel", "comprehensive"):
-        click.echo(f"{key}: {counts[key]}")
+        print(f"{key}: {counts[key]}")
     sys.exit(EXIT_OK)
 
 
-@main.command("verify")
-@click.pass_context
-def cmd_verify(ctx):
+def cmd_verify(args):
     """Reproduce the documented worked example and structural checks."""
     from . import verify
 
-    cfg = ctx.obj
-    params = _load(cfg["params_path"])
-    kwargs = {"singularity_threshold": cfg["threshold"]}
-    if cfg["tol_table"] is not None:
-        kwargs["tol_direct"] = cfg["tol_table"]
-        kwargs["tol_inverse"] = cfg["tol_table"]
+    params = _load(args.params)
+    kwargs = {"singularity_threshold": args.singularity_threshold}
+    if args.tol_table is not None:
+        kwargs["tol_direct"] = args.tol_table
+        kwargs["tol_inverse"] = args.tol_table
     results = verify.run_builtin_checks(params, **kwargs)
-    if cfg["fmt"] == "json":
+    if args.format == "json":
         _emit(json.dumps([{"name": r.name, "passed": r.passed, "detail": r.detail}
-                          for r in results], indent=1), cfg["out"])
+                          for r in results], indent=1), args.out)
     else:
         width = max(len(r.name) for r in results)
         lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}"
                  for r in results]
-        _emit("\n".join(lines), cfg["out"])
+        _emit("\n".join(lines), args.out)
     failing = [r for r in results if not r.passed]
     if failing:
-        click.echo(f"error: first failing check: {failing[0].name}", err=True)
-        sys.exit(EXIT_VERIFY_FAILED)
+        _fail(EXIT_VERIFY_FAILED, f"first failing check: {failing[0].name}")
     sys.exit(EXIT_OK)
 
 
-@main.command("sweep")
-@click.pass_context
-def cmd_sweep(ctx):
+def cmd_sweep(args):
     """Trace the approach to the parallel and the serial singularity."""
     from . import verify
 
-    cfg = ctx.obj
-    params = _load(cfg["params_path"])
+    params = _load(args.params)
     deltas = verify.RAIL_SPACING_DELTAS
     try:
-        classes = verify.rail_spacing_sweep(params, deltas, cfg["threshold"])
+        classes = verify.rail_spacing_sweep(params, deltas, args.singularity_threshold)
         x, z_star, rows = verify.stroke_boundary_sweep(params, verify.STROKE_BOUNDARY_OFFSETS)
     except TrirailError as exc:
         _fail(EXIT_NO_SOLUTION, str(exc))
-    if cfg["fmt"] == "json":
+    if args.format == "json":
         _emit(json.dumps({
             "rail_spacing": [{"delta": delta, "norm_det_jp": cls.norm_det_jp,
                               "class": cls.kind.value} for delta, cls in zip(deltas, classes)],
             "stroke_boundary": {"x": x, "z_star": z_star, "rows": [
                 {"offset": offset, "solutions": count, "min_abs_u33": u33}
                 for offset, count, u33 in rows]},
-        }, indent=1), cfg["out"])
+        }, indent=1), args.out)
     else:
         lines = ["rail spacing approach: yA1 - yA2 = l3 + delta",
                  f"{'delta (mm)':>12} {'B (mm)':>10} {'|norm det Jp|':>14} {'class':>14}"]
@@ -357,7 +308,7 @@ def cmd_sweep(ctx):
         for offset, count, u33 in rows:
             lines.append(f"{offset:>12g} {count:>15} "
                          + (f"{'-':>15}" if u33 is None else f"{u33:>15.6f}"))
-        _emit("\n".join(lines), cfg["out"])
+        _emit("\n".join(lines), args.out)
     sys.exit(EXIT_OK)
 
 
@@ -392,28 +343,97 @@ def _loop_spec(data):
     return data["total_joint_dof_sum"], [topology.LoopSpec(*triple) for triple in loops]
 
 
-@main.command("topology")
-@click.option("--loops", "loops_json", default=None,
-              help="JSON object {\"total_joint_dof_sum\": N, \"loops\": [[dof, actuated, "
-                   "equations], ...]}; defaults to the reference decomposition.")
-@click.pass_context
-def cmd_topology(ctx, loops_json):
+def cmd_topology(args):
     """Mobility report: DOF, constraint degrees, coupling degree."""
-    cfg = ctx.obj
     try:
-        if loops_json is None:
+        if args.loops is None:
             rep = topology.reference_report()
         else:
-            rep = topology.report(*_loop_spec(json.loads(loops_json)))
-    except (InvalidAkc, InvalidParameter, json.JSONDecodeError) as exc:
+            rep = topology.report(*_loop_spec(json.loads(args.loops)))
+    # JSON nested past the recursion limit raises RecursionError
+    except (InvalidAkc, InvalidParameter, json.JSONDecodeError, RecursionError) as exc:
         _fail(EXIT_CONFIG, f"loop specification: {exc}")
-    if cfg["fmt"] == "json":
+    if args.format == "json":
         _emit(json.dumps({"dof": rep.dof, "deltas": list(rep.deltas),
-                          "coupling_degree": rep.coupling_degree}, indent=1), cfg["out"])
+                          "coupling_degree": rep.coupling_degree}, indent=1), args.out)
     else:
         _emit(f"dof: {rep.dof}\ndeltas: {', '.join(f'{d:+d}' for d in rep.deltas)}\n"
-              f"coupling degree: {rep.coupling_degree}", cfg["out"])
+              f"coupling degree: {rep.coupling_degree}", args.out)
     sys.exit(EXIT_OK)
+
+
+def _workers(text: str) -> int:
+    """A ``--workers`` value: an integer of at least 1, otherwise unused."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="trirail", description=main.__doc__)
+    parser.add_argument("--params", metavar="FILE",
+                        help="JSON file with the eleven geometry keys a,b,d,l1..l8 (mm); "
+                             "defaults to the built-in reference dimensions.")
+    parser.add_argument("--angle-unit", choices=["rad", "deg"], default="rad",
+                        help="Unit used to render gamma/alpha/beta. (default: %(default)s)")
+    parser.add_argument("--tol-closure", type=float, default=fk.CLOSURE_TOL, metavar="MM",
+                        help="Loop-closure residual accepted for generated solutions, also "
+                             "used as the IK round-trip tolerance (mm). "
+                             "(default: %(default)s)")
+    parser.add_argument("--tol-table", type=float, metavar="MM",
+                        help="Override the worked-example tolerances used by verify (mm).")
+    parser.add_argument("--singularity-threshold", type=float,
+                        default=jacobian.SINGULARITY_THRESHOLD, metavar="X",
+                        help="Dimensionless threshold on normalised determinants. "
+                             "(default: %(default)s)")
+    parser.add_argument("--format", choices=["text", "json", "csv"], default="text",
+                        help="(default: %(default)s)")
+    parser.add_argument("--out", metavar="FILE",
+                        help="Write the report to a file instead of stdout.")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, run, *positionals):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        for positional in positionals:
+            sub.add_argument(positional, type=float)
+        return sub
+
+    command("fk", cmd_fk, "yA1", "yA2", "yA3")
+    command("ik", cmd_ik, "x", "y", "z")
+    scan = command("workspace", cmd_workspace)
+    scan.add_argument("--bounds", nargs=6, type=float, required=True,
+                      metavar=("XMIN", "XMAX", "YMIN", "YMAX", "ZMIN", "ZMAX"),
+                      help="Box to scan (mm).")
+    scan.add_argument("--resolution", type=int, default=41, metavar="N",
+                      help="Grid points per axis. (default: %(default)s)")
+    scan.add_argument("--section", nargs=2, metavar=("AXIS", "VALUE"),
+                      help="Scan a planar cross-section instead of the full box, "
+                           "e.g. --section z 300.")
+    scan.add_argument("--workers", type=_workers, default=1, metavar="N",
+                      help="Accepted for compatibility; has no effect (the scan runs in "
+                           "one process, whole x-planes per numpy pass). "
+                           "(default: %(default)s)")
+    command("verify", cmd_verify)
+    command("sweep", cmd_sweep)
+    command("topology", cmd_topology).add_argument(
+        "--loops", help="JSON object {\"total_joint_dof_sum\": N, \"loops\": [[dof, actuated, "
+                        "equations], ...]}; defaults to the reference decomposition.")
+    return parser
+
+
+def main(argv=None):
+    """Kinematics toolbox for the three-rail translational platform."""
+    args = _parser().parse_args(argv)
+    for name, value in (("--tol-closure", args.tol_closure), ("--tol-table", args.tol_table),
+                        ("--singularity-threshold", args.singularity_threshold)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            _fail(EXIT_CONFIG, f"{name} must be finite and > 0, got {value!r}")
+    args.run(args)
 
 
 if __name__ == "__main__":

@@ -166,6 +166,10 @@ def load_params(path) -> ValidatedParams:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidParameter("<file>", f"{path}: not valid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidParameter("<file>", f"{path}: not UTF-8 text ({exc})") from exc
+        except RecursionError as exc:
+            raise InvalidParameter("<file>", f"{path}: JSON nested too deeply ({exc})") from exc
     if not isinstance(raw, dict):
         raise InvalidParameter("<file>", f"{path}: expected a JSON object")
     for key in raw:

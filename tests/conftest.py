@@ -1,4 +1,7 @@
+import contextlib
+import io
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -19,3 +22,41 @@ def random_feasible_inputs(rng: random.Random, p=REFERENCE_PARAMS) -> JointInput
     y_mid = y_a1 - b_value / 2.0 - p.l3 / 2.0
     y_a3 = y_mid + rng.uniform(-0.9 * p.l6, 0.9 * p.l6)
     return JointInputs(y_a1, y_a2, y_a3)
+
+
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved as written
+    exception: SystemExit | None  # set when exit_code is not 0
+
+
+class _Tee(io.StringIO):
+    """A stream that also copies what it is given into a shared one."""
+
+    def __init__(self, shared: io.StringIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text):
+        self.shared.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs ``trirail.cli.main`` in process and captures its streams and exit."""
+
+    def invoke(self, main, args) -> Result:
+        output = io.StringIO()
+        stdout, stderr = _Tee(output), _Tee(output)
+        exception = None
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                main(list(args))
+                exit_code = 0
+            except SystemExit as exc:  # the CLI exits with an int code
+                exit_code = exc.code or 0
+                exception = exc if exit_code else None
+        return Result(exit_code, stdout.getvalue(), stderr.getvalue(), output.getvalue(),
+                      exception)

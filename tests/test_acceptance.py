@@ -12,7 +12,6 @@ import random
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from trirail import fk, ik, jacobian, workspace
 from trirail.cli import main as cli_main
@@ -27,7 +26,7 @@ from trirail.verify import (
 )
 from trirail.workspace import ScanSpec
 
-from conftest import random_feasible_inputs
+from conftest import CliRunner, random_feasible_inputs
 from test_ik import boundary_pose_m3
 from test_workspace import independent_feasible
 

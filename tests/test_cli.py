@@ -2,8 +2,8 @@ import json
 import math
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import CliRunner
 from trirail import jacobian, verify, workspace
 from trirail.cli import main
 from trirail.params import PARAM_KEYS, REFERENCE_PARAMS
@@ -70,6 +70,86 @@ def test_output_schema_outlives_the_result_types(runner):
     ).stdout)
     for record in fk_payload["solutions"]:
         assert all(isinstance(record[key], float) for key in ("gamma", "alpha", "beta", "t"))
+
+
+def test_number_shaped_arguments_are_values(runner, tmp_path):
+    fk_result = runner.invoke(main, ["fk", "1", "-2", "-3e2"])
+    assert fk_result.exit_code == 2
+    assert fk_result.stdout.startswith("direct solutions for yA = (1, -2, -300) mm")
+    ik_result = runner.invoke(main, ["ik", "-1e1", "9.6849", "456.3315"])
+    assert ik_result.exit_code == 0
+    assert ik_result.stdout.startswith("inverse solutions for O' = (-10, 9.6849, 456.332) mm")
+    result = runner.invoke(main, ["ik", "-inf", "0", "300"])
+    assert result.exit_code == 1
+    assert result.stderr == "error: x: must be finite, got -inf\n"
+    result = runner.invoke(main, ["fk", "-nan", "0", "0"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: yA1: ")
+    out = tmp_path / "scan.csv"
+    result = runner.invoke(main, ["--out", str(out), "workspace",
+                                  "--bounds", "-1.1e2", "90", "-2.5e2", "250", "180", "480",
+                                  "--resolution", "2"])
+    assert result.exit_code == 0
+    assert out.read_text().splitlines()[1].startswith("-110.0,-250.0,180.0,")
+
+
+VALID_CALLS = {
+    "fk": ["fk", "1", "2", "3"],
+    "ik": ["ik", "-15.4714", "9.6849", "456.3315"],
+    "workspace": ["workspace", "--bounds", "-110", "90", "-250", "250", "180", "480",
+                  "--resolution", "2"],
+    "verify": ["verify"],
+    "sweep": ["sweep"],
+    "topology": ["topology"],
+}
+# (arguments, the name the usage error must give) beyond the unknown-option,
+# angle-unit and format errors that every command gets
+USAGE_ERRORS = {
+    "fk": [(["fk", "1"], "yA2"), (["fk", "1", "two", "3"], "yA2")],
+    "ik": [(["ik", "1", "2"], "z"), (["ik", "x", "2", "3"], "x")],
+    "workspace": [(["workspace"], "--bounds"),
+                  (["workspace", "--bounds", "-110", "90"], "--bounds"),
+                  ([*VALID_CALLS["workspace"], "--resolution", "fine"], "--resolution"),
+                  ([*VALID_CALLS["workspace"], "--workers", "0"], "--workers")],
+    "verify": [],
+    "sweep": [],
+    "topology": [(["topology", "--loops"], "--loops")],
+}
+
+
+def assert_usage_error(runner, tmp_path, args, name):
+    result = runner.invoke(main, ["--out", str(tmp_path / "report"), *args])
+    assert result.exit_code == 1, args
+    assert result.stdout == "", args
+    assert name.lower() in result.stderr.lower(), (args, result.stderr)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", list(VALID_CALLS))
+def test_usage_errors_exit_1_naming_the_argument(runner, tmp_path, command):
+    call = VALID_CALLS[command]
+    for args, name in [*USAGE_ERRORS[command],
+                       ([*call, "--bogus"], "--bogus"),
+                       (["--angle-unit", "grad", *call], "--angle-unit"),
+                       (["--format", "bogus", *call], "--format")]:
+        assert_usage_error(runner, tmp_path, args, name)
+
+
+@pytest.mark.parametrize("args, name", [([], "command"), (["bogus", "1"], "bogus")],
+                         ids=["no-command", "unknown-command"])
+def test_missing_or_unknown_command_exits_1(runner, tmp_path, args, name):
+    assert_usage_error(runner, tmp_path, args, name)
+
+
+@pytest.mark.parametrize("content", [b'{"a": "\xff"}', b"[" * 100000],
+                         ids=["not-utf8", "deeply-nested"])
+def test_undecodable_params_file_is_config_error(runner, tmp_path, content):
+    config = tmp_path / "geometry.json"
+    config.write_bytes(content)
+    result = runner.invoke(main, ["--params", str(config), "fk", "0", "0", "0"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: <file>: {config}: ")
+    assert result.stdout == ""
 
 
 class TestFk:
@@ -583,8 +663,7 @@ chain-3 stroke boundary: x = -38, boundary height z* = 444 mm
     def test_has_no_options_of_its_own(self, runner):
         result = runner.invoke(main, ["sweep", "--help"])
         assert result.exit_code == 0
-        assert [line.split()[0] for line in result.stdout.split("Options:")[1].splitlines()
-                if line.strip()] == ["--help"]
+        assert result.stdout.startswith("usage: trirail sweep [-h]\n")
 
 
 class TestTopology:
@@ -634,6 +713,13 @@ class TestTopology:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output == f"error: loop specification: {message}\n"
+
+    def test_deeply_nested_loops_rejected(self, runner):
+        result = runner.invoke(main, ["topology", "--loops", "[" * 100000])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: loop specification: maximum recursion depth")
+        assert result.stdout == ""
 
     def test_invalid_akc_rejected(self, runner):
         spec = json.dumps({"total_joint_dof_sum": 11, "loops": [[6, 2, 3], [5, 1, 4]]})

@@ -1,9 +1,9 @@
 """The import graph: numpy loads only where a command scans or classifies.
 
 The direct solution is closed-form, so ``trirail fk``, ``topology``,
-``--help`` and every config or usage error run on ``math`` alone.  Each
-case starts a fresh interpreter, because this test process has numpy
-loaded already.
+``--help`` and every config or usage error run on ``math`` alone, and the
+CLI parses its arguments with :mod:`argparse` alone.  Each case starts a
+fresh interpreter, because this test process has numpy loaded already.
 """
 
 import json
@@ -20,7 +20,8 @@ from trirail import workspace
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Runs the ``trirail`` commands given as a JSON list of argument lists in one
-#: interpreter, then prints their exit codes and which heavy modules loaded.
+#: interpreter, then prints their exit codes and which heavy or unwanted
+#: modules loaded.
 CHILD = """\
 import json, sys
 import trirail, trirail.cli
@@ -31,7 +32,7 @@ for args in json.loads(sys.argv[1]):
         trirail.cli.main(args)
     except SystemExit as exc:
         codes.append(exc.code)
-loaded = [m for m in ("numpy", "trirail.workspace") if m in sys.modules]
+loaded = [m for m in ("numpy", "trirail.workspace", "click") if m in sys.modules]
 print(json.dumps({"codes": codes, "loaded": loaded}), file=sys.stderr)
 """
 
@@ -64,6 +65,7 @@ def test_ik_loads_numpy_when_it_classifies():
     assert result["codes"] == [0]
     assert "numpy" in result["loaded"]
     assert "trirail.workspace" not in result["loaded"]
+    assert "click" not in result["loaded"]
 
 
 def test_scan_types_are_the_workspace_classes():

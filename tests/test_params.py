@@ -187,5 +187,18 @@ def test_load_params_rejects_non_object(tmp_path):
         load_params(path)
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b'{"a": "\xff"}', "not UTF-8 text"),
+    (b"[" * 100000, "JSON nested too deeply"),
+], ids=["not-utf8", "deeply-nested"])
+def test_load_params_rejects_undecodable_file(tmp_path, content, reason):
+    path = tmp_path / "geometry.json"
+    path.write_bytes(content)
+    with pytest.raises(InvalidParameter) as err:
+        load_params(path)
+    assert err.value.name == "<file>"
+    assert err.value.reason.startswith(f"{path}: {reason} (")
+
+
 def test_param_keys_cover_all_fields():
     assert set(PARAM_KEYS) == set(REFERENCE_VALUES)
