@@ -30,6 +30,7 @@ from .errors import (
     OutOfRange,
     TrirailError,
     Unreachable,
+    clipped,
 )
 from .params import JointInputs, Pose, REFERENCE_PARAMS, load_params
 
@@ -325,7 +326,7 @@ def _loop_spec(data):
     """
     if not isinstance(data, dict):
         raise InvalidParameter("--loops", "must be a JSON object with keys "
-                                          f"total_joint_dof_sum and loops, got {data!r}")
+                                          f"total_joint_dof_sum and loops, got {clipped(data)}")
     for key in data:
         if key not in _LOOP_KEYS:
             raise InvalidParameter(key, "unknown key")
@@ -335,11 +336,11 @@ def _loop_spec(data):
     loops = data["loops"]
     if not isinstance(loops, list):
         raise InvalidParameter("loops", f"must be a list of {_LOOP_FIELDS} triples, "
-                                        f"got {loops!r}")
+                                        f"got {clipped(loops)}")
     for i, triple in enumerate(loops):
         if not isinstance(triple, list) or len(triple) != 3:
             raise InvalidParameter(f"loops[{i}]", f"must be a list of three integers "
-                                                  f"{_LOOP_FIELDS}, got {triple!r}")
+                                                  f"{_LOOP_FIELDS}, got {clipped(triple)}")
     return data["total_joint_dof_sum"], [topology.LoopSpec(*triple) for triple in loops]
 
 

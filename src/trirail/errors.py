@@ -1,5 +1,14 @@
 """Exception types shared across the kinematics modules."""
 
+#: Longest repr of an offending value that an error message echoes.
+CLIP = 60
+
+
+def clipped(value) -> str:
+    """``repr(value)``, cut to ``CLIP`` characters ending in ``...`` when longer."""
+    text = repr(value)
+    return text if len(text) <= CLIP else text[:CLIP - 3] + "..."
+
 
 class TrirailError(Exception):
     """Base class for every error raised by this package."""

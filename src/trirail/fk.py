@@ -36,9 +36,8 @@ builds that one candidate, and solves every root only where another root
 could compete with it.
 
 Each candidate is an :class:`FkSolution` holding an :class:`FkBranch` and
-an :class:`FkIntermediates`.  All three are immutable named tuples, which
-cost a fraction of a frozen dataclass to construct.  Read them by field
-name.
+an :class:`FkIntermediates`.  All three are immutable named tuples; read
+them by field name.
 """
 
 from __future__ import annotations
@@ -280,7 +279,9 @@ def enumerate_candidates(
         for t_sign, t, alphas in roots:
             for alpha_sign, alpha, beta in alphas:
                 sin_a, cos_a = math.sin(alpha), math.cos(alpha)
-                pose = Pose._trusted(-b + l4 * cos_a + d, y, l1 + l2 * sin_gamma + l4 * sin_a)
+                # finite by construction, so Pose's check is skipped
+                pose = tuple.__new__(Pose, (-b + l4 * cos_a + d, y,
+                                            l1 + l2 * sin_gamma + l4 * sin_a))
                 vec = (r1, *_chain_residuals(pose, t, inputs.yA3, params, sin_a, cos_a,
                                              math.sin(beta), math.cos(beta)))
                 out.append(FkSolution(pose, FkBranch(gamma_sign, t_sign, alpha_sign),

@@ -38,7 +38,6 @@ commands.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -190,11 +189,11 @@ def fd_check(
     names = ("yA1", "yA2", "yA3")
     for j, name in enumerate(names):
         plus = fk.matched_pose(
-            replace(solution.inputs, **{name: getattr(solution.inputs, name) + step}),
+            solution.inputs._replace(**{name: getattr(solution.inputs, name) + step}),
             base.branch, params,
         )
         minus = fk.matched_pose(
-            replace(solution.inputs, **{name: getattr(solution.inputs, name) - step}),
+            solution.inputs._replace(**{name: getattr(solution.inputs, name) - step}),
             base.branch, params,
         )
         numeric[:, j] = [

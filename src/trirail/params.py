@@ -23,57 +23,64 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, clipped
 
 PARAM_KEYS = ("a", "b", "d", "l1", "l2", "l3", "l4", "l5", "l6", "l7", "l8")
 
 
-def _check_finite(obj, names):
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidParameter(name, f"must be a real number, got {value!r}")
-        if not math.isfinite(value):
-            raise InvalidParameter(name, f"must be finite, got {value!r}")
-        object.__setattr__(obj, name, float(value))
+def _finite(name, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParameter(name, f"must be a real number, got {clipped(value)}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidParameter(name, f"must be finite, got {clipped(value)}")
+    return number
 
 
-@dataclass(frozen=True)
-class MechanismParams:
-    """Link lengths and platform dimensions (mm).
+def _finite_fields(values) -> tuple[float, ...]:
+    """The fields of the named tuple ``values`` as finite floats."""
+    return tuple(map(_finite, values._fields, values))
+
+
+class _Checked(tuple):
+    """Base of the value types, ahead of their named tuple.
+
+    Every way to build one, ``_make`` and ``_replace`` included, binds the
+    fields through the named tuple and keeps what the class's
+    ``__post_init__(values)`` returns for them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return tuple.__new__(cls, cls.__post_init__(super().__new__(cls, *args, **kwargs)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def as_tuple(self) -> tuple[float, ...]:
+        return tuple(self)
+
+
+class MechanismParams(_Checked, namedtuple("MechanismParams", PARAM_KEYS)):
+    """Link lengths and platform dimensions (mm), in the order of ``PARAM_KEYS``.
 
     ``a`` (base half-length) and ``l5`` (parallelogram short links) locate
     structure that never enters the position equations; they are validated
     for positivity but otherwise inert.
     """
 
-    a: float
-    b: float
-    d: float
-    l1: float
-    l2: float
-    l3: float
-    l4: float
-    l5: float
-    l6: float
-    l7: float
-    l8: float
-
-    def __post_init__(self):
-        _check_finite(self, PARAM_KEYS)
+    __slots__ = ()
+    __post_init__ = staticmethod(_finite_fields)
 
     def validate(self) -> "ValidatedParams":
         return validate(self)
-
-
-class ValidatedParams(MechanismParams):
-    """Marker subtype: every invariant has been checked.
-
-    Downstream modules accept only this type and never re-check length
-    positivity.  Instances are immutable and safe to share across tasks.
-    """
 
 
 _POSITIVE = ("a", "b", "d", "l1", "l2", "l3", "l4", "l5", "l6")
@@ -85,75 +92,62 @@ _NON_NEGATIVE = ("l7", "l8")
 MAX_LENGTH = 1e6
 
 
+class ValidatedParams(MechanismParams):
+    """Parameters that hold every geometric invariant.
+
+    Every way to build one checks them and raises :class:`InvalidParameter`
+    naming the first offending field, so downstream modules accept only
+    this type and never re-check length positivity.  Instances are
+    immutable and safe to share across tasks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        params = super().__new__(cls, *args, **kwargs)
+        for name in _POSITIVE:
+            if getattr(params, name) <= 0.0:
+                raise InvalidParameter(name, f"must be > 0, got {getattr(params, name)}")
+        for name in _NON_NEGATIVE:
+            if getattr(params, name) < 0.0:
+                raise InvalidParameter(name, f"must be >= 0, got {getattr(params, name)}")
+        for name in PARAM_KEYS:
+            if getattr(params, name) > MAX_LENGTH:
+                raise InvalidParameter(
+                    name, f"must be <= {MAX_LENGTH:g} mm, got {getattr(params, name)}"
+                )
+        if params.l3 >= 2.0 * params.l2:
+            raise InvalidParameter(
+                "l3",
+                f"must be < 2*l2 = {2.0 * params.l2} (planar loop could never close), "
+                f"got {params.l3}",
+            )
+        return params
+
+
 def validate(params: MechanismParams) -> ValidatedParams:
     """Check all geometric invariants.
 
     Idempotent: a :class:`ValidatedParams` is returned unchanged.  Raises
     :class:`InvalidParameter` naming the first offending field.
     """
-    if isinstance(params, ValidatedParams):
-        return params
-    for name in _POSITIVE:
-        if getattr(params, name) <= 0.0:
-            raise InvalidParameter(name, f"must be > 0, got {getattr(params, name)}")
-    for name in _NON_NEGATIVE:
-        if getattr(params, name) < 0.0:
-            raise InvalidParameter(name, f"must be >= 0, got {getattr(params, name)}")
-    for name in PARAM_KEYS:
-        if getattr(params, name) > MAX_LENGTH:
-            raise InvalidParameter(
-                name, f"must be <= {MAX_LENGTH:g} mm, got {getattr(params, name)}"
-            )
-    if params.l3 >= 2.0 * params.l2:
-        raise InvalidParameter(
-            "l3",
-            f"must be < 2*l2 = {2.0 * params.l2} (planar loop could never close), got {params.l3}",
-        )
-    return ValidatedParams(**{f.name: getattr(params, f.name) for f in fields(params)})
+    return params if isinstance(params, ValidatedParams) else ValidatedParams(*params)
 
 
-@dataclass(frozen=True)
-class JointInputs:
+class JointInputs(_Checked, namedtuple("JointInputs", ("yA1", "yA2", "yA3"))):
     """Signed rail displacements (mm) along the base Y axis."""
 
-    yA1: float
-    yA2: float
-    yA3: float
-
-    def __post_init__(self):
-        _check_finite(self, ("yA1", "yA2", "yA3"))
-
-    @classmethod
-    def _trusted(cls, yA1: float, yA2: float, yA3: float) -> "JointInputs":
-        """Inputs from rail positions already known to be finite floats, unvalidated."""
-        inputs = object.__new__(cls)
-        inputs.__dict__.update(yA1=yA1, yA2=yA2, yA3=yA3)
-        return inputs
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.yA1, self.yA2, self.yA3)
+    __slots__ = ()
+    # own attribute of the class: perfbench/tracer.py rebinds it to time the check
+    __post_init__ = staticmethod(_finite_fields)
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(_Checked, namedtuple("Pose", ("x", "y", "z"))):
     """Platform reference point O' in the base frame (mm)."""
 
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        _check_finite(self, ("x", "y", "z"))
-
-    @classmethod
-    def _trusted(cls, x: float, y: float, z: float) -> "Pose":
-        """Pose from coordinates already known to be finite floats, unvalidated."""
-        pose = object.__new__(cls)
-        pose.__dict__.update(x=x, y=y, z=z)
-        return pose
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+    __slots__ = ()
+    # own attribute of the class: perfbench/tracer.py rebinds it to time the check
+    __post_init__ = staticmethod(_finite_fields)
 
 
 def load_params(path) -> ValidatedParams:

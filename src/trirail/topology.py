@@ -11,18 +11,18 @@ solvable, higher means interdependent loops).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
-from .errors import InvalidAkc, InvalidParameter
+from .errors import InvalidAkc, InvalidParameter, clipped
 
 
 def _check_count(name: str, value) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise InvalidParameter(name, f"must be a non-negative integer, got {value!r}")
+        raise InvalidParameter(name, f"must be a non-negative integer, got {clipped(value)}")
 
 
-@dataclass(frozen=True)
-class LoopSpec:
+class LoopSpec(namedtuple("LoopSpec", "joint_dof_sum actuated_count independent_eq_count")):
     """One loop of the decomposition.
 
     joint_dof_sum: total joint freedoms along the loop's chain.
@@ -30,21 +30,24 @@ class LoopSpec:
     independent_eq_count: independent displacement equations (0..6).
     """
 
-    joint_dof_sum: int
-    actuated_count: int
-    independent_eq_count: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("joint_dof_sum", "actuated_count", "independent_eq_count"):
-            _check_count(name, getattr(self, name))
-        if self.independent_eq_count > 6:
+    def __new__(cls, *args, **kwargs):
+        loop = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(cls._fields, loop):
+            _check_count(name, value)
+        if loop.independent_eq_count > 6:
             raise InvalidParameter(
-                "independent_eq_count", f"must be <= 6, got {self.independent_eq_count}"
+                "independent_eq_count", f"must be <= 6, got {loop.independent_eq_count}"
             )
+        return loop
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TopologyReport:
+class TopologyReport(NamedTuple):
     dof: int
     deltas: tuple[int, ...]
     coupling_degree: int

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import fk, ik, jacobian, topology
 from .errors import NonComparable, TrirailError, Unreachable
@@ -56,8 +56,7 @@ RAIL_SPACING_DELTAS = (100.0, 30.0, 10.0, 3.0, 1.0, 0.3, 0.1, 0.03)
 STROKE_BOUNDARY_OFFSETS = (-2.0, -0.5, 0.0, 0.5, 2.0)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -342,7 +341,7 @@ def run_builtin_checks(
         for offset in range(10):
             y_a3 = REFERENCE_INPUTS.yA3 + (offset - 5) * 12.5
             try:
-                solutions = fk.solve(replace(REFERENCE_INPUTS, yA3=y_a3), params)
+                solutions = fk.solve(REFERENCE_INPUTS._replace(yA3=y_a3), params)
             except TrirailError:
                 continue
             for sol in solutions:

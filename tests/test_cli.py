@@ -152,6 +152,26 @@ def test_undecodable_params_file_is_config_error(runner, tmp_path, content):
     assert result.stdout == ""
 
 
+DEEP_LIST = "[" * 900 + "]" * 900
+DEEP_DICT = '{"k": ' * 300 + "0" + "}" * 300
+
+
+@pytest.mark.parametrize("value, key, reason", [
+    (DEEP_LIST, "a", "must be a real number, got [[[["),
+    ("1" + "0" * 400, "b", "must be finite, got 1000"),  # an int past the float range
+], ids=["deep-list", "huge-int"])
+def test_params_error_echoes_a_clipped_value(runner, tmp_path, value, key, reason):
+    config = tmp_path / "geometry.json"
+    config.write_text(json.dumps(REFERENCE_VALUES).replace(f'"{key}": {REFERENCE_VALUES[key]}',
+                                                           f'"{key}": {value}'))
+    result = runner.invoke(main, ["--params", str(config), "fk", "0", "0", "0"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: {key}: {reason}")
+    assert result.stderr.endswith("...\n") and result.stderr.count("\n") == 1
+    assert len(result.stderr) < 200
+    assert result.stdout == ""
+
+
 class TestFk:
     def test_worked_example_text(self, runner):
         result = runner.invoke(main, ["fk", "162.6907", "-143.3209", "-24.6776"])
@@ -719,6 +739,21 @@ class TestTopology:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: loop specification: maximum recursion depth")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("spec, key", [
+        (f'{{"total_joint_dof_sum": 11, "loops": [[6, 2, {DEEP_LIST}]]}}',
+         "independent_eq_count"),
+        (f'{{"total_joint_dof_sum": 11, "loops": [{DEEP_LIST}]}}', "loops[0]"),
+        (f'{{"total_joint_dof_sum": 11, "loops": {DEEP_DICT}}}', "loops"),
+        (DEEP_LIST, "--loops"),
+    ], ids=["count", "triple", "loops", "top-level"])
+    def test_deep_value_is_echoed_clipped(self, runner, spec, key):
+        result = runner.invoke(main, ["topology", "--loops", spec])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: loop specification: {key}: must be ")
+        assert result.stderr.endswith("...\n") and result.stderr.count("\n") == 1
+        assert len(result.stderr) < 200
         assert result.stdout == ""
 
     def test_invalid_akc_rejected(self, runner):

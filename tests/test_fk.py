@@ -235,7 +235,7 @@ def coincident(a, b):
 
 
 def candidate(x, y, z, gamma, alpha, beta, residual=0.0):
-    return fk.FkSolution(Pose._trusted(x, y, z), fk.FkBranch(1, 1, 1),
+    return fk.FkSolution(Pose(x, y, z), fk.FkBranch(1, 1, 1),
                          fk.FkIntermediates(gamma, alpha, beta, 0.0), residual, (residual,) * 4)
 
 

@@ -2,8 +2,10 @@
 
 The direct solution is closed-form, so ``trirail fk``, ``topology``,
 ``--help`` and every config or usage error run on ``math`` alone, and the
-CLI parses its arguments with :mod:`argparse` alone.  Each case starts a
-fresh interpreter, because this test process has numpy loaded already.
+CLI parses its arguments with :mod:`argparse` alone.  The value types are
+named tuples, so no command but ``workspace`` loads :mod:`dataclasses`.
+Each case starts a fresh interpreter, because this test process has numpy
+loaded already.
 """
 
 import json
@@ -32,7 +34,8 @@ for args in json.loads(sys.argv[1]):
         trirail.cli.main(args)
     except SystemExit as exc:
         codes.append(exc.code)
-loaded = [m for m in ("numpy", "trirail.workspace", "click") if m in sys.modules]
+loaded = [m for m in ("numpy", "trirail.workspace", "click", "dataclasses")
+          if m in sys.modules]
 print(json.dumps({"codes": codes, "loaded": loaded}), file=sys.stderr)
 """
 
@@ -40,13 +43,17 @@ WORKED_RAILS = ["162.6907", "-143.3209", "-24.6776"]
 WORKED_POSE = ["-15.4714", "9.6849", "456.3315"]
 
 
-def run_child(commands):
+def run_python(*args):
+    """stderr of a fresh interpreter run with the package's source on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                                       env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=60, check=True)
-    return json.loads(proc.stderr.strip().splitlines()[-1])
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stderr
+
+
+def run_child(commands):
+    return json.loads(run_python("-c", CHILD, json.dumps(commands)).strip().splitlines()[-1])
 
 
 def test_scalar_commands_never_load_numpy():
@@ -66,6 +73,14 @@ def test_ik_loads_numpy_when_it_classifies():
     assert "numpy" in result["loaded"]
     assert "trirail.workspace" not in result["loaded"]
     assert "click" not in result["loaded"]
+    assert "dataclasses" not in result["loaded"]
+
+
+def test_verify_module_loads_neither_numpy_nor_dataclasses():
+    stderr = run_python("-c", "import sys, trirail.cli, trirail.verify; "
+                              "print([m in sys.modules for m in ('numpy', 'dataclasses')], "
+                              "file=sys.stderr)")
+    assert stderr.strip() == "[False, False]"
 
 
 def test_scan_types_are_the_workspace_classes():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -90,22 +89,34 @@ def test_non_finite_rejected_at_construction():
     (JointInputs, (162.6907, -143.3209, -24.6776)),
     (JointInputs, (0.0, -0.0, 3.0)),
 ], ids=["pose", "pose-edge", "inputs", "inputs-edge"])
-def test_trusted_equals_the_validated_constructor(cls, values):
-    trusted, checked = cls._trusted(*values), cls(*values)
-    assert type(trusted) is cls
-    assert trusted == checked and checked == trusted
-    assert hash(trusted) == hash(checked)
-    assert repr(trusted) == repr(checked)
-    assert trusted.as_tuple() == values
-    name = dataclasses.fields(cls)[1].name
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(trusted, name, 1.0)
-    # replace builds through the constructor, so __post_init__ still checks
+def test_unchecked_equals_the_validated_constructor(cls, values):
+    # the solvers build values already known to be finite floats this way
+    unchecked, checked = tuple.__new__(cls, values), cls(*values)
+    assert type(unchecked) is cls
+    assert unchecked == checked and checked == unchecked
+    assert hash(unchecked) == hash(checked)
+    assert repr(unchecked) == repr(checked)
+    assert unchecked.as_tuple() == values
+    name = cls._fields[1]
+    with pytest.raises(AttributeError):
+        setattr(unchecked, name, 1.0)
+    # _replace builds through the constructor, so it still checks
     with pytest.raises(InvalidParameter) as err:
-        dataclasses.replace(trusted, **{name: math.nan})
+        unchecked._replace(**{name: math.nan})
     assert err.value.name == name
-    assert dataclasses.replace(trusted, **{name: 1.0}) == cls(
-        *(1.0 if f.name == name else getattr(trusted, f.name) for f in dataclasses.fields(cls)))
+    assert unchecked._replace(**{name: 1.0}) == cls(
+        *(1.0 if field == name else getattr(unchecked, field) for field in cls._fields))
+
+
+def test_validated_params_cannot_hold_invalid_values():
+    values = dict(REFERENCE_VALUES, l3=1000.0)
+    with pytest.raises(InvalidParameter) as err:
+        ValidatedParams(**values)
+    assert err.value.name == "l3"
+    with pytest.raises(InvalidParameter) as err:
+        REFERENCE_PARAMS._replace(l2=-1.0)
+    assert err.value.name == "l2"
+    assert str(err.value) == "l2: must be > 0, got -1.0"
 
 
 def test_reference_params_constant():
@@ -201,4 +212,5 @@ def test_load_params_rejects_undecodable_file(tmp_path, content, reason):
 
 
 def test_param_keys_cover_all_fields():
+    assert MechanismParams._fields == PARAM_KEYS
     assert set(PARAM_KEYS) == set(REFERENCE_VALUES)

@@ -1,10 +1,21 @@
-"""Contract of the solver result types: immutable named tuples whose field
-names, field order and ``Name(field=value, ...)`` repr are part of the API."""
+"""Contract of the solver result and value types: immutable named tuples
+whose field names, field order and ``Name(field=value, ...)`` repr are part
+of the API, and which compare as tuples."""
+
+import math
 
 import pytest
 
-from trirail import fk, ik, jacobian
-from trirail.params import REFERENCE_PARAMS
+from trirail import fk, ik, jacobian, topology, verify
+from trirail.errors import InvalidParameter
+from trirail.params import (
+    PARAM_KEYS,
+    REFERENCE_PARAMS,
+    JointInputs,
+    MechanismParams,
+    Pose,
+    ValidatedParams,
+)
 from trirail.verify import REFERENCE_INPUTS, REFERENCE_POSE
 
 P = REFERENCE_PARAMS
@@ -18,11 +29,18 @@ FIELDS = {
                     "parallel_singular", "roundtrip", "roundtrip_residual"),
     jacobian.JacobianPair: ("jp", "jq", "det_jp", "det_jq"),
     jacobian.Classification: ("kind", "norm_det_jp", "norm_det_jq"),
+    Pose: ("x", "y", "z"),
+    JointInputs: ("yA1", "yA2", "yA3"),
+    MechanismParams: PARAM_KEYS,
+    ValidatedParams: PARAM_KEYS,
+    topology.LoopSpec: ("joint_dof_sum", "actuated_count", "independent_eq_count"),
+    topology.TopologyReport: ("dof", "deltas", "coupling_degree"),
+    verify.CheckResult: ("name", "passed", "detail"),
 }
 
 
 def worked_results():
-    """One instance of every result type, from the worked example."""
+    """One instance of every result and value type, from the worked example."""
     fk_sol = fk.solve(REFERENCE_INPUTS, P)[0]
     ik_sol = next(s for s in ik.solve(REFERENCE_POSE, P) if not s.parallel_singular)
     pair = jacobian.build(REFERENCE_POSE, ik_sol, P)
@@ -34,6 +52,13 @@ def worked_results():
         ik.IkSolution: ik_sol,
         jacobian.JacobianPair: pair,
         jacobian.Classification: jacobian.classify(pair, P),
+        Pose: REFERENCE_POSE,
+        JointInputs: REFERENCE_INPUTS,
+        MechanismParams: MechanismParams(*P),
+        ValidatedParams: P,
+        topology.LoopSpec: topology.REFERENCE_LOOPS[0],
+        topology.TopologyReport: topology.reference_report(),
+        verify.CheckResult: verify.CheckResult("direct-worked-example", True, "4 poses"),
     }
 
 
@@ -82,3 +107,22 @@ def test_jacobian_pair_u_is_the_diagonal_of_jq():
     pair = RESULTS[jacobian.JacobianPair]
     assert pair.u == (pair.jq[0][0], pair.jq[1][1], pair.jq[2][2])
     assert all(type(u) is float for u in pair.u)
+
+
+@pytest.mark.parametrize("cls, field, bad", [
+    (Pose, "x", math.nan),
+    (JointInputs, "yA2", math.inf),
+    (MechanismParams, "l4", "180"),
+    (ValidatedParams, "l2", -1.0),
+    (topology.LoopSpec, "independent_eq_count", 7),
+], ids=lambda item: getattr(item, "__name__", None))
+def test_make_and_replace_check_like_the_constructor(cls, field, bad):
+    value = RESULTS[cls]
+    with pytest.raises(InvalidParameter) as err:
+        value._replace(**{field: bad})
+    assert err.value.name == field
+    with pytest.raises(InvalidParameter) as err:
+        cls._make(bad if name == field else v for name, v in zip(FIELDS[cls], value))
+    assert err.value.name == field
+    rebuilt = cls._make(value)
+    assert type(rebuilt) is cls and rebuilt == value

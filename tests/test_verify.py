@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 from trirail import fk, verify
 from trirail.params import MechanismParams, REFERENCE_PARAMS
 from trirail.verify import REFERENCE_INPUTS, run_builtin_checks
@@ -27,7 +25,7 @@ def test_shared_results_are_computed_once(monkeypatch):
 
 def test_shared_failure_fails_only_its_readers():
     # with l2 = 80 the worked example's rails cannot close the planar loop
-    params = MechanismParams(**dict(asdict(REFERENCE_PARAMS), l2=80.0)).validate()
+    params = MechanismParams(**dict(REFERENCE_PARAMS._asdict(), l2=80.0)).validate()
     details = {r.name: r.detail for r in run_builtin_checks(params) if not r.passed}
     message = "GammaOutOfRange: |yA1 - l3 - yA2| = 166.0116 mm exceeds 2*l2 = 160 mm"
     readers = ("direct-worked-example", "direct-alternate-rows", "spurious-elbow-rejected",
