@@ -7,7 +7,8 @@ motivates the design.
 
 The scan types :class:`ScanResult` and :class:`ScanSpec` are served lazily
 (PEP 562): the first access imports :mod:`trirail.workspace`, and numpy with
-it, so importing the package or running a scalar command never loads numpy.
+it, so importing the package or running any command but ``workspace`` never
+loads numpy.
 """
 
 from . import errors

@@ -8,9 +8,8 @@ errors exit 1 rather than argparse's 2, which is the no-solution code, and
 a float with a leading minus (``-3e2``, ``-inf``, ``-nan``) is a value,
 not an option.
 
-Only ``ik``, ``workspace``, ``verify`` and ``sweep`` load numpy, when they
-first classify or scan: :mod:`workspace` and :mod:`verify` are imported
-inside their commands, and :mod:`jacobian` imports numpy on first use.
+Only ``workspace`` loads numpy: :mod:`trirail.workspace`, the one module
+that imports it, is imported inside that command.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .errors import (
     Unreachable,
     clipped,
 )
-from .params import JointInputs, Pose, REFERENCE_PARAMS, load_params
+from .params import JointInputs, Pose, REFERENCE_PARAMS, json_int, load_params
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -350,7 +349,7 @@ def cmd_topology(args):
         if args.loops is None:
             rep = topology.reference_report()
         else:
-            rep = topology.report(*_loop_spec(json.loads(args.loops)))
+            rep = topology.report(*_loop_spec(json.loads(args.loops, parse_int=json_int)))
     # JSON nested past the recursion limit raises RecursionError
     except (InvalidAkc, InvalidParameter, json.JSONDecodeError, RecursionError) as exc:
         _fail(EXIT_CONFIG, f"loop specification: {exc}")

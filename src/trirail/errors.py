@@ -1,12 +1,23 @@
 """Exception types shared across the kinematics modules."""
 
+import sys
+
 #: Longest repr of an offending value that an error message echoes.
 CLIP = 60
 
 
 def clipped(value) -> str:
-    """``repr(value)``, cut to ``CLIP`` characters ending in ``...`` when longer."""
-    text = repr(value)
+    """``repr(value)``, cut to ``CLIP`` characters ending in ``...`` when longer.
+
+    An int with more decimal digits than the interpreter converts to text
+    (``sys.get_int_max_str_digits()``, 4300 by default) has no ``repr``, nor
+    has a container of one; they show as their sign, type and that limit.
+    """
+    try:
+        text = repr(value)
+    except ValueError:
+        sign = "-" if isinstance(value, int) and value < 0 else ""
+        text = f"{sign}<{type(value).__name__} of more than {sys.get_int_max_str_digits()} digits>"
     return text if len(text) <= CLIP else text[:CLIP - 3] + "..."
 
 
@@ -57,7 +68,8 @@ class CotangentSingular(TrirailError):
 
 
 class NonComparable(TrirailError):
-    """A finite-difference check lost track of the solution branch."""
+    """A finite-difference check lost track of the solution branch, or has no
+    analytic Jacobian to compare with."""
 
 
 class InvalidAkc(TrirailError):

@@ -22,17 +22,12 @@ the workspace labels points with the same index.
 Raw determinants carry mm^3; classification therefore normalises each Jp
 row by its Euclidean norm and each u by its link length (l2, l2, l6) so a
 single dimensionless threshold works at any scale.  The determinant is
-formed on Python floats and the three row norms come from one stacked
-``np.matmul`` (:func:`_row_norms`, which the workspace kernel shares): the
-same IEEE operations as numpy-scalar cofactors and ``np.dot`` per row,
-without their per-call overhead on a 3x3 matrix.
+formed by cofactors and each row norm rounds like a fused-multiply-add dot
+(:func:`_row_norm`), all on Python floats.
 
 :class:`JacobianPair` and :class:`Classification` are immutable named
 tuples, built once per classified branch.  ``JacobianPair.jp`` and ``jq``
-are nested tuples of Python floats, so :func:`build` needs no numpy; numpy
-is imported on first use, by :func:`classify` (through :func:`_row_norms`)
-and :func:`fd_check`, which keeps it off the import path of the scalar
-commands.
+are nested tuples of Python floats.
 """
 
 from __future__ import annotations
@@ -98,15 +93,33 @@ def _det3(m) -> float:
     )
 
 
-def _row_norms(rows):
-    """Euclidean norms of stacked 3-vectors (the last axis of an array or of
-    nested sequences), each bitwise equal to ``sqrt(np.dot(r, r))``: ``np.matmul``
-    of stacked rows calls the same BLAS dot as ``np.dot`` (``einsum`` or
-    ``(r * r).sum(-1)`` differ in the last ulp for some rows)."""
-    import numpy as np
+#: Veltkamp's splitter for doubles, 2**27 + 1.
+_SPLIT = 134217729.0
 
-    rows = np.asarray(rows)
-    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+
+def _fma_square(b: float, p: float) -> float:
+    """``b * b + p`` rounded once, like a fused multiply-add: ``b`` splits into
+    two halves of at most 26 bits (Veltkamp), their three products are exact
+    (Dekker 1971), and :func:`math.fsum` rounds the partials and ``p`` once."""
+    t = _SPLIT * b
+    hi = t - (t - b)
+    lo = b - hi
+    return math.fsum((hi * hi, 2.0 * hi * lo, lo * lo, p))
+
+
+def _row_norm(a: float, b: float, c: float) -> float:
+    """``sqrt(fma(c, c, fma(b, b, a*a)))``: the Euclidean norm of one Jp row,
+    rounded like a BLAS dot that accumulates with fused multiply-adds, which
+    the workspace kernel's ``np.matmul`` calls (a plain ``a*a + b*b + c*c``
+    differs in the last bit on about one row in twelve).
+
+    Exact for every Jp row: entries are at most ``MAX_LENGTH / COT_GUARD`` =
+    1e15 in magnitude, so the split (about 1.3e23) and the squares never
+    overflow, and each row has u**2 + h**2 = l**2 with l a link length, so an
+    entry too tiny for its split halves to square exactly cannot move the
+    rounded sum.
+    """
+    return math.sqrt(_fma_square(c, _fma_square(b, a * a)))
 
 
 def build(pose: Pose, solution: IkSolution, params: ValidatedParams) -> JacobianPair:
@@ -155,7 +168,7 @@ def classify(
     l2, l6 = params.l2, params.l6
     serial = (abs(u11) / l2 <= SERIAL_THRESHOLD or abs(u22) / l2 <= SERIAL_THRESHOLD
               or abs(u33) / l6 <= SERIAL_THRESHOLD)
-    norms = _row_norms(pair.jp).tolist()
+    norms = [_row_norm(*row) for row in pair.jp]
     norm_det_jp = 0.0 if min(norms) == 0.0 else pair.det_jp / (norms[0] * norms[1] * norms[2])
     parallel = abs(norm_det_jp) <= threshold
     return Classification(_KINDS[serial + 2 * parallel], norm_det_jp,
@@ -172,34 +185,28 @@ def fd_check(
 
     Differentiates the direct map at ``solution.inputs`` while tracking the
     branch that produced ``pose``; raises :class:`NonComparable` when the
-    branch cannot be matched on either side of a perturbation, and
-    propagates direct-map errors.  Deviations are relative to the largest
-    Jacobian entry (floored at 1).
+    branch cannot be matched on either side of a perturbation or when Jp is
+    singular, and propagates direct-map errors.  Deviations are relative to
+    the largest Jacobian entry (floored at 1).
     """
     base, dev = fk.nearest(pose, fk.solve(solution.inputs, params))
     if dev > 1e-6:
         raise NonComparable("pose is not a direct solution of the given inputs")
 
-    import numpy as np
-
     pair = build(pose, solution, params)
-    analytic = np.linalg.solve(pair.jp, pair.jq)
+    jp, u, det = pair.jp, pair.u, pair.det_jp
+    if det == 0.0:
+        raise NonComparable("Jp is singular (det Jp = 0): Jp^-1 @ Jq does not exist")
+    # Jp^-1 @ diag(u): entry (i, j) is cofactor (j, i) of Jp times u_j / det Jp
+    analytic = [[(jp[(j + 1) % 3][(i + 1) % 3] * jp[(j + 2) % 3][(i + 2) % 3]
+                  - jp[(j + 1) % 3][(i + 2) % 3] * jp[(j + 2) % 3][(i + 1) % 3]) * u[j] / det
+                 for j in range(3)] for i in range(3)]
 
-    numeric = np.empty((3, 3))
-    names = ("yA1", "yA2", "yA3")
-    for j, name in enumerate(names):
-        plus = fk.matched_pose(
-            solution.inputs._replace(**{name: getattr(solution.inputs, name) + step}),
-            base.branch, params,
-        )
-        minus = fk.matched_pose(
-            solution.inputs._replace(**{name: getattr(solution.inputs, name) - step}),
-            base.branch, params,
-        )
-        numeric[:, j] = [
-            (plus.x - minus.x) / (2.0 * step),
-            (plus.y - minus.y) / (2.0 * step),
-            (plus.z - minus.z) / (2.0 * step),
-        ]
-    scale = max(1.0, float(np.max(np.abs(analytic))))
-    return float(np.max(np.abs(numeric - analytic)) / scale)
+    numeric = []  # column j: d(x, y, z) / d(yA_j)
+    for name in ("yA1", "yA2", "yA3"):
+        rail = getattr(solution.inputs, name)
+        plus, minus = (fk.matched_pose(solution.inputs._replace(**{name: rail + h}),
+                                       base.branch, params) for h in (step, -step))
+        numeric.append([(p - m) / (2.0 * step) for p, m in zip(plus, minus)])
+    scale = max(1.0, *(abs(v) for row in analytic for v in row))
+    return max(abs(numeric[j][i] - analytic[i][j]) for i in range(3) for j in range(3)) / scale

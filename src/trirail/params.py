@@ -30,6 +30,27 @@ from .errors import InvalidParameter, clipped
 PARAM_KEYS = ("a", "b", "d", "l1", "l2", "l3", "l4", "l5", "l6", "l7", "l8")
 
 
+class _LongInt(float):
+    """A JSON integer with more digits than ``int`` converts from text (the
+    interpreter's limit, 4300 by default): the float it overflows to, whose
+    repr is its digits.  The check of its key then rejects it as it rejects
+    any integer past the float range, and echoes the digits."""
+
+    def __repr__(self) -> str:
+        return self.digits
+
+
+def json_int(digits: str) -> int | float:
+    """``parse_int`` for :mod:`json`: the int, or a :class:`_LongInt` when
+    ``int`` refuses that many digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        number = _LongInt(digits)
+        number.digits = digits
+        return number
+
+
 def _finite(name, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidParameter(name, f"must be a real number, got {clipped(value)}")
@@ -157,7 +178,7 @@ def load_params(path) -> ValidatedParams:
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=json_int)
         except json.JSONDecodeError as exc:
             raise InvalidParameter("<file>", f"{path}: not valid JSON ({exc})") from exc
         except UnicodeDecodeError as exc:

@@ -38,7 +38,7 @@ class LoopSpec(namedtuple("LoopSpec", "joint_dof_sum actuated_count independent_
             _check_count(name, value)
         if loop.independent_eq_count > 6:
             raise InvalidParameter(
-                "independent_eq_count", f"must be <= 6, got {loop.independent_eq_count}"
+                "independent_eq_count", f"must be <= 6, got {clipped(loop.independent_eq_count)}"
             )
         return loop
 
@@ -58,15 +58,19 @@ def dof(total_joint_dof_sum: int, loops: list[LoopSpec] | tuple[LoopSpec, ...]) 
     return total_joint_dof_sum - sum(loop.independent_eq_count for loop in loops)
 
 
+def _balanced(deltas) -> tuple[int, ...]:
+    """``deltas`` as a tuple; raises :class:`InvalidAkc` unless they sum to zero."""
+    deltas = tuple(deltas)
+    if sum(deltas) != 0:
+        raise InvalidAkc(f"constraint degrees {clipped(deltas)} sum to {clipped(sum(deltas))}, "
+                         "expected 0")
+    return deltas
+
+
 def constraint_degrees(loops: list[LoopSpec] | tuple[LoopSpec, ...]) -> tuple[int, ...]:
     """Per-loop constraint degrees; raises :class:`InvalidAkc` unless they sum to zero."""
-    deltas = tuple(
-        loop.joint_dof_sum - loop.actuated_count - loop.independent_eq_count
-        for loop in loops
-    )
-    if sum(deltas) != 0:
-        raise InvalidAkc(f"constraint degrees {deltas} sum to {sum(deltas)}, expected 0")
-    return deltas
+    return _balanced(loop.joint_dof_sum - loop.actuated_count - loop.independent_eq_count
+                     for loop in loops)
 
 
 def coupling_degree(deltas: list[int] | tuple[int, ...]) -> int:
@@ -76,9 +80,7 @@ def coupling_degree(deltas: list[int] | tuple[int, ...]) -> int:
     this evaluates the one supplied.  Zero-sum guarantees the result is an
     integer.
     """
-    if sum(deltas) != 0:
-        raise InvalidAkc(f"constraint degrees {tuple(deltas)} sum to {sum(deltas)}, expected 0")
-    return sum(abs(delta) for delta in deltas) // 2
+    return sum(abs(delta) for delta in _balanced(deltas)) // 2
 
 
 def report(total_joint_dof_sum: int, loops: list[LoopSpec] | tuple[LoopSpec, ...]) -> TopologyReport:

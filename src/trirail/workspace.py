@@ -32,9 +32,9 @@ numpy array spans the whole grid.  The kernel
 * computes the distal angles, their sines, cosines and cotangents once
   per x as Python scalars (``math``, never ``np.sin``/``np.arccos``);
 * evaluates every grid expression in the scalar path's operation order;
-* takes row norms with ``np.matmul`` of stacked rows, which calls the
-  same BLAS dot as ``np.dot`` (``einsum`` or ``(r * r).sum(-1)`` differ
-  in the last ulp for some rows);
+* takes row norms with ``np.matmul`` of stacked rows, whose BLAS dot
+  accumulates with fused multiply-adds and so rounds like
+  :func:`jacobian._row_norm`;
 * keeps every array C-ordered, the five branch axes leading and the points
   last, so no numpy call of a pass walks a scrambled memory order.
 
@@ -197,8 +197,10 @@ def _at(values, axis: int) -> np.ndarray:
 
 
 def _norms(*row) -> np.ndarray:
-    """Euclidean norms of the 3-vectors ``row`` broadcast to one shape, as in ``classify``."""
-    return jacobian._row_norms(np.stack(np.broadcast_arrays(*row), axis=-1))
+    """Euclidean norms of the 3-vectors ``row`` broadcast to one shape, each
+    bitwise equal to :func:`jacobian._row_norm` of its row."""
+    rows = np.stack(np.broadcast_arrays(*row), axis=-1)
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
 
 
 def _label(xs, ys, zs, params: ValidatedParams, threshold: float):

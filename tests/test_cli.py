@@ -154,12 +154,16 @@ def test_undecodable_params_file_is_config_error(runner, tmp_path, content):
 
 DEEP_LIST = "[" * 900 + "]" * 900
 DEEP_DICT = '{"k": ' * 300 + "0" + "}" * 300
+#: a JSON integer past the interpreter's default limit of 4300 digits for int()
+LONG_INT = "1" * 5000
 
 
 @pytest.mark.parametrize("value, key, reason", [
     (DEEP_LIST, "a", "must be a real number, got [[[["),
     ("1" + "0" * 400, "b", "must be finite, got 1000"),  # an int past the float range
-], ids=["deep-list", "huge-int"])
+    (LONG_INT, "l2", "must be finite, got 1111"),
+    ("-" + LONG_INT, "l7", "must be finite, got -1111"),
+], ids=["deep-list", "huge-int", "long-int", "long-negative-int"])
 def test_params_error_echoes_a_clipped_value(runner, tmp_path, value, key, reason):
     config = tmp_path / "geometry.json"
     config.write_text(json.dumps(REFERENCE_VALUES).replace(f'"{key}": {REFERENCE_VALUES[key]}',
@@ -747,7 +751,11 @@ class TestTopology:
         (f'{{"total_joint_dof_sum": 11, "loops": [{DEEP_LIST}]}}', "loops[0]"),
         (f'{{"total_joint_dof_sum": 11, "loops": {DEEP_DICT}}}', "loops"),
         (DEEP_LIST, "--loops"),
-    ], ids=["count", "triple", "loops", "top-level"])
+        (f'{{"total_joint_dof_sum": {LONG_INT}, "loops": [[6, 2, 3], [5, 1, 5]]}}',
+         "total_joint_dof_sum"),
+        (f'{{"total_joint_dof_sum": 11, "loops": [[6, 2, -{LONG_INT}]]}}',
+         "independent_eq_count"),
+    ], ids=["count", "triple", "loops", "top-level", "long-total", "long-count"])
     def test_deep_value_is_echoed_clipped(self, runner, spec, key):
         result = runner.invoke(main, ["topology", "--loops", spec])
         assert result.exit_code == 1
@@ -760,3 +768,13 @@ class TestTopology:
         spec = json.dumps({"total_joint_dof_sum": 11, "loops": [[6, 2, 3], [5, 1, 4]]})
         result = runner.invoke(main, ["topology", "--loops", spec])
         assert result.exit_code == 1
+
+    def test_unbalanced_sum_past_the_digit_limit_is_echoed_clipped(self, runner):
+        # each count is within the interpreter's 4300-digit limit, their sum is not
+        spec = json.dumps({"total_joint_dof_sum": 11, "loops": [[10 ** 4300 - 1, 0, 0]] * 2})
+        result = runner.invoke(main, ["topology", "--loops", spec])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: loop specification: constraint degrees (999")
+        assert result.stderr.endswith(
+            " sum to <int of more than 4300 digits>, expected 0\n")
+        assert result.stdout == ""

@@ -1,13 +1,14 @@
-"""The import graph: numpy loads only where a command scans or classifies.
+"""The import graph: numpy loads only with :mod:`trirail.workspace`.
 
-The direct solution is closed-form, so ``trirail fk``, ``topology``,
-``--help`` and every config or usage error run on ``math`` alone, and the
-CLI parses its arguments with :mod:`argparse` alone.  The value types are
-named tuples, so no command but ``workspace`` loads :mod:`dataclasses`.
-Each case starts a fresh interpreter, because this test process has numpy
-loaded already.
+The direct and inverse solutions and the singularity classes are
+closed-form, so every command but ``workspace`` runs on the standard
+library alone, and the CLI parses its arguments with :mod:`argparse`.  The
+value types are named tuples, so no command but ``workspace`` loads
+:mod:`dataclasses` either.  Each case starts a fresh interpreter, because
+this test process has numpy loaded already.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -67,13 +68,30 @@ def test_scalar_commands_never_load_numpy():
     assert result == {"codes": [0, 0, 0, 1, 1], "loaded": []}
 
 
-def test_ik_loads_numpy_when_it_classifies():
-    result = run_child([["ik", *WORKED_POSE]])
-    assert result["codes"] == [0]
-    assert "numpy" in result["loaded"]
-    assert "trirail.workspace" not in result["loaded"]
-    assert "click" not in result["loaded"]
-    assert "dataclasses" not in result["loaded"]
+def test_query_commands_load_neither_numpy_nor_dataclasses():
+    result = run_child([["ik", *WORKED_POSE], ["verify"], ["sweep"]])
+    assert result == {"codes": [0, 0, 0], "loaded": []}
+
+
+def test_workspace_loads_numpy(tmp_path):
+    result = run_child([["--out", str(tmp_path / "w.csv"), "workspace", "--bounds",
+                         "-110", "90", "-250", "250", "180", "480", "--resolution", "2"]])
+    assert result == {"codes": [0], "loaded": ["numpy", "trirail.workspace", "dataclasses"]}
+
+
+def test_only_the_workspace_module_imports_numpy():
+    importers = set()
+    for path in (ROOT / "src" / "trirail").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"workspace.py"}
 
 
 def test_verify_module_loads_neither_numpy_nor_dataclasses():

@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trirail import fk, ik, jacobian
+from trirail import fk, ik, jacobian, workspace
 from trirail.errors import CotangentSingular, NonComparable
 from trirail.jacobian import SingularityKind
-from trirail.params import JointInputs, Pose, REFERENCE_PARAMS
+from trirail.params import MAX_LENGTH, JointInputs, Pose, REFERENCE_PARAMS
 from trirail.verify import (
     REFERENCE_INPUTS,
     matching_ik_solution,
@@ -159,6 +159,17 @@ class TestFdCheck:
         with pytest.raises(NonComparable):
             jacobian.fd_check(Pose(pose.x, pose.y, pose.z + 5.0), solution, P)
 
+    def test_singular_jp_raises_non_comparable(self):
+        # alpha = pi/2 and z = l1 + l4 put h12 = 0, so rows 1 and 2 of Jp are
+        # (0, u, 0) and det Jp = 0 exactly on the working branches
+        pose = Pose(P.d - P.b, 0.0, P.l1 + P.l4)
+        working = [s for s in ik.solve(pose, P) if not s.parallel_singular]
+        assert working
+        for solution in working:
+            assert jacobian.build(pose, solution, P).det_jp == 0.0
+            with pytest.raises(NonComparable, match="Jp is singular"):
+                jacobian.fd_check(pose, solution, P)
+
 
 def min_norm_u(pair):
     """Smallest |u| normalised by its link length (l2, l2, l6)."""
@@ -282,19 +293,33 @@ def _fma(x, y, z):
     return float(Fraction(x) * Fraction(y) + Fraction(z))
 
 
-def test_row_norms_round_like_an_fma_dot():
-    # classify's norms, and through them the workspace CSV bits, rest on numpy's
-    # BLAS dot accumulating with fused multiply-adds; a plain a*a + b*b + c*c
-    # differs in the last bit on about one vector in twelve
+def norm_rows():
+    """300 seeded rows with entries from 1e-3 to 1e3 in magnitude, then extreme
+    Jp rows: a cotangent entry at its bound MAX_LENGTH / COT_GUARD, signed
+    zeros, and a u near 1e-13 beside h near l (u**2 + h**2 = l**2)."""
     rng = random.Random(20261018)
-    rows = np.array([[rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0)
-                      for _ in range(3)] for _ in range(300)])
-    expected = [math.sqrt(_fma(c, c, _fma(b, b, a * a))) for a, b, c in rows.tolist()]
-    for shape in ((300, 3), (100, 3, 3)):
-        norms = jacobian._row_norms(rows.reshape(shape)).reshape(-1).tolist()
+    rows = [[rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3)]
+            for _ in range(300)]
+    big = MAX_LENGTH / jacobian.COT_GUARD
+    return rows + [[big, 1e-13, MAX_LENGTH], [-big, -0.0, -MAX_LENGTH],
+                   [big, MAX_LENGTH, big], [0.0, -0.0, 0.0],
+                   [-0.0, MAX_LENGTH, 0.0], [3.7e-4, -1.3e-13, 280.0]]
+
+
+def test_row_norms_round_like_an_fma_dot():
+    # classify's norms, and through them the pinned query digest, are
+    # sqrt(fma(c, c, fma(b, b, a*a))); a plain a*a + b*b + c*c differs in the
+    # last bit on about one row in twelve
+    rows = norm_rows()
+    expected = [math.sqrt(_fma(c, c, _fma(b, b, a * a))) for a, b, c in rows]
+    assert [jacobian._row_norm(*row) for row in rows] == expected
+    # the workspace kernel's np.matmul norms must round the same way
+    columns = np.array(rows).T
+    for shape in ((len(rows),), (2, 3, len(rows) // 6)):
+        norms = workspace._norms(*(c.reshape(shape) for c in columns)).reshape(-1).tolist()
         mismatched = sum(n != e for n, e in zip(norms, expected))
         assert mismatched == 0, (
-            f"{mismatched} of 300 row norms differ from sqrt(fma(c, c, fma(b, b, a*a))): "
+            f"{mismatched} of {len(rows)} row norms differ from sqrt(fma(c, c, fma(b, b, a*a))): "
             "numpy's BLAS dot kernel on this host does not round like an FMA dot, so "
-            "Jacobian norms and the pinned workspace CSV bytes will differ"
+            "the workspace determinants and the pinned CSV bytes will differ"
         )

@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from trirail.errors import InvalidParameter
+from trirail.errors import InvalidParameter, clipped
 from trirail.params import (
     MAX_LENGTH,
     JointInputs,
@@ -209,6 +210,18 @@ def test_load_params_rejects_undecodable_file(tmp_path, content, reason):
         load_params(path)
     assert err.value.name == "<file>"
     assert err.value.reason.startswith(f"{path}: {reason} (")
+
+
+@pytest.mark.parametrize("value, shown", [
+    (10 ** 5000, "<int of more than 4300 digits>"),
+    (-10 ** 5000, "-<int of more than 4300 digits>"),
+    ([10 ** 5000], "<list of more than 4300 digits>"),
+], ids=["int", "negative-int", "list"])
+def test_clipped_shows_an_int_too_long_for_repr(value, shown):
+    assert clipped(value) == shown
+    with pytest.raises(InvalidParameter, match=f"^x: must be (finite|a real number), got "
+                                                f"{re.escape(shown)}$"):
+        Pose(value, 0.0, 0.0)
 
 
 def test_param_keys_cover_all_fields():

@@ -58,6 +58,24 @@ def test_report_rejects_a_total_that_is_not_a_non_negative_integer(total):
         topology.report(total, [LoopSpec(6, 2, 3), LoopSpec(5, 1, 5)])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: LoopSpec(-10 ** 5000, 0, 0),
+     "joint_dof_sum: must be a non-negative integer, got -<int of more than 4300 digits>"),
+    (lambda: LoopSpec(0, 0, 10 ** 5000),
+     "independent_eq_count: must be <= 6, got <int of more than 4300 digits>"),
+    (lambda: topology.report(-10 ** 5000, [LoopSpec(6, 2, 3), LoopSpec(5, 1, 5)]),
+     "total_joint_dof_sum: must be a non-negative integer, got "
+     "-<int of more than 4300 digits>"),
+    (lambda: topology.report(0, [LoopSpec(10 ** 5000, 0, 0)]),
+     "constraint degrees <tuple of more than 4300 digits> sum to "
+     "<int of more than 4300 digits>, expected 0"),
+], ids=["negative-count", "equation-count", "total", "unbalanced"])
+def test_an_int_too_long_for_repr_is_named_not_printed(build, message):
+    with pytest.raises((InvalidParameter, InvalidAkc)) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_loop_spec_validation():
     with pytest.raises(InvalidParameter):
         LoopSpec(-1, 0, 3)
