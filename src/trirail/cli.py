@@ -353,6 +353,12 @@ def cmd_topology(args):
     # JSON nested past the recursion limit raises RecursionError
     except (InvalidAkc, InvalidParameter, json.JSONDecodeError, RecursionError) as exc:
         _fail(EXIT_CONFIG, f"loop specification: {exc}")
+    # counts within the interpreter's int-to-text digit limit can still sum past it
+    for name, value in rep._asdict().items():
+        try:
+            str(value)
+        except ValueError:
+            _fail(EXIT_CONFIG, f"loop specification: {name}: {clipped(value)} is too long to write")
     if args.format == "json":
         _emit(json.dumps({"dof": rep.dof, "deltas": list(rep.deltas),
                           "coupling_degree": rep.coupling_degree}, indent=1), args.out)

@@ -36,10 +36,17 @@ numpy array spans the whole grid.  The kernel
   accumulates with fused multiply-adds and so rounds like
   :func:`jacobian._row_norm`;
 * keeps every array C-ordered, the five branch axes leading and the points
-  last, so no numpy call of a pass walks a scrambled memory order.
+  last, so no numpy call of a pass walks a scrambled memory order;
+* decides which branches exist, work and are classified on all 32 branches
+  of every point, but computes the determinants, row norms and serial test
+  on the classified branches only (chosen and not folded, about a tenth of
+  the cells), gathered into 1-D arrays and then reduced per point.
 
 The first three make the two agree bit for bit, which keeps exports
-byte-identical.
+byte-identical; the last changes no value, as every operation on the
+gathered cells is elementwise.  On a 2-core Xeon the ``perfbench``
+workloads label and export about 500k points/s on the 21^3 box and about
+350k points/s on 41 x 41 sections.
 """
 
 from __future__ import annotations
@@ -148,9 +155,10 @@ _AXES = ("x", "y", "z")
 
 #: points per numpy pass: consecutive x-planes are grouped while a pass holds
 #: no more than this (a larger plane runs alone).  Each pass costs a fixed
-#: ~0.15 ms of numpy calls (a one-point pass), but bigger passes raise peak
-#: memory: on a 21^3 scan, passes of 4 planes (1,764 points) raised peak RSS
-#: by ~1.5 MB over one plane per pass, passes of 2 planes by ~0.55 MB.
+#: ~0.2 ms of numpy calls (a one-point pass), but bigger passes raise peak
+#: memory through the masks and reduction buffers that span every branch: on
+#: a 21^3 scan, passes of 4 planes (1,764 points) raised peak RSS by ~0.9 MB
+#: over one plane per pass, passes of 2 planes by ~0.3 MB.
 _PASS_POINTS = 1024
 #: the kernel's branch axes: alpha slot, beta slot, root sign of chain 1, 2, 3
 _BRANCHES = (0, 1, 2, 3, 4)
@@ -252,34 +260,37 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     def per_point(a) -> list:
         return a.ravel().tolist()
 
-    def smallest(values) -> list:
-        """Least of ``values`` over the classified branches, NaN where none; overwrites ``values``."""
-        np.copyto(values, np.inf, where=~classified)
-        return per_point(np.where(classified.any(axis=_BRANCHES), values.min(axis=_BRANCHES),
-                                  np.nan))
+    def gathered(values) -> np.ndarray:
+        """``values`` at the classified cells, one 1-D array in C order."""
+        return np.broadcast_to(values, classified.shape)[classified]
 
-    j0 = cot_a * h12
-    j2 = cot_b * h3
-    # |norm det Jp| and then |norm det Jq| are built in one buffer, so a pass
-    # holds few arrays of its full size.  No row of Jp vanishes:
+    least = np.full(classified.shape, np.nan)
+
+    def smallest(values) -> list:
+        """Least of ``values`` (one per classified cell) per point, NaN where none."""
+        # every call writes the same cells, so the others stay NaN
+        least[classified] = values
+        return per_point(np.fmin.reduce(least, axis=_BRANCHES))
+
+    # the determinants and the serial test run on the classified cells only,
+    # about a tenth of the pass's (branch, point) cells
+    j0, j2 = gathered(cot_a * h12), gathered(cot_b * h3)
+    h12, h3 = gathered(h12), gathered(h3)
+    u11, u22, u33 = gathered(u11), gathered(u22), gathered(u33)
+    # the cofactor expansion of jacobian.build; no row of Jp vanishes:
     # u**2 + h**2 = l**2 on every branch
-    det = (j0 * (u22 * h3 - h12 * u33)
-           - u11 * (j0 * h3 - h12 * j2)
-           + h12 * (j0 * u33 - u22 * j2))
+    det = jacobian._det3(((j0, u11, h12), (j0, u22, h12), (j2, u33, h3)))
     det /= _norms(j0, u11, h12) * _norms(j0, u22, h12) * _norms(j2, u33, h3)
     np.abs(det, out=det)
-    parallel = det <= threshold
-    min_jp = smallest(det)
-    np.multiply((u11 / l2) * (u22 / l2), u33 / l6, out=det)
-    np.abs(det, out=det)
-    min_jq = smallest(det)
     serial = ((np.abs(u11) / l2 <= jacobian.SERIAL_THRESHOLD)
               | (np.abs(u22) / l2 <= jacobian.SERIAL_THRESHOLD)
               | (np.abs(u33) / l6 <= jacobian.SERIAL_THRESHOLD))
-    # the class index serial + 2 * parallel of classify; a folded branch is serial
-    severity = np.where(fold, np.int8(1), serial + parallel * np.int8(2))
-    return (per_point(exists.sum(axis=_BRANCHES)), min_jp, min_jq,
-            per_point(np.where(chosen, severity, 0).max(axis=_BRANCHES)))
+    # the class index serial + 2 * parallel of classify; a folded chosen branch is serial
+    severity = (chosen & fold).astype(np.int8)
+    severity[classified] = serial + (det <= threshold) * np.int8(2)
+    return (per_point(exists.sum(axis=_BRANCHES)), smallest(det),
+            smallest(np.abs((u11 / l2) * (u22 / l2) * (u33 / l6))),
+            per_point(severity.max(axis=_BRANCHES)))
 
 
 def _kernel(xs, ys, zs, params: ValidatedParams, threshold: float) -> ScanResult:

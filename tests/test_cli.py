@@ -778,3 +778,16 @@ class TestTopology:
         assert result.stderr.endswith(
             " sum to <int of more than 4300 digits>, expected 0\n")
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_coupling_degree_past_the_digit_limit_is_config_error(self, runner, fmt):
+        # balanced deltas N, N, -N, -N whose coupling degree 2N has 4301 digits
+        n = 10 ** 4300 - 1
+        spec = json.dumps({"total_joint_dof_sum": 1,
+                           "loops": [[n, 0, 0], [n, 0, 0], [0, n, 0], [0, n, 0]]})
+        result = runner.invoke(main, ["--format", fmt, "topology", "--loops", spec])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == ("error: loop specification: coupling_degree: "
+                                 "<int of more than 4300 digits> is too long to write\n")
+        assert result.stdout == ""

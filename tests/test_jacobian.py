@@ -112,6 +112,18 @@ class TestBuild:
 
 
 class TestDeterminantFactorisation:
+    def test_cofactor_expansion_factors_symbolically(self):
+        # the expansion jacobian.build and the workspace kernel both evaluate
+        sympy = pytest.importorskip("sympy")
+        cot_a, cot_b, h12, h3, u11, u22, u33 = sympy.symbols("cot_a cot_b h12 h3 u11 u22 u33")
+        det = jacobian._det3(((cot_a * h12, u11, h12), (cot_a * h12, u22, h12),
+                              (cot_b * h3, u33, h3)))
+        assert sympy.expand(det - (u22 - u11) * h12 * h3 * (cot_a - cot_b)) == 0
+        # u22 - u11 is the planar-loop gap B = yA1 - l3 - yA2 of det_jp_factors
+        y, l3, y_a1, y_a2 = sympy.symbols("y l3 yA1 yA2")
+        gap = ((y - l3 / 2) - y_a2) - ((y + l3 / 2) - y_a1)
+        assert sympy.expand(gap - (y_a1 - l3 - y_a2)) == 0
+
     def test_analytic_factorisation_oracle(self):
         # det(Jp) = B * h12 * h3 * (cot(alpha) - cot(beta)) for every config
         rng = random.Random(2024)

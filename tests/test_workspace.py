@@ -42,6 +42,9 @@ P = REFERENCE_PARAMS
 EMPTY = ScanResult([], [], [], [], [], [], [])
 
 REFERENCE_BOX = dict(x_range=(-110.0, 90.0), y_range=(-250.0, 250.0), z_range=(180.0, 480.0))
+# the height where M1 = 0 exactly on one alpha slot at x = -6 (and M1 < 0 on
+# the other): both solutions there are parallel-singular, so no branch works
+FALLBACK_Z = P.l1 + P.l2 + P.l4 * math.sin(math.acos((-6.0 + P.b - P.d) / P.l4))
 SMALL_SPEC = ScanSpec(resolution=5, **REFERENCE_BOX)
 # dyadic box: grid coordinates are exact binary fractions at any power-of-two
 # refinement, so coarse and fine grids share points bitwise
@@ -444,10 +447,40 @@ class TestKernelMatchesSamplePoint:
         pytest.param(ScanSpec(x_range=(-140.0, 90.0), y_range=(-250.0, 250.0),
                               z_range=(180.0, 480.0), resolution=24), "z", 250.0,
                      id="z-section-mixed-planes"),
+        # x = -6 has no working branch: the kernel falls back to every branch
+        pytest.param(ScanSpec(x_range=(-10.0, -2.0), y_range=(-250.0, 250.0),
+                              z_range=(180.0, 480.0), resolution=9), "z", FALLBACK_Z,
+                     id="fallback-z"),
     ])
     def test_reference_grids(self, spec, axis, value):
         samples = scan(spec, P) if axis is None else cross_section(spec, P, axis, value)
         assert rows(samples) == rows(oracle(spec, P, axis, value))
+
+    def test_fallback_pose_has_no_working_branch(self):
+        pose = Pose(-6.0, 0.0, FALLBACK_Z)  # z = 463.50570021989415
+        solutions = ik.solve(pose, P, check_roundtrip=False)
+        assert len(solutions) == 2
+        assert all(solution.parallel_singular for solution in solutions)
+        assert sorted(solution.M1 for solution in solutions) == [0.0, 0.0]
+        count, min_jp, min_jq, severity = workspace.sample_point(pose, P, 1e-3)
+        assert (count, min_jp, min_jq, kind(severity)) == (
+            2, 0.0, 0.0, SingularityKind.COMPREHENSIVE)
+
+    def test_labels_do_not_change_along_y(self):
+        samples = scan(ScanSpec(resolution=21, **REFERENCE_BOX), P)
+        cells = {}
+        for x, z, *label in zip(samples.x, samples.z, samples.real_solution_count,
+                                samples.severity, samples.min_norm_det_jp,
+                                samples.min_norm_det_jq):
+            cells.setdefault((x, z), []).append(label)
+        assert len(cells) == 21 ** 2
+        for labels in cells.values():
+            (count, severity, jp, jq), *others = labels
+            for other in others:
+                assert other[:2] == [count, severity]
+                for det, other_det in zip((jp, jq), other[2:]):
+                    assert math.isnan(det) == math.isnan(other_det)
+                    assert math.isnan(det) or math.isclose(det, other_det, rel_tol=1e-12)
 
     def test_branch_arrays_are_c_ordered(self):
         # a transposed per-x column would leave every array of a pass non-C-ordered
