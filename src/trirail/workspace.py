@@ -22,31 +22,39 @@ nothing else exists (exact boundary poses).
 
 :func:`sample_point` states these rules one pose at a time, returning the
 kernel's row for that pose, and is the reference.  :func:`scan` and
-:func:`cross_section` apply them with numpy over whole x-planes: the distal
-angles depend only on x, so one numpy pass labels every (y, z) point of a
-run of consecutive planes across the 32 sign branches.  A pass holds up to
-``_PASS_POINTS`` points and a plane larger than that runs alone: a 41 x 41
-cross-section takes two passes, a 41^3 scan 41 passes of one plane, and no
-numpy array spans the whole grid.  The kernel
+:func:`cross_section` apply them with numpy in two stages.  The distal
+angles depend on x alone and the chain radicands on x and z alone, so
+whether each of the 32 sign branches exists never depends on y; y only
+shifts the rails.
+
+* Stage A runs once per call over (x, z, alpha slot, beta slot, s1, s2,
+  s3).  It decides which branches exist and lists them as cells grouped by
+  (x, z), each with its y-free terms: the signed roots and the Jp entries
+  of the distal links.
+* Stage B runs over (cell, y) pairs, that is over existing branches only
+  (about a fifth of all), in passes of consecutive whole x-planes.  A pass
+  holds up to ``_PASS_PAIRS`` pairs and a plane with more runs alone: a
+  21^3 scan takes 6 passes, a 41 x 41 cross-section one or two, and no
+  numpy array spans the whole grid.  A pass decides which branches work
+  and are classified, computes the determinants, row norms and serial test
+  on the classified pairs only, gathered into 1-D arrays, and reduces them
+  per point with ``reduceat`` over the cells of each (x, z).
+
+The kernel
 
 * computes the distal angles, their sines, cosines and cotangents once
   per x as Python scalars (``math``, never ``np.sin``/``np.arccos``);
 * evaluates every grid expression in the scalar path's operation order;
 * takes row norms with ``np.matmul`` of stacked rows, whose BLAS dot
   accumulates with fused multiply-adds and so rounds like
-  :func:`jacobian._row_norm`;
-* keeps every array C-ordered, the five branch axes leading and the points
-  last, so no numpy call of a pass walks a scrambled memory order;
-* decides which branches exist, work and are classified on all 32 branches
-  of every point, but computes the determinants, row norms and serial test
-  on the classified branches only (chosen and not folded, about a tenth of
-  the cells), gathered into 1-D arrays and then reduced per point.
+  :func:`jacobian._row_norm`.
 
-The first three make the two agree bit for bit, which keeps exports
-byte-identical; the last changes no value, as every operation on the
-gathered cells is elementwise.  On a 2-core Xeon the ``perfbench``
-workloads label and export about 500k points/s on the 21^3 box and about
-350k points/s on 41 x 41 sections.
+These make the two agree bit for bit, which keeps exports byte-identical;
+the staging changes no value, as every operation on a cell or a pair is
+elementwise and a per-point minimum or maximum does not depend on the
+order of the branches.  On a 2-core Xeon the ``perfbench`` workloads label
+and export about 620k points/s on the 21^3 box and about 400k points/s on
+41 x 41 sections.
 """
 
 from __future__ import annotations
@@ -153,15 +161,13 @@ def sample_point(pose: Pose, params: ValidatedParams,
 
 _AXES = ("x", "y", "z")
 
-#: points per numpy pass: consecutive x-planes are grouped while a pass holds
-#: no more than this (a larger plane runs alone).  Each pass costs a fixed
-#: ~0.2 ms of numpy calls (a one-point pass), but bigger passes raise peak
-#: memory through the masks and reduction buffers that span every branch: on
-#: a 21^3 scan, passes of 4 planes (1,764 points) raised peak RSS by ~0.9 MB
-#: over one plane per pass, passes of 2 planes by ~0.3 MB.
-_PASS_POINTS = 1024
-#: the kernel's branch axes: alpha slot, beta slot, root sign of chain 1, 2, 3
-_BRANCHES = (0, 1, 2, 3, 4)
+#: (existing branch, y) pairs per numpy pass of the kernel's second stage:
+#: consecutive x-planes are grouped while a pass holds no more than this (a
+#: larger plane runs alone), so an array of a pass holds at most 96 KB of
+#: floats.  Sized by memory: a 21^3 scan peaks at 1.33 MB of traced memory,
+#: against 1.60 and 2.23 MB with passes of 16k and 32k pairs, which ran it
+#: no faster.
+_PASS_PAIRS = 12288
 
 
 def _grid(spec: ScanSpec, axis: str | None = None, value: float | None = None):
@@ -189,21 +195,6 @@ def _elbows(base: float | None, length: float):
     return (True, base not in (0.0, math.pi)), [length * s for s in sines], cots, folds
 
 
-def _at(values, axis: int) -> np.ndarray:
-    """``values`` laid along one branch axis: alpha, beta, root sign of chain 1, 2, 3.
-
-    A list of per-x slot pairs also runs along the x axis.
-    """
-    a = np.asarray(values)
-    shape = [1] * 7
-    if a.ndim == 2:
-        # a transposed view would scramble the memory order of every array the pass derives
-        a = np.ascontiguousarray(a.T)
-        shape[5] = a.shape[1]
-    shape[axis] = a.shape[0]
-    return a.reshape(shape)
-
-
 def _norms(*row) -> np.ndarray:
     """Euclidean norms of the 3-vectors ``row`` broadcast to one shape, each
     bitwise equal to :func:`jacobian._row_norm` of its row."""
@@ -211,14 +202,27 @@ def _norms(*row) -> np.ndarray:
     return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
 
 
+def _passes(sizes: list[int], budget: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of runs of consecutive planes with ``sizes`` pairs each: a
+    run holds at most ``budget`` pairs, unless it is one plane."""
+    start = total = 0
+    for stop, size in enumerate(sizes):
+        if total + size > budget and stop > start:
+            yield start, stop
+            start, total = stop, 0
+        total += size
+    yield start, len(sizes)
+
+
 def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     """Per-point (solution count, min |norm det Jp|, min |norm det Jq|, worst
     severity) lists over the points ``xs`` x ``ys`` x ``zs``, row-major.
 
-    Arrays run over (alpha slot, beta slot, s1, s2, s3, x, point), where a
-    point is one (y, z) of a plane; every branch decision is the one
-    :func:`ik.solve`, :func:`jacobian.build` and :func:`jacobian.classify`
-    make for that branch.
+    Every branch decision is the one :func:`ik.solve`, :func:`jacobian.build`
+    and :func:`jacobian.classify` make for that branch.  Stage A decides which
+    branches exist over (x, z, alpha slot, beta slot, s1, s2, s3), as y takes
+    no part in that, and lists the existing ones as cells grouped by (x, z).
+    Stage B runs over (cell, y) pairs in passes of whole x-planes.
     """
     l1, l2, l3, l6 = params.l1, params.l2, params.l3, params.l6
     per_x = []
@@ -229,12 +233,11 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
         except Unreachable:
             alpha_base = beta_base = None
         per_x.append(_elbows(alpha_base, params.l4) + _elbows(beta_base, l6))
+    # stage A, over (x, z, alpha slot, beta slot, s1, s2, s3)
     live_a, l4_sin_a, cot_a, fold_a, live_b, l6_sin_b, cot_b, fold_b = (
-        _at(column, 0 if i < 4 else 1) for i, column in enumerate(zip(*per_x)))
-
-    Y = np.repeat(np.asarray(ys, dtype=float), len(zs))
-    Z = np.tile(np.asarray(zs, dtype=float), len(ys))
-    y_c1, y_c2, y_c3 = Y + l3 / 2.0, Y - l3 / 2.0, Y
+        np.reshape(column, (-1, 1, 2, 1, 1, 1, 1) if i < 4 else (-1, 1, 1, 2, 1, 1, 1))
+        for i, column in enumerate(zip(*per_x)))
+    Z = np.reshape(np.asarray(zs, dtype=float), (-1, 1, 1, 1, 1, 1))
     h12 = (Z - l4_sin_a) - l1
     h3 = (Z - params.l8 - l6_sin_b - params.l7) - l1
     M1 = l2 * l2 - h12 * h12
@@ -242,66 +245,96 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     with np.errstate(invalid="ignore"):
         root_1 = np.sqrt(M1)
         root_3 = np.sqrt(M3)
-    s1, s2, s3 = (_at([1.0, -1.0], axis) for axis in (2, 3, 4))
-    yA1 = y_c1 + s1 * root_1
-    yA2 = y_c2 + s2 * root_1
-    yA3 = y_c3 + s3 * root_3
-    u11, u22, u33 = y_c1 - yA1, y_c2 - yA2, y_c3 - yA3
-
+    s3 = np.array([1.0, -1.0])
+    s1, s2 = s3[:, None, None], s3[:, None]
     # a zero radicand merges the two roots of its chain into one branch
     exists = (live_a & live_b & (M1 >= 0.0) & (M3 >= 0.0)
               & ((s1 > 0) | (root_1 != 0.0)) & ((s2 > 0) | (root_1 != 0.0))
               & ((s3 > 0) | (root_3 != 0.0)))
-    working = exists & (np.abs((yA1 - l3) - yA2) > fk.EPS_B)
-    chosen = np.where(working.any(axis=_BRANCHES, keepdims=True), working, exists)
-    fold = fold_a | fold_b
-    classified = chosen & ~fold
 
-    def per_point(a) -> list:
-        return a.ravel().tolist()
+    def cells(values) -> np.ndarray:
+        """``values`` at the existing branches, one 1-D array grouped by (x, z)."""
+        return np.broadcast_to(values, exists.shape)[exists]
 
-    def gathered(values) -> np.ndarray:
-        """``values`` at the classified cells, one 1-D array in C order."""
-        return np.broadcast_to(values, classified.shape)[classified]
+    # per cell: the signed roots (each rail is yA = y_c + r), the y-free Jp
+    # entries and whether a distal link folds
+    r1, r2, r3 = cells(s1 * root_1), cells(s2 * root_1), cells(s3 * root_3)
+    j0, j2 = cells(cot_a * h12), cells(cot_b * h3)
+    h12, h3, fold = cells(h12), cells(h3), cells(fold_a | fold_b)
+    # the solution count of each (x, z) at every y; the (x, z) with a cell are groups
+    count = exists.reshape(len(xs), len(zs), -1).sum(axis=2)
+    groups = np.flatnonzero(count)
+    sizes = count.ravel()[groups]
+    first = np.cumsum(sizes) - sizes
+    plane_cells = count.sum(axis=1)
+    plane_first = np.concatenate(([0], np.cumsum(plane_cells))).tolist()
+    plane_groups = np.concatenate(([0], np.cumsum(np.count_nonzero(count, axis=1)))).tolist()
 
-    least = np.full(classified.shape, np.nan)
+    # stage B, over (cell, y)
+    ny, nz = len(ys), len(zs)
+    Y = np.asarray(ys, dtype=float)
+    y_c1, y_c2, y_c3 = Y + l3 / 2.0, Y - l3 / 2.0, Y
 
-    def smallest(values) -> list:
-        """Least of ``values`` (one per classified cell) per point, NaN where none."""
-        # every call writes the same cells, so the others stay NaN
-        least[classified] = values
-        return per_point(np.fmin.reduce(least, axis=_BRANCHES))
+    def reduced(c: slice, g: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Min |norm det Jp|, min |norm det Jq| and worst class of the cells ``c``
+        of the groups ``g``, at every y: arrays over (group, y)."""
+        starts = first[g] - c.start
+        yA1 = y_c1 + r1[c, None]
+        yA2 = y_c2 + r2[c, None]
+        working = np.abs((yA1 - l3) - yA2) > fk.EPS_B
+        # pair arrays are dropped once used: the gathered arrays set a pass's peak
+        del yA1, yA2
+        # a point with no working branch labels all its existing ones
+        chosen = working | np.repeat(~np.logical_or.reduceat(working, starts), sizes[g], axis=0)
+        classified = chosen & ~fold[c, None]
+        # the determinants and the serial test run on the classified pairs only
+        pairs = np.flatnonzero(classified)
+        cell, y = np.divmod(pairs, ny)
+        cell += c.start
 
-    # the determinants and the serial test run on the classified cells only,
-    # about a tenth of the pass's (branch, point) cells
-    j0, j2 = gathered(cot_a * h12), gathered(cot_b * h3)
-    h12, h3 = gathered(h12), gathered(h3)
-    u11, u22, u33 = gathered(u11), gathered(u22), gathered(u33)
-    # the cofactor expansion of jacobian.build; no row of Jp vanishes:
-    # u**2 + h**2 = l**2 on every branch
-    det = jacobian._det3(((j0, u11, h12), (j0, u22, h12), (j2, u33, h3)))
-    det /= _norms(j0, u11, h12) * _norms(j0, u22, h12) * _norms(j2, u33, h3)
-    np.abs(det, out=det)
-    serial = ((np.abs(u11) / l2 <= jacobian.SERIAL_THRESHOLD)
-              | (np.abs(u22) / l2 <= jacobian.SERIAL_THRESHOLD)
-              | (np.abs(u33) / l6 <= jacobian.SERIAL_THRESHOLD))
-    # the class index serial + 2 * parallel of classify; a folded chosen branch is serial
-    severity = (chosen & fold).astype(np.int8)
-    severity[classified] = serial + (det <= threshold) * np.int8(2)
-    return (per_point(exists.sum(axis=_BRANCHES)), smallest(det),
-            smallest(np.abs((u11 / l2) * (u22 / l2) * (u33 / l6))),
-            per_point(severity.max(axis=_BRANCHES)))
+        def u(y_c, r) -> np.ndarray:
+            """``y_c - yA`` at the classified pairs, where ``yA = y_c + r`` is the rail."""
+            at = y_c[y]
+            return at - (at + r[cell])
+
+        u11, u22, u33 = u(y_c1, r1), u(y_c2, r2), u(y_c3, r3)
+        j0_, j2_, h12_, h3_ = j0[cell], j2[cell], h12[cell], h3[cell]
+        del cell, y
+        # the cofactor expansion of jacobian.build; no row of Jp vanishes:
+        # u**2 + h**2 = l**2 on every branch
+        det = jacobian._det3(((j0_, u11, h12_), (j0_, u22, h12_), (j2_, u33, h3_)))
+        det /= _norms(j0_, u11, h12_) * _norms(j0_, u22, h12_) * _norms(j2_, u33, h3_)
+        np.abs(det, out=det)
+        serial = ((np.abs(u11) / l2 <= jacobian.SERIAL_THRESHOLD)
+                  | (np.abs(u22) / l2 <= jacobian.SERIAL_THRESHOLD)
+                  | (np.abs(u33) / l6 <= jacobian.SERIAL_THRESHOLD))
+        # the class index serial + 2 * parallel of classify; a folded chosen branch is serial
+        severity = (chosen & fold[c, None]).astype(np.int8)
+        np.put(severity, pairs, serial + (det <= threshold) * np.int8(2))
+        least = np.full(classified.shape, np.nan)
+        np.put(least, pairs, det)
+        jp = np.fmin.reduceat(least, starts)
+        np.put(least, pairs, np.abs((u11 / l2) * (u22 / l2) * (u33 / l6)))
+        return jp, np.fmin.reduceat(least, starts), np.maximum.reduceat(severity, starts)
+
+    jp_min, jq_min, worst = [], [], []
+    for x0, x1 in _passes((plane_cells * ny).tolist(), _PASS_PAIRS):
+        g = slice(plane_groups[x0], plane_groups[x1])
+        labels = reduced(slice(plane_first[x0], plane_first[x1]), g)
+        for column, values, empty in zip((jp_min, jq_min, worst), labels, (np.nan, np.nan, 0)):
+            # every (x, z) of the pass at every y, then row-major (x, y, z)
+            points = np.full(((x1 - x0) * nz, ny), empty, values.dtype)
+            points[groups[g] - x0 * nz] = values
+            column.extend(points.reshape(x1 - x0, nz, ny).transpose(0, 2, 1).ravel().tolist())
+    return ([n for row in count.tolist() for n in row * ny], jp_min, jq_min, worst)
 
 
 def _kernel(xs, ys, zs, params: ValidatedParams, threshold: float) -> ScanResult:
     """:func:`sample_point` of every point of ``xs`` x ``ys`` x ``zs``, row-major, as
-    columns, in numpy passes of consecutive whole x-planes of up to ``_PASS_POINTS`` points."""
+    columns."""
+    # labels first, so that no pass runs beside the coordinate columns
+    labels = _label(xs, ys, zs, params, threshold)
     plane = len(ys) * len(zs)
-    step = max(1, _PASS_POINTS // plane)
-    labels = ([], [], [], [])
-    for i in range(0, len(xs), step):
-        for column, part in zip(labels, _label(xs[i:i + step], ys, zs, params, threshold)):
-            column.extend(part)
     return ScanResult([x for x in xs for _ in range(plane)],
                       [y for y in ys for _ in zs] * len(xs),
                       zs * (len(xs) * len(ys)),
@@ -348,10 +381,10 @@ def _reprs(values: list[float], nan: str) -> list[str]:
     """``repr`` of each value, ``nan`` for NaN, with each distinct value formatted
     once per call, that is once per export piece (a grid axis or a determinant
     column has few)."""
-    if len(set(map(repr, filterfalse(None, values)))) > 1:
-        # 0.0 and -0.0 are one set element but two reprs
-        return [repr(v) if v == v else nan for v in values]
     memo = {v: repr(v) for v in set(values) if v == v}
+    # 0.0 and -0.0 are one set element but two reprs
+    if 0.0 in memo and len(set(map(repr, filterfalse(None, values)))) > 1:
+        return [repr(v) if v == v else nan for v in values]
     # a NaN equals no key
     return list(map(memo.get, values, repeat(nan)))
 

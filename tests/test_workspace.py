@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -373,7 +374,7 @@ class TestLabels:
         assert kind(severity) in (SingularityKind.SERIAL, SingularityKind.COMPREHENSIVE)
 
     def test_reference_box_41_is_pinned(self, tmp_path):
-        # the full-resolution reference scan: 41 passes of one 1681-point plane
+        # the full-resolution reference scan: 39 passes, most of one x-plane over the pair budget
         samples = scan(ScanSpec(resolution=41, **REFERENCE_BOX), P)
         assert summary(samples) == {
             "total": 41 ** 3, "feasible": 51332, "regular": 49856,
@@ -420,6 +421,31 @@ def oracle(spec, params, axis=None, value=None):
         axes["xyz".index(axis)] = [value]
     return labelled([(x, y, z) for x in axes[0] for y in axes[1] for z in axes[2]],
                     params, spec.singularity_threshold)
+
+
+class TestKernelMemory:
+    """The traced memory peak of one call after a warm-up call, at most what the
+    kernel took in passes of 1,024 points across all 32 branches (bytes)."""
+
+    @pytest.mark.parametrize("call, ceiling", [
+        pytest.param(lambda: scan(ScanSpec(resolution=21, **REFERENCE_BOX), P), 1_463_880,
+                     id="box-21"),
+        pytest.param(lambda: cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P,
+                                           "z", 280.0), 1_003_090, id="section-z280"),
+    ])
+    def test_traced_peak(self, call, ceiling):
+        call()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= ceiling
 
 
 class TestKernelMatchesSamplePoint:
@@ -482,13 +508,32 @@ class TestKernelMatchesSamplePoint:
                     assert math.isnan(det) == math.isnan(other_det)
                     assert math.isnan(det) or math.isclose(det, other_det, rel_tol=1e-12)
 
-    def test_branch_arrays_are_c_ordered(self):
-        # a transposed per-x column would leave every array of a pass non-C-ordered
-        pairs = workspace._at([(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)], 1)
-        signs = workspace._at([1.0, -1.0], 3)
-        assert pairs.shape == (1, 2, 1, 1, 1, 3, 1) and pairs.flags.c_contiguous
-        assert pairs.ravel().tolist() == [1.0, 3.0, 5.0, 2.0, 4.0, 6.0]
-        assert signs.shape == (1, 1, 1, 2, 1, 1, 1) and signs.flags.c_contiguous
+    @pytest.mark.parametrize("spec, axis, value, between", [
+        # planes of 2,016 to 3,192 pairs: the smallest two share a pass
+        pytest.param(ScanSpec(resolution=21, **REFERENCE_BOX), None, None, 4500, id="box-21"),
+        # planes of 328 pairs: two to a pass
+        pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "z", 330.0, 700, id="z-section"),
+    ])
+    def test_pass_boundaries(self, monkeypatch, spec, axis, value, between):
+        def labels():
+            return rows(scan(spec, P) if axis is None else cross_section(spec, P, axis, value))
+
+        reference = oracle(spec, P, axis, value)
+        expected = rows(reference)
+        assert labels() == expected
+        # an x-plane's pairs are its points' existing branches
+        counts = reference.real_solution_count
+        plane = len(counts) // len(set(reference.x))
+        sizes = [sum(counts[i:i + plane]) for i in range(0, len(counts), plane)]
+        # 1: every plane with a branch exceeds the budget and runs alone
+        assert all(stop - start == 1 for start, stop in workspace._passes(sizes, 1)
+                   if any(sizes[start:stop]))
+        # between one plane's pairs and two planes': some pass holds two planes
+        assert any(sum(size > 0 for size in sizes[start:stop]) >= 2
+                   for start, stop in workspace._passes(sizes, between))
+        for budget in (1, between):
+            monkeypatch.setattr(workspace, "_PASS_PAIRS", budget)
+            assert labels() == expected
 
     @settings(max_examples=40, deadline=None)
     @given(
