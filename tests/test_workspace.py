@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +66,32 @@ DET_COLUMNS = ScanResult(
     min_norm_det_jq=[0.25, 0.25, -0.0, 0.0, float("nan"), float("nan"), 0.5, math.inf],
     severity=[0, 1, 2, 0, 1, 0, 3, 2],
 )
+
+
+# a 21^3 scan with one y entry set in place to -0.0 where the y axis holds 0.0
+NEGATIVE_ZERO_Y = scan(ScanSpec(resolution=21, **REFERENCE_BOX), P)
+NEGATIVE_ZERO_Y.y[NEGATIVE_ZERO_Y.y.index(0.0, len(NEGATIVE_ZERO_Y) // 2)] = -0.0
+# the small grid labelled one point at a time, last point first
+REVERSED_ROWS = labelled(list(product(*workspace._grid(SMALL_SPEC)))[::-1], P,
+                         SMALL_SPEC.singularity_threshold)
+# a count no kernel makes: counts are formatted per distinct value, from no table
+COUNT_100 = scan(SMALL_SPEC, P)
+COUNT_100.real_solution_count[COUNT_100.real_solution_count.index(8)] = 100
+
+
+def traced_peak(call) -> int:
+    """The traced memory peak of ``call()`` after a warm-up call, in bytes."""
+    call()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def independent_feasible(pose: Pose) -> bool:
@@ -243,6 +270,9 @@ class TestExport:
         pytest.param(cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P, "z", 330.0),
                      id="section-z330"),
         pytest.param(SIGNED_ZEROS, id="signed-zeros"),
+        pytest.param(NEGATIVE_ZERO_Y, id="negative-zero-y"),
+        pytest.param(REVERSED_ROWS, id="reversed-rows"),
+        pytest.param(COUNT_100, id="count-100"),
     ])
     def test_json_is_byte_identical_to_json_dumps(self, tmp_path, samples):
         records = [{
@@ -266,6 +296,9 @@ class TestExport:
         pytest.param(cross_section(ScanSpec(resolution=5, **REFERENCE_BOX), P, "x", 80.0),
                      id="fold-rows"),
         pytest.param(SIGNED_ZEROS, id="signed-zeros"),
+        pytest.param(NEGATIVE_ZERO_Y, id="negative-zero-y"),
+        pytest.param(REVERSED_ROWS, id="reversed-rows"),
+        pytest.param(COUNT_100, id="count-100"),
     ])
     def test_csv_rows_are_per_sample_reprs(self, tmp_path, samples):
         lines = [workspace.CSV_HEADER] + [",".join((
@@ -281,12 +314,31 @@ class TestExport:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("piece", [1, 7, 25, 26])
     def test_pieces_join_to_the_one_piece_export(self, tmp_path, monkeypatch, fmt, piece):
-        samples = sliced(scan(SMALL_SPEC, P), slice(25))
-        export(samples, fmt, tmp_path / "whole")
+        # one x-plane, and the whole scan, whose pieces cross x-planes
+        full = scan(SMALL_SPEC, P)
+        cases = {"plane": sliced(full, slice(25)), "full": full}
+        for name, samples in cases.items():
+            export(samples, fmt, tmp_path / name)
         monkeypatch.setattr(workspace, "_EXPORT_ROWS", piece)
-        assert len(list(workspace._chunks(samples, fmt))) == -(-25 // piece)
-        export(samples, fmt, tmp_path / "pieces")
-        assert (tmp_path / "pieces").read_bytes() == (tmp_path / "whole").read_bytes()
+        for name, samples in cases.items():
+            assert len(list(workspace._chunks(samples, fmt))) == -(-len(samples) // piece)
+            export(samples, fmt, tmp_path / "pieces")
+            assert (tmp_path / "pieces").read_bytes() == (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize("samples, grid", [
+        pytest.param(scan(SMALL_SPEC, P), True, id="scan"),
+        pytest.param(cross_section(SMALL_SPEC, P, "y", 0.0), True, id="section"),
+        # reversed row order is the row-major product of the reversed axes
+        pytest.param(REVERSED_ROWS, True, id="reversed-rows"),
+        pytest.param(DET_COLUMNS, True, id="det-columns"),
+        pytest.param(NEGATIVE_ZERO_Y, False, id="negative-zero-y"),
+        pytest.param(SIGNED_ZEROS, False, id="signed-zeros"),
+        pytest.param(sliced(scan(SMALL_SPEC, P), slice(1, None)), False, id="no-first-row"),
+        pytest.param(sliced(scan(SMALL_SPEC, P), slice(None, None, 2)), False, id="every-other-row"),
+    ])
+    def test_only_a_product_of_axes_takes_the_grid_path(self, samples, grid):
+        prefixes, _, _, nan = workspace._SLOTS["csv"]
+        assert (workspace._grid_slots(samples, prefixes, nan) is not None) == grid
 
     @pytest.mark.parametrize("piece", [1, 3, workspace._EXPORT_ROWS])
     def test_determinant_columns_are_per_row_reprs(self, tmp_path, monkeypatch, piece):
@@ -434,18 +486,21 @@ class TestKernelMemory:
                                            "z", 280.0), 1_003_090, id="section-z280"),
     ])
     def test_traced_peak(self, call, ceiling):
-        call()
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            call()
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak <= ceiling
+        assert traced_peak(call) <= ceiling
+
+
+class TestExportMemory:
+    """The traced memory peak of one export after a warm-up export, at most what
+    it took when every point's text came from an f-string template (bytes)."""
+
+    @pytest.mark.parametrize("fmt, samples, ceiling", [
+        pytest.param("csv", scan(ScanSpec(resolution=21, **REFERENCE_BOX), P), 2_198_284,
+                     id="box-21-csv"),
+        pytest.param("json", cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P,
+                                           "z", 280.0), 1_099_209, id="section-z280-json"),
+    ])
+    def test_traced_peak(self, tmp_path, fmt, samples, ceiling):
+        assert traced_peak(lambda: export(samples, fmt, tmp_path / "points")) <= ceiling
 
 
 class TestKernelMatchesSamplePoint:
