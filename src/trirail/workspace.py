@@ -2,12 +2,13 @@
 
 A box is sampled on a regular grid; each point is tested for inverse
 feasibility and every real solution branch is classified through the
-velocity model.  A scan returns a :class:`ScanResult`: Python-list columns
-(coordinates, solution count, the two smallest determinants, the worst
-class) with one entry per point in row-major order, ready for CSV/JSON
-export (plot-ready point clouds rather than figures).  A point's class is
-the index ``serial + 2 * parallel`` into :class:`SingularityKind`, the
-rule of :func:`jacobian.classify`, maximised over the point's branches.
+velocity model.  A scan returns a :class:`ScanResult`: the grid's three
+axes and Python-list label columns (solution count, the two smallest
+determinants, the worst class) with one entry per point in row-major
+order, ready for CSV/JSON export (plot-ready point clouds rather than
+figures).  A point's class is the index ``serial + 2 * parallel`` into
+:class:`SingularityKind`, the rule of :func:`jacobian.classify`, maximised
+over the point's branches.
 
 Branches where a distal link folds onto the X axis have no finite
 velocity model (the cotangent rows diverge); they are DOF-losing fold
@@ -100,26 +101,56 @@ class ScanSpec:
             )
 
 
+def _product(xs: list, ys: list, zs: list) -> tuple[Iterator, Iterator, Iterator]:
+    """Iterators over the x, y and z of each point of the row-major product
+    ``xs`` x ``ys`` x ``zs``, or over what stands for them (their export
+    text); the y and z iterators never end."""
+    nz = len(zs)
+    return (chain.from_iterable(map(repeat, xs, repeat(len(ys) * nz))),
+            cycle(chain.from_iterable(map(repeat, ys, repeat(nz)))),
+            cycle(zs))
+
+
 # no generated __eq__: list equality of NaN dets depends on object identity
 @dataclass(frozen=True, eq=False)
 class ScanResult:
-    """Labelled points as columns, one entry per point in the same order.
+    """Labelled points of the grid ``xs`` x ``ys`` x ``zs``: label columns with
+    one entry per point in row-major (x, then y, then z) order.  ``x``, ``y``
+    and ``z`` list each point's coordinates, derived from the axes.
 
     A point is feasible when its ``real_solution_count`` is positive.
     ``severity`` is the worst class as an index into
     :class:`SingularityKind`, and 0 on infeasible points.
     """
 
-    x: list[float]
-    y: list[float]
-    z: list[float]
+    xs: list[float]
+    ys: list[float]
+    zs: list[float]
     real_solution_count: list[int]
     min_norm_det_jp: list[float]
     min_norm_det_jq: list[float]
     severity: list[int]
 
+    def __post_init__(self):
+        for name in ("xs", "ys", "zs"):
+            # export writes each axis value by repr, which has no JSON form for nan or inf
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise InvalidParameter(name, "must hold finite values")
+        for name in ("real_solution_count", "min_norm_det_jp", "min_norm_det_jq", "severity"):
+            got = len(getattr(self, name))
+            if got != len(self):
+                raise InvalidParameter(name, f"needs {len(self)} entries, one per grid point, "
+                                             f"got {got}")
+
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.xs) * len(self.ys) * len(self.zs)
+
+    def _coordinate(self, k: int) -> list[float]:
+        return list(islice(_product(self.xs, self.ys, self.zs)[k], len(self)))
+
+    x = property(lambda self: self._coordinate(0), doc="The x of each point.")
+    y = property(lambda self: self._coordinate(1), doc="The y of each point.")
+    z = property(lambda self: self._coordinate(2), doc="The z of each point.")
 
 
 def _axis_values(bounds: tuple[float, float], n: int) -> list[float]:
@@ -330,15 +361,8 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
 
 
 def _kernel(xs, ys, zs, params: ValidatedParams, threshold: float) -> ScanResult:
-    """:func:`sample_point` of every point of ``xs`` x ``ys`` x ``zs``, row-major, as
-    columns."""
-    # labels first, so that no pass runs beside the coordinate columns
-    labels = _label(xs, ys, zs, params, threshold)
-    plane = len(ys) * len(zs)
-    return ScanResult([x for x in xs for _ in range(plane)],
-                      [y for y in ys for _ in zs] * len(xs),
-                      zs * (len(xs) * len(ys)),
-                      *labels)
+    """:func:`sample_point` of every point of ``xs`` x ``ys`` x ``zs``, row-major."""
+    return ScanResult(xs, ys, zs, *_label(xs, ys, zs, params, threshold))
 
 
 def scan(spec: ScanSpec, params: ValidatedParams, *, workers: int = 1) -> ScanResult:
@@ -419,59 +443,28 @@ def _blank_infeasible(parts: list[str], counts: list[int]) -> None:
         lo = feasible.find(0, hi)
 
 
-def _period(column: list) -> int:
-    """The index where ``column[0]`` recurs, or the length of ``column``."""
-    try:
-        return column.index(column[0], 1)
-    except ValueError:
-        return len(column)
-
-
-def _grid_slots(result: ScanResult, prefixes: tuple[str, ...], nan: str):
-    """Endless iterators over the x, y and z slot strings of ``result``, each
-    axis value formatted once, when its coordinate columns are the row-major
-    product of three axes, as every scan and cross-section is; else None."""
-    x, y, z = result.x, result.y, result.z
-    nz = _period(z)
-    ny = _period(y[::nz])
-    plane = ny * nz
-    xs, ys, zs = x[::plane], y[:plane:nz], z[:nz]
-    # the columns are public lists: check them, one expanded column at a time
-    if not (len(xs) * plane == len(z)
-            and z == zs * (len(xs) * ny)
-            and y == list(chain.from_iterable(map(repeat, ys, repeat(nz)))) * len(xs)
-            and x == list(chain.from_iterable(map(repeat, xs, repeat(plane))))):
-        return None
-    # == takes -0.0 for 0.0: an axis's zero stands only for a column with one sign of it
-    for column, axis in ((x, xs), (y, ys), (z, zs)):
-        if 0.0 in axis and len(set(map(repr, filterfalse(None, column)))) > 1:
-            return None
-    xs, ys, zs = (_reprs(axis, nan, prefix) for axis, prefix in zip((xs, ys, zs), prefixes))
-    return (chain.from_iterable(map(repeat, xs, repeat(plane))),
-            cycle(chain.from_iterable(map(repeat, ys, repeat(nz)))),
-            cycle(zs))
-
-
 def _chunks(result: ScanResult, fmt: str) -> Iterator[str]:
     """The export text of ``result`` in pieces of up to ``_EXPORT_ROWS`` points.
 
     A piece is the join of seven slot strings per point, each carrying its
     fixed text from ``_SLOTS``; every slot column is filled at once by a
-    strided slice assignment.
+    strided slice assignment.  Each axis value is formatted once per export,
+    by ``repr``: an axis is short, so no memo merges 0.0 with -0.0.
     """
     prefixes, end, tail, nan = _SLOTS[fmt]
     if not len(result):
         yield f"{CSV_HEADER}\n" if fmt == "csv" else "[]\n"
         return
     classes = [f"{prefixes[6]}{kind.value}{end}" for kind in _KINDS]
-    grid = _grid_slots(result, prefixes, nan)
+    axes = (result.xs, result.ys, result.zs)
+    coordinates = _product(*([f"{prefix}{v!r}" for v in axis]
+                             for axis, prefix in zip(axes, prefixes)))
     for start in range(0, len(result), _EXPORT_ROWS):
         piece = slice(start, start + _EXPORT_ROWS)
         counts = result.real_solution_count[piece]
         parts = [""] * (7 * len(counts))
-        for k, axis in enumerate(_AXES):
-            parts[k::7] = (islice(grid[k], len(counts)) if grid
-                           else _reprs(getattr(result, axis)[piece], nan, prefixes[k]))
+        for k, slots in enumerate(coordinates):
+            parts[k::7] = islice(slots, len(counts))
         memo = {n: f"{prefixes[3]}{n}" if n else tail for n in set(counts)}
         parts[3::7] = map(memo.__getitem__, counts)
         parts[4::7] = _reprs(result.min_norm_det_jp[piece], nan, prefixes[4])
@@ -490,8 +483,8 @@ def export(samples: ScanResult, fmt: str, destination) -> None:
 
     The text is built and written ``_EXPORT_ROWS`` points at a time, so an
     export holds one piece of it in memory, not the whole file.  Each distinct
-    determinant and count is formatted once per piece, and each grid axis
-    value once per export when the coordinates are a row-major grid.
+    determinant and count is formatted once per piece, and each axis value
+    once per export.
     """
     if fmt not in ("csv", "json"):
         raise InvalidParameter("format", f"must be csv or json, got {fmt!r}")

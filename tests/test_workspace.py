@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -23,16 +22,11 @@ def rows(samples):
     return "".join(workspace._chunks(samples, "csv")).splitlines()[1:]
 
 
-def sliced(result, index):
-    """The points of ``result`` at a slice ``index``, as a :class:`ScanResult`."""
-    return ScanResult(*(getattr(result, f.name)[index] for f in dataclasses.fields(result)))
-
-
-def labelled(points, params, threshold):
-    """A :class:`ScanResult` of ``points`` labelled one at a time by ``sample_point``."""
-    return ScanResult(*map(list, zip(*[
-        (x, y, z, *workspace.sample_point(Pose(x, y, z), params, threshold))
-        for x, y, z in points])))
+def labelled(axes, params, threshold):
+    """A :class:`ScanResult` of the grid ``axes`` labelled one point at a time by
+    ``sample_point``."""
+    labels = [workspace.sample_point(Pose(*point), params, threshold) for point in product(*axes)]
+    return ScanResult(*axes, *map(list, zip(*labels)))
 
 
 def kind(severity):
@@ -52,27 +46,23 @@ SMALL_SPEC = ScanSpec(resolution=5, **REFERENCE_BOX)
 # refinement, so coarse and fine grids share points bitwise
 DYADIC_SPEC = ScanSpec(x_range=(-64.0, 0.0), y_range=(0.0, 64.0), z_range=(192.0, 320.0),
                        resolution=3)
-# both signs of zero in one column: one set element, two reprs
-SIGNED_ZEROS = labelled([(x, y, z) for x in (0.0, -0.0) for y in (-0.0, 0.0)
-                         for z in (250.0, 1000.0)], P, 1e-3)
+# both signs of zero on two axes: one set element, two reprs
+SIGNED_ZEROS = labelled([[0.0, -0.0], [-0.0, 0.0], [250.0, 1000.0]], P, 1e-3)
 # hand-built determinant columns: repeated values, both signs of zero in one
 # column, NaN on a feasible (folded) row and on an infeasible one, infinity
 DET_COLUMNS = ScanResult(
-    x=[0.0] * 4 + [1.0] * 4,
-    y=[1.0, 1.0, 2.0, 2.0] * 2,
-    z=[2.0, 3.0] * 4,
+    xs=[0.0, 1.0],
+    ys=[1.0, 2.0],
+    zs=[2.0, 3.0],
     real_solution_count=[4, 4, 2, 2, 4, 0, 1, 1],
     min_norm_det_jp=[0.5, 0.5, 0.0, -0.0, float("nan"), float("nan"), math.inf, 0.5],
     min_norm_det_jq=[0.25, 0.25, -0.0, 0.0, float("nan"), float("nan"), 0.5, math.inf],
     severity=[0, 1, 2, 0, 1, 0, 3, 2],
 )
 
-
-# a 21^3 scan with one y entry set in place to -0.0 where the y axis holds 0.0
-NEGATIVE_ZERO_Y = scan(ScanSpec(resolution=21, **REFERENCE_BOX), P)
-NEGATIVE_ZERO_Y.y[NEGATIVE_ZERO_Y.y.index(0.0, len(NEGATIVE_ZERO_Y) // 2)] = -0.0
-# the small grid labelled one point at a time, last point first
-REVERSED_ROWS = labelled(list(product(*workspace._grid(SMALL_SPEC)))[::-1], P,
+# the small grid labelled one point at a time, last point first: the product
+# of the reversed axes
+REVERSED_ROWS = labelled([axis[::-1] for axis in workspace._grid(SMALL_SPEC)], P,
                          SMALL_SPEC.singularity_threshold)
 # a count no kernel makes: counts are formatted per distinct value, from no table
 COUNT_100 = scan(SMALL_SPEC, P)
@@ -135,6 +125,30 @@ class TestScanSpec:
         with pytest.raises(InvalidParameter):
             ScanSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
                      resolution=1)
+
+
+class TestScanResult:
+    @pytest.mark.parametrize("columns, named", [
+        # the four label columns of a 2 x 1 x 1 grid, each with one entry
+        pytest.param(([1], [0.5], [0.5], [0]), "real_solution_count", id="all"),
+        pytest.param(([1], [0.5, 0.5], [0.5, 0.5], [0, 0]), "real_solution_count", id="count"),
+        pytest.param(([1, 1], [0.5], [0.5, 0.5], [0, 0]), "min_norm_det_jp", id="jp"),
+        pytest.param(([1, 1], [0.5, 0.5], [0.5], [0, 0]), "min_norm_det_jq", id="jq"),
+        pytest.param(([1, 1], [0.5, 0.5], [0.5, 0.5], [0]), "severity", id="severity"),
+    ])
+    def test_label_columns_hold_one_entry_per_grid_point(self, columns, named):
+        with pytest.raises(InvalidParameter,
+                           match=f"^{named}: needs 2 entries, one per grid point, got 1$"):
+            ScanResult([1.0, 2.0], [1.0], [1.0], *columns)
+
+    @pytest.mark.parametrize("axes, named", [
+        pytest.param(([math.nan], [1.0], [1.0]), "xs", id="nan-x"),
+        pytest.param(([1.0], [math.inf], [1.0]), "ys", id="inf-y"),
+        pytest.param(([1.0], [1.0], [-math.inf]), "zs", id="minus-inf-z"),
+    ])
+    def test_axes_hold_finite_values(self, axes, named):
+        with pytest.raises(InvalidParameter, match=f"^{named}: must hold finite values$"):
+            ScanResult(*axes, [1], [0.5], [0.5], [0])
 
 
 class TestScan:
@@ -228,7 +242,7 @@ class TestCrossSection:
 
 class TestExport:
     def test_csv_shape_and_header(self, tmp_path):
-        samples = sliced(scan(DYADIC_SPEC, P), slice(2))
+        samples = labelled([[-64.0], [0.0], [192.0, 256.0]], P, DYADIC_SPEC.singularity_threshold)
         path = tmp_path / "points.csv"
         export(samples, "csv", path)
         lines = path.read_text().splitlines()
@@ -270,7 +284,6 @@ class TestExport:
         pytest.param(cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P, "z", 330.0),
                      id="section-z330"),
         pytest.param(SIGNED_ZEROS, id="signed-zeros"),
-        pytest.param(NEGATIVE_ZERO_Y, id="negative-zero-y"),
         pytest.param(REVERSED_ROWS, id="reversed-rows"),
         pytest.param(COUNT_100, id="count-100"),
     ])
@@ -296,7 +309,6 @@ class TestExport:
         pytest.param(cross_section(ScanSpec(resolution=5, **REFERENCE_BOX), P, "x", 80.0),
                      id="fold-rows"),
         pytest.param(SIGNED_ZEROS, id="signed-zeros"),
-        pytest.param(NEGATIVE_ZERO_Y, id="negative-zero-y"),
         pytest.param(REVERSED_ROWS, id="reversed-rows"),
         pytest.param(COUNT_100, id="count-100"),
     ])
@@ -316,7 +328,7 @@ class TestExport:
     def test_pieces_join_to_the_one_piece_export(self, tmp_path, monkeypatch, fmt, piece):
         # one x-plane, and the whole scan, whose pieces cross x-planes
         full = scan(SMALL_SPEC, P)
-        cases = {"plane": sliced(full, slice(25)), "full": full}
+        cases = {"plane": cross_section(SMALL_SPEC, P, "x", -110.0), "full": full}
         for name, samples in cases.items():
             export(samples, fmt, tmp_path / name)
         monkeypatch.setattr(workspace, "_EXPORT_ROWS", piece)
@@ -324,21 +336,6 @@ class TestExport:
             assert len(list(workspace._chunks(samples, fmt))) == -(-len(samples) // piece)
             export(samples, fmt, tmp_path / "pieces")
             assert (tmp_path / "pieces").read_bytes() == (tmp_path / name).read_bytes()
-
-    @pytest.mark.parametrize("samples, grid", [
-        pytest.param(scan(SMALL_SPEC, P), True, id="scan"),
-        pytest.param(cross_section(SMALL_SPEC, P, "y", 0.0), True, id="section"),
-        # reversed row order is the row-major product of the reversed axes
-        pytest.param(REVERSED_ROWS, True, id="reversed-rows"),
-        pytest.param(DET_COLUMNS, True, id="det-columns"),
-        pytest.param(NEGATIVE_ZERO_Y, False, id="negative-zero-y"),
-        pytest.param(SIGNED_ZEROS, False, id="signed-zeros"),
-        pytest.param(sliced(scan(SMALL_SPEC, P), slice(1, None)), False, id="no-first-row"),
-        pytest.param(sliced(scan(SMALL_SPEC, P), slice(None, None, 2)), False, id="every-other-row"),
-    ])
-    def test_only_a_product_of_axes_takes_the_grid_path(self, samples, grid):
-        prefixes, _, _, nan = workspace._SLOTS["csv"]
-        assert (workspace._grid_slots(samples, prefixes, nan) is not None) == grid
 
     @pytest.mark.parametrize("piece", [1, 3, workspace._EXPORT_ROWS])
     def test_determinant_columns_are_per_row_reprs(self, tmp_path, monkeypatch, piece):
@@ -471,8 +468,7 @@ def oracle(spec, params, axis=None, value=None):
     axes = [grid(r, spec.resolution) for r in (spec.x_range, spec.y_range, spec.z_range)]
     if axis is not None:
         axes["xyz".index(axis)] = [value]
-    return labelled([(x, y, z) for x in axes[0] for y in axes[1] for z in axes[2]],
-                    params, spec.singularity_threshold)
+    return labelled(axes, params, spec.singularity_threshold)
 
 
 class TestKernelMemory:
