@@ -422,7 +422,7 @@ def _parser() -> argparse.ArgumentParser:
                            "e.g. --section z 300.")
     scan.add_argument("--workers", type=_workers, default=1, metavar="N",
                       help="Accepted for compatibility; has no effect (the scan runs in "
-                           "one process, in numpy passes over whole x-planes). "
+                           "one process, in numpy passes over whole grid lines along y). "
                            "(default: %(default)s)")
     command("verify", cmd_verify)
     command("sweep", cmd_sweep)

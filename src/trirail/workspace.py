@@ -3,7 +3,7 @@
 A box is sampled on a regular grid; each point is tested for inverse
 feasibility and every real solution branch is classified through the
 velocity model.  A scan returns a :class:`ScanResult`: the grid's three
-axes and Python-list label columns (solution count, the two smallest
+axes and read-only numpy label columns (solution count, the two smallest
 determinants, the worst class) with one entry per point in row-major
 order, ready for CSV/JSON export (plot-ready point clouds rather than
 figures).  A point's class is the index ``serial + 2 * parallel`` into
@@ -33,13 +33,15 @@ shifts the rails.
   (x, z), each with its y-free terms: the signed roots and the Jp entries
   of the distal links.
 * Stage B runs over (cell, y) pairs, that is over existing branches only
-  (about a fifth of all), in passes of consecutive whole x-planes.  A pass
-  holds up to ``_PASS_PAIRS`` pairs and a plane with more runs alone: a
-  21^3 scan takes 6 passes, a 41 x 41 cross-section one or two, and no
-  numpy array spans the whole grid.  A pass decides which branches work
-  and are classified, computes the determinants, row norms and serial test
-  on the classified pairs only, gathered into 1-D arrays, and reduces them
-  per point with ``reduceat`` over the cells of each (x, z).
+  (about a fifth of all), in passes of consecutive whole (x, z) groups.  A
+  pass holds up to ``_PASS_PAIRS`` pairs: a 21^3 scan takes 5 passes and a
+  41 x 41 cross-section one or two.  A pass decides which branches work and
+  are classified, computes the determinants, row norms and serial test on
+  the classified pairs only, gathered into 1-D arrays, reduces them per
+  point with ``reduceat`` over the cells of each (x, z), and writes the
+  results into label arrays over (x, z) by y.  The pass's temporaries are
+  bounded by ``_PASS_PAIRS``; the label arrays span the grid, and one
+  transposed copy of each puts it in row-major order.
 
 The kernel
 
@@ -52,10 +54,10 @@ The kernel
 
 These make the two agree bit for bit, which keeps exports byte-identical;
 the staging changes no value, as every operation on a cell or a pair is
-elementwise and a per-point minimum or maximum does not depend on the
-order of the branches.  On a 2-core Xeon the ``perfbench`` workloads label
-and export about 720k points/s on the 21^3 box and about 500k points/s on
-41 x 41 sections.
+elementwise, no group is split between passes, and a per-point minimum or
+maximum does not depend on the order of the branches.  On a 2-core Xeon
+the ``perfbench`` workloads label and export about 720k points/s on the
+21^3 box and about 500k points/s on 41 x 41 sections.
 """
 
 from __future__ import annotations
@@ -111,36 +113,54 @@ def _product(xs: list, ys: list, zs: list) -> tuple[Iterator, Iterator, Iterator
             cycle(zs))
 
 
-# no generated __eq__: list equality of NaN dets depends on object identity
+#: each label column's name and dtype, and the least and greatest value of an integer one
+_LABEL_COLUMNS = (("real_solution_count", np.intp, 0, np.iinfo(np.intp).max),
+                  ("min_norm_det_jp", np.float64, None, None),
+                  ("min_norm_det_jq", np.float64, None, None),
+                  ("severity", np.int8, 0, len(_KINDS) - 1))
+
+
+# no generated __eq__: array == is elementwise, so comparing two results would raise
 @dataclass(frozen=True, eq=False)
 class ScanResult:
-    """Labelled points of the grid ``xs`` x ``ys`` x ``zs``: label columns with
-    one entry per point in row-major (x, then y, then z) order.  ``x``, ``y``
-    and ``z`` list each point's coordinates, derived from the axes.
+    """Labelled points of the grid ``xs`` x ``ys`` x ``zs``: read-only numpy
+    label columns with one entry per point in row-major (x, then y, then z)
+    order.  ``x``, ``y`` and ``z`` list each point's coordinates, derived from
+    the axes.
 
-    A point is feasible when its ``real_solution_count`` is positive.
-    ``severity`` is the worst class as an index into
-    :class:`SingularityKind`, and 0 on infeasible points.
+    A point is feasible when its ``real_solution_count`` (``np.intp``) is
+    positive.  ``severity`` (``np.int8``) is the worst class as an index into
+    :class:`SingularityKind`, and 0 on infeasible points.  The two det columns
+    are float64, NaN where no branch is classified.  Each column is a copy of
+    what the constructor was given.
     """
 
     xs: list[float]
     ys: list[float]
     zs: list[float]
-    real_solution_count: list[int]
-    min_norm_det_jp: list[float]
-    min_norm_det_jq: list[float]
-    severity: list[int]
+    real_solution_count: np.ndarray
+    min_norm_det_jp: np.ndarray
+    min_norm_det_jq: np.ndarray
+    severity: np.ndarray
 
     def __post_init__(self):
         for name in ("xs", "ys", "zs"):
             # export writes each axis value by repr, which has no JSON form for nan or inf
             if not all(map(math.isfinite, getattr(self, name))):
                 raise InvalidParameter(name, "must hold finite values")
-        for name in ("real_solution_count", "min_norm_det_jp", "min_norm_det_jq", "severity"):
-            got = len(getattr(self, name))
-            if got != len(self):
+        for name, dtype, lo, hi in _LABEL_COLUMNS:
+            given = np.asarray(getattr(self, name))
+            if given.shape != (len(self),):
                 raise InvalidParameter(name, f"needs {len(self)} entries, one per grid point, "
-                                             f"got {got}")
+                                             f"got {given.size}")
+            # checked before the cast, which would truncate a fraction and could
+            # wrap a bad class index into range
+            if lo is not None and not np.all((lo <= given) & (given <= hi) & (given % 1 == 0)):
+                raise InvalidParameter(name, f"must hold integers from {lo} to {hi}")
+            # a copy: freezing it leaves the caller's own array writable
+            column = given.astype(dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.xs) * len(self.ys) * len(self.zs)
@@ -193,11 +213,11 @@ def sample_point(pose: Pose, params: ValidatedParams,
 _AXES = ("x", "y", "z")
 
 #: (existing branch, y) pairs per numpy pass of the kernel's second stage:
-#: consecutive x-planes are grouped while a pass holds no more than this (a
-#: larger plane runs alone), so an array of a pass holds at most 96 KB of
-#: floats.  Sized by memory: a 21^3 scan peaks at 1.33 MB of traced memory,
-#: against 1.60 and 2.23 MB with passes of 16k and 32k pairs, which ran it
-#: no faster.
+#: consecutive (x, z) groups are taken while a pass holds no more than this (a
+#: larger group, possible only with over 384 y values, runs alone), so an
+#: array of a pass holds at most 96 KB of floats.  Sized by memory: a 21^3
+#: scan peaks at 1.17 MB of traced memory, against 1.42 and 2.46 MB with
+#: passes of 16k and 32k pairs, which ran it no faster.
 _PASS_PAIRS = 12288
 
 
@@ -234,8 +254,8 @@ def _norms(*row) -> np.ndarray:
 
 
 def _passes(sizes: list[int], budget: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) of runs of consecutive planes with ``sizes`` pairs each: a
-    run holds at most ``budget`` pairs, unless it is one plane."""
+    """(start, stop) of runs of consecutive groups with ``sizes`` pairs each: a
+    run holds at most ``budget`` pairs, unless it is one group."""
     start = total = 0
     for stop, size in enumerate(sizes):
         if total + size > budget and stop > start:
@@ -247,13 +267,13 @@ def _passes(sizes: list[int], budget: int) -> Iterator[tuple[int, int]]:
 
 def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     """Per-point (solution count, min |norm det Jp|, min |norm det Jq|, worst
-    severity) lists over the points ``xs`` x ``ys`` x ``zs``, row-major.
+    severity) arrays over the points ``xs`` x ``ys`` x ``zs``, row-major.
 
     Every branch decision is the one :func:`ik.solve`, :func:`jacobian.build`
     and :func:`jacobian.classify` make for that branch.  Stage A decides which
     branches exist over (x, z, alpha slot, beta slot, s1, s2, s3), as y takes
     no part in that, and lists the existing ones as cells grouped by (x, z).
-    Stage B runs over (cell, y) pairs in passes of whole x-planes.
+    Stage B runs over (cell, y) pairs in passes of whole groups.
     """
     l1, l2, l3, l6 = params.l1, params.l2, params.l3, params.l6
     per_x = []
@@ -296,20 +316,18 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     count = exists.reshape(len(xs), len(zs), -1).sum(axis=2)
     groups = np.flatnonzero(count)
     sizes = count.ravel()[groups]
-    first = np.cumsum(sizes) - sizes
-    plane_cells = count.sum(axis=1)
-    plane_first = np.concatenate(([0], np.cumsum(plane_cells))).tolist()
-    plane_groups = np.concatenate(([0], np.cumsum(np.count_nonzero(count, axis=1)))).tolist()
+    # the cells of group g are edges[g]:edges[g + 1]
+    edges = np.concatenate(([0], np.cumsum(sizes)))
 
     # stage B, over (cell, y)
-    ny, nz = len(ys), len(zs)
+    nx, ny, nz = len(xs), len(ys), len(zs)
     Y = np.asarray(ys, dtype=float)
     y_c1, y_c2, y_c3 = Y + l3 / 2.0, Y - l3 / 2.0, Y
 
     def reduced(c: slice, g: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Min |norm det Jp|, min |norm det Jq| and worst class of the cells ``c``
         of the groups ``g``, at every y: arrays over (group, y)."""
-        starts = first[g] - c.start
+        starts = edges[g] - c.start
         yA1 = y_c1 + r1[c, None]
         yA2 = y_c2 + r2[c, None]
         working = np.abs((yA1 - l3) - yA2) > fk.EPS_B
@@ -348,16 +366,15 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
         np.put(least, pairs, np.abs((u11 / l2) * (u22 / l2) * (u33 / l6)))
         return jp, np.fmin.reduceat(least, starts), np.maximum.reduceat(severity, starts)
 
-    jp_min, jq_min, worst = [], [], []
-    for x0, x1 in _passes((plane_cells * ny).tolist(), _PASS_PAIRS):
-        g = slice(plane_groups[x0], plane_groups[x1])
-        labels = reduced(slice(plane_first[x0], plane_first[x1]), g)
-        for column, values, empty in zip((jp_min, jq_min, worst), labels, (np.nan, np.nan, 0)):
-            # every (x, z) of the pass at every y, then row-major (x, y, z)
-            points = np.full(((x1 - x0) * nz, ny), empty, values.dtype)
-            points[groups[g] - x0 * nz] = values
-            column.extend(points.reshape(x1 - x0, nz, ny).transpose(0, 2, 1).ravel().tolist())
-    return ([n for row in count.tolist() for n in row * ny], jp_min, jq_min, worst)
+    # the labels over (x, z) by y; an (x, z) with no cell keeps the infeasible fill
+    labels = (np.full((nx * nz, ny), np.nan), np.full((nx * nz, ny), np.nan),
+              np.zeros((nx * nz, ny), np.int8))
+    for g0, g1 in _passes((sizes * ny).tolist(), _PASS_PAIRS):
+        for column, values in zip(labels, reduced(slice(edges[g0], edges[g1]), slice(g0, g1))):
+            column[groups[g0:g1]] = values
+    # (x, z) by y to row-major (x, y, z): one transposed copy per column
+    return (np.broadcast_to(count[:, None], (nx, ny, nz)).ravel(),
+            *(column.reshape(nx, nz, ny).transpose(0, 2, 1).ravel() for column in labels))
 
 
 def _kernel(xs, ys, zs, params: ValidatedParams, threshold: float) -> ScanResult:
@@ -402,16 +419,15 @@ _EXPORT_ROWS = 1 << 16
 
 #: The fixed text of an exported point, per format: the text before each of
 #: its seven slot values (x, y, z, count, min jp, min jq, class), the text
-#: after the class name, the tail after z of an infeasible point, and NaN.
+#: after the class name, the text before an infeasible point's count, and NaN.
 #: A JSON record starts with the ``,\n`` that separates it from the one before.
 _SLOTS = {
-    "csv": (("", ",", ",", ",true,", ",", ",", ","), "\n", ",false,0,nan,nan,none\n", "nan"),
+    "csv": (("", ",", ",", ",true,", ",", ",", ","), "\n", ",false,", "nan"),
     "json": ((',\n {\n  "x": ', ',\n  "y": ', ',\n  "z": ',
               ',\n  "feasible": true,\n  "real_solution_count": ',
               ',\n  "min_norm_det_jp": ', ',\n  "min_norm_det_jq": ', ',\n  "class": "'),
              '"\n }',
-             ',\n  "feasible": false,\n  "real_solution_count": 0,\n  "min_norm_det_jp": null,'
-             '\n  "min_norm_det_jq": null,\n  "class": "none"\n }',
+             ',\n  "feasible": false,\n  "real_solution_count": ',
              "null"),
 }
 
@@ -428,49 +444,38 @@ def _reprs(values: list[float], nan: str, prefix: str) -> list[str]:
     return list(map(memo.get, values, repeat(nan)))
 
 
-def _blank_infeasible(parts: list[str], counts: list[int]) -> None:
-    """Empty the min jp, min jq and class slots of the infeasible points among
-    ``parts``, whose count slot holds their whole tail, one run of consecutive
-    infeasible points at a time."""
-    # one byte per point, 1 where it is feasible; the last 1 ends the last run
-    feasible = bytes(map(bool, counts)) + b"\1"
-    lo = feasible.find(0)
-    while lo >= 0:
-        hi = feasible.find(1, lo)
-        blank = [""] * (hi - lo)
-        for k in (4, 5, 6):
-            parts[7 * lo + k:7 * hi:7] = blank
-        lo = feasible.find(0, hi)
-
-
 def _chunks(result: ScanResult, fmt: str) -> Iterator[str]:
     """The export text of ``result`` in pieces of up to ``_EXPORT_ROWS`` points.
 
     A piece is the join of seven slot strings per point, each carrying its
     fixed text from ``_SLOTS``; every slot column is filled at once by a
-    strided slice assignment.  Each axis value is formatted once per export,
-    by ``repr``: an axis is short, so no memo merges 0.0 with -0.0.
+    strided slice assignment.  An infeasible point writes NaN dets and the
+    class ``none``, whatever its label columns hold.  Each axis value is
+    formatted once per export, by ``repr``: an axis is short, so no memo
+    merges 0.0 with -0.0.
     """
-    prefixes, end, tail, nan = _SLOTS[fmt]
+    prefixes, end, infeasible, nan = _SLOTS[fmt]
     if not len(result):
         yield f"{CSV_HEADER}\n" if fmt == "csv" else "[]\n"
         return
-    classes = [f"{prefixes[6]}{kind.value}{end}" for kind in _KINDS]
+    # index 0 is an infeasible point's class, k + 1 the class index k
+    classes = [f"{prefixes[6]}{name}{end}" for name in ["none", *(k.value for k in _KINDS)]]
     axes = (result.xs, result.ys, result.zs)
     coordinates = _product(*([f"{prefix}{v!r}" for v in axis]
                              for axis, prefix in zip(axes, prefixes)))
     for start in range(0, len(result), _EXPORT_ROWS):
         piece = slice(start, start + _EXPORT_ROWS)
-        counts = result.real_solution_count[piece]
+        feasible = result.real_solution_count[piece] > 0
+        counts = result.real_solution_count[piece].tolist()
         parts = [""] * (7 * len(counts))
         for k, slots in enumerate(coordinates):
             parts[k::7] = islice(slots, len(counts))
-        memo = {n: f"{prefixes[3]}{n}" if n else tail for n in set(counts)}
+        memo = {n: f"{prefixes[3] if n else infeasible}{n}" for n in set(counts)}
         parts[3::7] = map(memo.__getitem__, counts)
-        parts[4::7] = _reprs(result.min_norm_det_jp[piece], nan, prefixes[4])
-        parts[5::7] = _reprs(result.min_norm_det_jq[piece], nan, prefixes[5])
-        parts[6::7] = map(classes.__getitem__, result.severity[piece])
-        _blank_infeasible(parts, counts)
+        for k, column in ((4, result.min_norm_det_jp), (5, result.min_norm_det_jq)):
+            parts[k::7] = _reprs(np.where(feasible, column[piece], np.nan).tolist(), nan,
+                                 prefixes[k])
+        parts[6::7] = map(classes.__getitem__, (feasible * (result.severity[piece] + 1)).tolist())
         if start == 0:
             parts[0] = f"{CSV_HEADER}\n{parts[0]}" if fmt == "csv" else f"[\n{parts[0][2:]}"
         if fmt == "json" and start + _EXPORT_ROWS >= len(result):
@@ -510,9 +515,8 @@ def check_writable(destination) -> None:
 
 
 def summary(samples: ScanResult) -> dict[str, int]:
-    """Counts by label: total, feasible, and one bucket per class."""
-    infeasible = samples.real_solution_count.count(0)
-    by_class = {kind.value: samples.severity.count(k) for k, kind in enumerate(_KINDS)}
-    # infeasible points carry severity 0
-    by_class[SingularityKind.REGULAR.value] -= infeasible
-    return {"total": len(samples), "feasible": len(samples) - infeasible, **by_class}
+    """Counts by label: total, feasible, and one bucket per class, as Python ints."""
+    classes = samples.severity[samples.real_solution_count > 0]
+    by_class = np.bincount(classes, minlength=len(_KINDS)).tolist()
+    return {"total": len(samples), "feasible": len(classes),
+            **{kind.value: n for kind, n in zip(_KINDS, by_class)}}

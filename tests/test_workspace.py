@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import re
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,36 +51,47 @@ DYADIC_SPEC = ScanSpec(x_range=(-64.0, 0.0), y_range=(0.0, 64.0), z_range=(192.0
 # both signs of zero on two axes: one set element, two reprs
 SIGNED_ZEROS = labelled([[0.0, -0.0], [-0.0, 0.0], [250.0, 1000.0]], P, 1e-3)
 # hand-built determinant columns: repeated values, both signs of zero in one
-# column, NaN on a feasible (folded) row and on an infeasible one, infinity
+# column, NaN on a feasible (folded) row and on an infeasible one, infinity,
+# and an infeasible row holding a det and a class, which export writes as NaN
+# and none
 DET_COLUMNS = ScanResult(
     xs=[0.0, 1.0],
     ys=[1.0, 2.0],
     zs=[2.0, 3.0],
     real_solution_count=[4, 4, 2, 2, 4, 0, 1, 1],
     min_norm_det_jp=[0.5, 0.5, 0.0, -0.0, float("nan"), float("nan"), math.inf, 0.5],
-    min_norm_det_jq=[0.25, 0.25, -0.0, 0.0, float("nan"), float("nan"), 0.5, math.inf],
-    severity=[0, 1, 2, 0, 1, 0, 3, 2],
+    min_norm_det_jq=[0.25, 0.25, -0.0, 0.0, float("nan"), 0.25, 0.5, math.inf],
+    severity=[0, 1, 2, 0, 1, 3, 3, 2],
 )
 
 # the small grid labelled one point at a time, last point first: the product
 # of the reversed axes
 REVERSED_ROWS = labelled([axis[::-1] for axis in workspace._grid(SMALL_SPEC)], P,
                          SMALL_SPEC.singularity_threshold)
+
+def with_count_100(samples):
+    """``samples`` with its first count of 8 made 100."""
+    counts = samples.real_solution_count.tolist()
+    counts[counts.index(8)] = 100
+    return dataclasses.replace(samples, real_solution_count=counts)
+
+
 # a count no kernel makes: counts are formatted per distinct value, from no table
-COUNT_100 = scan(SMALL_SPEC, P)
-COUNT_100.real_solution_count[COUNT_100.real_solution_count.index(8)] = 100
+COUNT_100 = with_count_100(scan(SMALL_SPEC, P))
 
 
-def traced_peak(call) -> int:
-    """The traced memory peak of ``call()`` after a warm-up call, in bytes."""
+def traced(call) -> tuple[int, int]:
+    """The traced memory that the result of ``call()`` holds, and the traced
+    peak of the call, after a warm-up call, in bytes."""
     call()
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
+        result = call()  # held until the memory is read
+        held, peak = tracemalloc.get_traced_memory()
+        return held - before, peak - before
     finally:
         if not tracing:
             tracemalloc.stop()
@@ -149,6 +162,40 @@ class TestScanResult:
     def test_axes_hold_finite_values(self, axes, named):
         with pytest.raises(InvalidParameter, match=f"^{named}: must hold finite values$"):
             ScanResult(*axes, [1], [0.5], [0.5], [0])
+
+    @pytest.mark.parametrize("columns, named", [
+        pytest.param(([1], [0.5], [0.5], [-1]), "severity", id="severity-minus-1"),
+        pytest.param(([1], [0.5], [0.5], [-4]), "severity", id="severity-minus-4"),
+        pytest.param(([1], [0.5], [0.5], [4]), "severity", id="severity-4"),
+        # past int8: a cast before the check would wrap it to 1
+        pytest.param(([1], [0.5], [0.5], [257]), "severity", id="severity-257"),
+        pytest.param(([-3], [0.5], [0.5], [0]), "real_solution_count", id="count-minus-3"),
+        # a cast would truncate these to 1 and 2
+        pytest.param(([1.5], [0.5], [0.5], [0]), "real_solution_count", id="count-1.5"),
+        pytest.param(([1], [0.5], [0.5], [2.5]), "severity", id="severity-2.5"),
+    ])
+    def test_label_values_are_checked(self, columns, named):
+        with pytest.raises(InvalidParameter, match=f"^{named}: must hold integers from 0 to "):
+            ScanResult([0.0], [0.0], [0.0], *columns)
+
+    @pytest.mark.parametrize("name", [
+        "real_solution_count", "min_norm_det_jp", "min_norm_det_jq", "severity"])
+    def test_label_columns_are_read_only(self, name):
+        samples = ScanResult([1.0, 2.0], [1.0], [1.0], [1, 1], [0.5, 0.5], [0.5, 0.5], [0, 0])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(samples, name)[0] = 0
+
+    def test_label_columns_are_copies(self):
+        counts, jp, jq, severity = [1, 1], [0.5, 0.5], np.array([0.5, 0.5]), [0, 0]
+        samples = ScanResult([1.0, 2.0], [1.0], [1.0], counts, jp, jq, severity)
+        before = rows(samples)
+        # a caller's array is copied, not frozen in place
+        jq[0] = 0.25
+        # lists edited and grown after construction
+        for column, value in ((counts, 3), (jp, 0.25), (severity, 2)):
+            column[0] = value
+            column.append(value)
+        assert rows(samples) == before
 
 
 class TestScan:
@@ -298,8 +345,9 @@ class TestExport:
             "min_norm_det_jq": None if math.isnan(jq) else jq,
             "class": kind(severity).value if count else "none",
         } for x, y, z, count, jp, jq, severity in zip(
-            samples.x, samples.y, samples.z, samples.real_solution_count,
-            samples.min_norm_det_jp, samples.min_norm_det_jq, samples.severity)]
+            samples.x, samples.y, samples.z, samples.real_solution_count.tolist(),
+            samples.min_norm_det_jp.tolist(), samples.min_norm_det_jq.tolist(),
+            samples.severity.tolist())]
         path = tmp_path / "points.json"
         export(samples, "json", path)
         assert path.read_bytes() == (json.dumps(records, indent=1) + "\n").encode()
@@ -317,8 +365,9 @@ class TestExport:
             repr(x), repr(y), repr(z), "true" if count else "false", str(count),
             repr(jp), repr(jq), kind(severity).value if count else "none",
         )) for x, y, z, count, jp, jq, severity in zip(
-            samples.x, samples.y, samples.z, samples.real_solution_count,
-            samples.min_norm_det_jp, samples.min_norm_det_jq, samples.severity)]
+            samples.x, samples.y, samples.z, samples.real_solution_count.tolist(),
+            samples.min_norm_det_jp.tolist(), samples.min_norm_det_jq.tolist(),
+            samples.severity.tolist())]
         path = tmp_path / "points.csv"
         export(samples, "csv", path)
         assert path.read_text() == "\n".join(lines) + "\n"
@@ -340,8 +389,9 @@ class TestExport:
     @pytest.mark.parametrize("piece", [1, 3, workspace._EXPORT_ROWS])
     def test_determinant_columns_are_per_row_reprs(self, tmp_path, monkeypatch, piece):
         samples = DET_COLUMNS
-        columns = list(zip(samples.x, samples.y, samples.z, samples.real_solution_count,
-                           samples.min_norm_det_jp, samples.min_norm_det_jq, samples.severity))
+        columns = list(zip(samples.x, samples.y, samples.z, samples.real_solution_count.tolist(),
+                           samples.min_norm_det_jp.tolist(), samples.min_norm_det_jq.tolist(),
+                           samples.severity.tolist()))
         csv_lines = [workspace.CSV_HEADER] + [",".join((
             repr(x), repr(y), repr(z), "true" if count else "false", str(count),
             repr(jp) if count else "nan", repr(jq) if count else "nan",
@@ -423,7 +473,7 @@ class TestLabels:
         assert kind(severity) in (SingularityKind.SERIAL, SingularityKind.COMPREHENSIVE)
 
     def test_reference_box_41_is_pinned(self, tmp_path):
-        # the full-resolution reference scan: 39 passes, most of one x-plane over the pair budget
+        # the full-resolution reference scan: 1,252 groups in 36 passes
         samples = scan(ScanSpec(resolution=41, **REFERENCE_BOX), P)
         assert summary(samples) == {
             "total": 41 ** 3, "feasible": 51332, "regular": 49856,
@@ -455,6 +505,8 @@ class TestLabels:
         assert counts["feasible"] == sum(count > 0 for count in samples.real_solution_count)
         assert counts["feasible"] == (counts["regular"] + counts["serial"]
                                       + counts["parallel"] + counts["comprehensive"])
+        assert all(type(n) is int for n in counts.values())
+        assert json.loads(json.dumps(counts)) == counts
 
 
 def grid(bounds, n):
@@ -482,7 +534,12 @@ class TestKernelMemory:
                                            "z", 280.0), 1_003_090, id="section-z280"),
     ])
     def test_traced_peak(self, call, ceiling):
-        assert traced_peak(call) <= ceiling
+        assert traced(call)[1] <= ceiling
+
+    def test_held_result(self):
+        # the 41^3 labels as typed arrays: about 1.7 MB, against 5.6 MB as lists
+        held = traced(lambda: scan(ScanSpec(resolution=41, **REFERENCE_BOX), P))[0]
+        assert held <= 2_500_000
 
 
 class TestExportMemory:
@@ -496,7 +553,7 @@ class TestExportMemory:
                                            "z", 280.0), 1_099_209, id="section-z280-json"),
     ])
     def test_traced_peak(self, tmp_path, fmt, samples, ceiling):
-        assert traced_peak(lambda: export(samples, fmt, tmp_path / "points")) <= ceiling
+        assert traced(lambda: export(samples, fmt, tmp_path / "points"))[1] <= ceiling
 
 
 class TestKernelMatchesSamplePoint:
@@ -516,11 +573,11 @@ class TestKernelMatchesSamplePoint:
                      id="stroke-boundary"),
         pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "x", -15.4714, id="x-section"),
         pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "y", 9.6849, id="y-section"),
-        # a z-section groups its 41-point x-planes into two numpy passes
+        # a z-section's 38 groups take two numpy passes
         pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "z", 330.0, id="z-section"),
-        # one pass mixing unreachable planes (x = -140, 90), one beta elbow
-        # (x = -130), one alpha elbow (x = 80) and two-elbow planes; at
-        # z = 250 both single-elbow planes have feasible points
+        # one pass holding the groups of one beta elbow (x = -130), one alpha
+        # elbow (x = 80) and two-elbow planes, beside unreachable planes
+        # (x = -140, 90); at z = 250 both single-elbow planes have feasible points
         pytest.param(ScanSpec(x_range=(-140.0, 90.0), y_range=(-250.0, 250.0),
                               z_range=(180.0, 480.0), resolution=24), "z", 250.0,
                      id="z-section-mixed-planes"),
@@ -560,9 +617,9 @@ class TestKernelMatchesSamplePoint:
                     assert math.isnan(det) or math.isclose(det, other_det, rel_tol=1e-12)
 
     @pytest.mark.parametrize("spec, axis, value, between", [
-        # planes of 2,016 to 3,192 pairs: the smallest two share a pass
-        pytest.param(ScanSpec(resolution=21, **REFERENCE_BOX), None, None, 4500, id="box-21"),
-        # planes of 328 pairs: two to a pass
+        # groups of 168 to 336 pairs: two of the smallest share a pass
+        pytest.param(ScanSpec(resolution=21, **REFERENCE_BOX), None, None, 400, id="box-21"),
+        # groups of 328 pairs: two to a pass
         pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "z", 330.0, 700, id="z-section"),
     ])
     def test_pass_boundaries(self, monkeypatch, spec, axis, value, between):
@@ -572,16 +629,15 @@ class TestKernelMatchesSamplePoint:
         reference = oracle(spec, P, axis, value)
         expected = rows(reference)
         assert labels() == expected
-        # an x-plane's pairs are its points' existing branches
-        counts = reference.real_solution_count
-        plane = len(counts) // len(set(reference.x))
-        sizes = [sum(counts[i:i + plane]) for i in range(0, len(counts), plane)]
-        # 1: every plane with a branch exceeds the budget and runs alone
-        assert all(stop - start == 1 for start, stop in workspace._passes(sizes, 1)
-                   if any(sizes[start:stop]))
-        # between one plane's pairs and two planes': some pass holds two planes
-        assert any(sum(size > 0 for size in sizes[start:stop]) >= 2
-                   for start, stop in workspace._passes(sizes, between))
+        # a group is an (x, z) with a branch; its pairs are those branches at every y
+        ny = len(reference.ys)
+        per_xz = reference.real_solution_count.reshape(len(reference.xs), ny, -1)[:, 0]
+        sizes = [n * ny for n in per_xz.ravel().tolist() if n]
+        # 1: every group exceeds the budget and runs alone
+        assert all(stop - start == 1 for start, stop in workspace._passes(sizes, 1))
+        # between one group's pairs and two groups': some pass holds two groups
+        assert max(sizes) <= between
+        assert any(stop - start >= 2 for start, stop in workspace._passes(sizes, between))
         for budget in (1, between):
             monkeypatch.setattr(workspace, "_PASS_PAIRS", budget)
             assert labels() == expected
