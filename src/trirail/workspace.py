@@ -55,9 +55,12 @@ The kernel
 These make the two agree bit for bit, which keeps exports byte-identical;
 the staging changes no value, as every operation on a cell or a pair is
 elementwise, no group is split between passes, and a per-point minimum or
-maximum does not depend on the order of the branches.  On a 2-core Xeon
-the ``perfbench`` workloads label and export about 720k points/s on the
-21^3 box and about 500k points/s on 41 x 41 sections.
+maximum does not depend on the order of the branches.
+
+An export writes each axis value's text once and each point's label text
+once per run of equal labels along y (:func:`_tails`).  On a 2-core Xeon
+the ``perfbench`` workloads label and export about 1.1M points/s on the
+21^3 box and about 600k points/s on 41 x 41 sections.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, cycle, filterfalse, islice, repeat
+from itertools import chain, cycle, islice, repeat
 
 import numpy as np
 
@@ -151,8 +154,10 @@ class ScanResult:
         for name, dtype, lo, hi in _LABEL_COLUMNS:
             given = np.asarray(getattr(self, name))
             if given.shape != (len(self),):
+                # a column that is not 1-D may hold as many entries as the grid
+                got = given.size if given.ndim == 1 else f"shape {given.shape}"
                 raise InvalidParameter(name, f"needs {len(self)} entries, one per grid point, "
-                                             f"got {given.size}")
+                                             f"got {got}")
             # checked before the cast, which would truncate a fraction and could
             # wrap a bad class index into range
             if lo is not None and not np.all((lo <= given) & (given <= hi) & (given % 1 == 0)):
@@ -418,9 +423,9 @@ def cross_section(
 _EXPORT_ROWS = 1 << 16
 
 #: The fixed text of an exported point, per format: the text before each of
-#: its seven slot values (x, y, z, count, min jp, min jq, class), the text
-#: after the class name, the text before an infeasible point's count, and NaN.
-#: A JSON record starts with the ``,\n`` that separates it from the one before.
+#: its seven values (x, y, z, count, min jp, min jq, class), the text after
+#: the class name, the text before an infeasible point's count, and NaN.  A
+#: JSON record starts with the ``,\n`` that separates it from the one before.
 _SLOTS = {
     "csv": (("", ",", ",", ",true,", ",", ",", ","), "\n", ",false,", "nan"),
     "json": ((',\n {\n  "x": ', ',\n  "y": ', ',\n  "z": ',
@@ -432,50 +437,61 @@ _SLOTS = {
 }
 
 
-def _reprs(values: list[float], nan: str, prefix: str) -> list[str]:
-    """``prefix`` and the ``repr`` of each value, ``prefix`` and ``nan`` for NaN,
-    with each distinct value formatted once per call."""
-    memo = {v: f"{prefix}{v!r}" for v in set(values) if v == v}
-    nan = prefix + nan
-    # 0.0 and -0.0 are one set element but two reprs
-    if 0.0 in memo and len(set(map(repr, filterfalse(None, values)))) > 1:
-        return [f"{prefix}{v!r}" if v == v else nan for v in values]
-    # a NaN equals no key
-    return list(map(memo.get, values, repeat(nan)))
+def _tails(result: ScanResult, piece: slice, fmt: str) -> list[str]:
+    """The label tail of each point of ``result[piece]``: its count, min jp,
+    min jq and class, each with its fixed text from ``_SLOTS``.
+
+    A tail is formatted only where the point's labels differ, bit for bit,
+    from those of the point ``len(result.zs)`` places back in the piece: the
+    same (x, z) one y back, except at the first y of an x.  Any other point
+    takes the tail of the last point formatted on that chain.  Equal bits
+    give equal text, so this is exact for any grid and any cut into pieces;
+    0.0 and -0.0 differ in their bits.  An infeasible point writes NaN dets
+    and the class ``none``, whatever its label columns hold.
+    """
+    prefixes, end, infeasible, nan = _SLOTS[fmt]
+    # index 0 is an infeasible point's class, k + 1 the class index k
+    classes = [f"{prefixes[6]}{name}{end}" for name in ["none", *(k.value for k in _KINDS)]]
+    counts = result.real_solution_count[piece]
+    feasible = counts > 0
+    jp, jq = (np.where(feasible, column[piece], np.nan)
+              for column in (result.min_norm_det_jp, result.min_norm_det_jq))
+    labels = (counts, jp, jq, feasible * (result.severity[piece] + 1))
+    # a piece's first points start their chains, so they are always formatted
+    stride = len(result.zs)
+    new = np.arange(len(counts)) < stride
+    for column in (counts, jp.view(np.int64), jq.view(np.int64), labels[3]):
+        new[stride:] |= column[stride:] != column[:-stride]
+    at = np.flatnonzero(new)
+    tails = np.empty(len(counts), object)
+    # NaN is tested per value, so a NaN with any payload writes nan
+    tails[at] = [f"{prefixes[3] if n else infeasible}{n}{prefixes[4]}{repr(p) if p == p else nan}"
+                 f"{prefixes[5]}{repr(q) if q == q else nan}{classes[c]}"
+                 for n, p, q, c in zip(*(column[at].tolist() for column in labels))]
+    # the last formatted point of each chain: a running maximum down the grid lines
+    last = np.zeros(-(-len(counts) // stride) * stride, np.intp)
+    last[at] = at
+    return tails[np.maximum.accumulate(last.reshape(-1, stride)).ravel()[:len(counts)]].tolist()
 
 
 def _chunks(result: ScanResult, fmt: str) -> Iterator[str]:
     """The export text of ``result`` in pieces of up to ``_EXPORT_ROWS`` points.
 
-    A piece is the join of seven slot strings per point, each carrying its
-    fixed text from ``_SLOTS``; every slot column is filled at once by a
-    strided slice assignment.  An infeasible point writes NaN dets and the
-    class ``none``, whatever its label columns hold.  Each axis value is
-    formatted once per export, by ``repr``: an axis is short, so no memo
-    merges 0.0 with -0.0.
+    A piece is the join of four slot strings per point, each carrying its
+    fixed text from ``_SLOTS``: the x, y and z, each axis value formatted once
+    per export by ``repr``, and the label tail from :func:`_tails`.
     """
-    prefixes, end, infeasible, nan = _SLOTS[fmt]
     if not len(result):
         yield f"{CSV_HEADER}\n" if fmt == "csv" else "[]\n"
         return
-    # index 0 is an infeasible point's class, k + 1 the class index k
-    classes = [f"{prefixes[6]}{name}{end}" for name in ["none", *(k.value for k in _KINDS)]]
-    axes = (result.xs, result.ys, result.zs)
-    coordinates = _product(*([f"{prefix}{v!r}" for v in axis]
-                             for axis, prefix in zip(axes, prefixes)))
+    coordinates = _product(*([f"{prefix}{v!r}" for v in axis] for axis, prefix
+                             in zip((result.xs, result.ys, result.zs), _SLOTS[fmt][0])))
     for start in range(0, len(result), _EXPORT_ROWS):
-        piece = slice(start, start + _EXPORT_ROWS)
-        feasible = result.real_solution_count[piece] > 0
-        counts = result.real_solution_count[piece].tolist()
-        parts = [""] * (7 * len(counts))
+        tails = _tails(result, slice(start, start + _EXPORT_ROWS), fmt)
+        parts = [""] * (4 * len(tails))
         for k, slots in enumerate(coordinates):
-            parts[k::7] = islice(slots, len(counts))
-        memo = {n: f"{prefixes[3] if n else infeasible}{n}" for n in set(counts)}
-        parts[3::7] = map(memo.__getitem__, counts)
-        for k, column in ((4, result.min_norm_det_jp), (5, result.min_norm_det_jq)):
-            parts[k::7] = _reprs(np.where(feasible, column[piece], np.nan).tolist(), nan,
-                                 prefixes[k])
-        parts[6::7] = map(classes.__getitem__, (feasible * (result.severity[piece] + 1)).tolist())
+            parts[k::4] = islice(slots, len(tails))
+        parts[3::4] = tails
         if start == 0:
             parts[0] = f"{CSV_HEADER}\n{parts[0]}" if fmt == "csv" else f"[\n{parts[0][2:]}"
         if fmt == "json" and start + _EXPORT_ROWS >= len(result):
@@ -487,9 +503,10 @@ def export(samples: ScanResult, fmt: str, destination) -> None:
     """Write points as CSV or JSON; bit-stable for identical inputs.
 
     The text is built and written ``_EXPORT_ROWS`` points at a time, so an
-    export holds one piece of it in memory, not the whole file.  Each distinct
-    determinant and count is formatted once per piece, and each axis value
-    once per export.
+    export holds one piece of it in memory, not the whole file.  Each axis
+    value is formatted once per export, and a point's labels only where they
+    differ from those of the point one grid line (``len(samples.zs)`` points)
+    back.
     """
     if fmt not in ("csv", "json"):
         raise InvalidParameter("format", f"must be csv or json, got {fmt!r}")

@@ -97,6 +97,75 @@ def traced(call) -> tuple[int, int]:
             tracemalloc.stop()
 
 
+def per_row(samples):
+    """Each point of ``samples`` as (x, y, z, count, jp, jq, class name) in Python
+    types, with NaN dets and the class ``none`` on an infeasible point."""
+    for x, y, z, count, jp, jq, severity in zip(
+            samples.x, samples.y, samples.z, samples.real_solution_count.tolist(),
+            samples.min_norm_det_jp.tolist(), samples.min_norm_det_jq.tolist(),
+            samples.severity.tolist()):
+        if not count:
+            jp = jq = math.nan
+        yield x, y, z, count, jp, jq, kind(severity).value if count else "none"
+
+
+def csv_reference(samples) -> str:
+    """The CSV export of ``samples``, built one row at a time from reprs."""
+    lines = [workspace.CSV_HEADER] + [",".join((
+        repr(x), repr(y), repr(z), "true" if count else "false", str(count),
+        repr(jp), repr(jq), name,
+    )) for x, y, z, count, jp, jq, name in per_row(samples)]
+    return "\n".join(lines) + "\n"
+
+
+def json_reference(samples) -> str:
+    """The JSON export of ``samples``, built by ``json.dumps`` of one record per row."""
+    records = [{
+        "x": x,
+        "y": y,
+        "z": z,
+        "feasible": count > 0,
+        "real_solution_count": count,
+        "min_norm_det_jp": None if math.isnan(jp) else jp,
+        "min_norm_det_jq": None if math.isnan(jq) else jq,
+        "class": name,
+    } for x, y, z, count, jp, jq, name in per_row(samples)]
+    return json.dumps(records, indent=1) + "\n"
+
+
+# a NaN that is not the canonical one: its bits differ from float("nan")'s
+NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0123], np.uint64).view(np.float64).item()
+# runs of (count, jp, jq, class) labels that an export lays along the chains of
+# points one grid line apart; a point's label text is formatted only where its
+# labels differ, bit for bit, from those one grid line back
+TAIL_RUNS = {
+    # -0.0 equals 0.0 as a value, not as bits
+    "signed-zero": [(2, 0.0, 0.5, 1), (2, 0.0, 0.5, 1), (2, -0.0, 0.5, 1), (2, 0.0, 0.5, 1),
+                    (2, 0.0, -0.0, 1)],
+    # feasible NaNs, one with a payload: every NaN writes nan or null
+    "nan-payload": [(4, math.nan, 0.5, 1), (4, math.nan, 0.5, 1), (4, NAN_PAYLOAD, 0.5, 1),
+                    (4, math.nan, 0.5, 1), (4, math.nan, NAN_PAYLOAD, 1)],
+    # infeasible points holding the dets and class of their feasible neighbours
+    "infeasible-between": [(2, 0.5, 0.25, 2), (0, 0.5, 0.25, 2), (2, 0.5, 0.25, 2),
+                           (2, 0.5, 0.25, 2), (0, 0.5, 0.25, 2)],
+}
+# a box, a y-section (ny = 1) and an x-section (nx = 1), each with nz = 3
+TAIL_GRIDS = {
+    "box": ([0.0, 1.0], [0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0]),
+    "y-section": ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0], [0.0, 1.0, 2.0]),
+    "x-section": ([0.0], [0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0]),
+}
+
+
+def along_chains(run, axes):
+    """The grid ``axes`` labelled with ``run`` repeating along each chain of points
+    one grid line apart, the chain at the z index k starting k places into it."""
+    nz = len(axes[2])
+    n = math.prod(map(len, axes))
+    return ScanResult(*axes, *map(list, zip(*(run[(i // nz + i % nz) % len(run)]
+                                              for i in range(n)))))
+
+
 def independent_feasible(pose: Pose) -> bool:
     """Feasibility from raw reach arithmetic, not the ik module."""
     if abs(pose.x + P.b - P.d) > P.l4 or abs(pose.x + P.d - P.b) > P.l6:
@@ -152,6 +221,18 @@ class TestScanResult:
     def test_label_columns_hold_one_entry_per_grid_point(self, columns, named):
         with pytest.raises(InvalidParameter,
                            match=f"^{named}: needs 2 entries, one per grid point, got 1$"):
+            ScanResult([1.0, 2.0], [1.0], [1.0], *columns)
+
+    @pytest.mark.parametrize("columns, named, shape", [
+        pytest.param(([[1], [1]], [0.5, 0.5], [0.5, 0.5], [0, 0]), "real_solution_count",
+                     "(2, 1)", id="count-2x1"),
+        pytest.param(([1, 1], [[0.5, 0.5]], [0.5, 0.5], [0, 0]), "min_norm_det_jp", "(1, 2)",
+                     id="jp-1x2"),
+    ])
+    def test_label_column_that_is_not_1d_names_its_shape(self, columns, named, shape):
+        # as many entries as the grid has points, in the wrong shape
+        with pytest.raises(InvalidParameter, match=f"^{named}: needs 2 entries, one per grid "
+                                                   f"point, got shape {re.escape(shape)}$"):
             ScanResult([1.0, 2.0], [1.0], [1.0], *columns)
 
     @pytest.mark.parametrize("axes, named", [
@@ -335,22 +416,9 @@ class TestExport:
         pytest.param(COUNT_100, id="count-100"),
     ])
     def test_json_is_byte_identical_to_json_dumps(self, tmp_path, samples):
-        records = [{
-            "x": x,
-            "y": y,
-            "z": z,
-            "feasible": count > 0,
-            "real_solution_count": count,
-            "min_norm_det_jp": None if math.isnan(jp) else jp,
-            "min_norm_det_jq": None if math.isnan(jq) else jq,
-            "class": kind(severity).value if count else "none",
-        } for x, y, z, count, jp, jq, severity in zip(
-            samples.x, samples.y, samples.z, samples.real_solution_count.tolist(),
-            samples.min_norm_det_jp.tolist(), samples.min_norm_det_jq.tolist(),
-            samples.severity.tolist())]
         path = tmp_path / "points.json"
         export(samples, "json", path)
-        assert path.read_bytes() == (json.dumps(records, indent=1) + "\n").encode()
+        assert path.read_bytes() == json_reference(samples).encode()
 
     @pytest.mark.parametrize("samples", [
         pytest.param(scan(SMALL_SPEC, P), id="infeasible-rows"),
@@ -361,16 +429,21 @@ class TestExport:
         pytest.param(COUNT_100, id="count-100"),
     ])
     def test_csv_rows_are_per_sample_reprs(self, tmp_path, samples):
-        lines = [workspace.CSV_HEADER] + [",".join((
-            repr(x), repr(y), repr(z), "true" if count else "false", str(count),
-            repr(jp), repr(jq), kind(severity).value if count else "none",
-        )) for x, y, z, count, jp, jq, severity in zip(
-            samples.x, samples.y, samples.z, samples.real_solution_count.tolist(),
-            samples.min_norm_det_jp.tolist(), samples.min_norm_det_jq.tolist(),
-            samples.severity.tolist())]
         path = tmp_path / "points.csv"
         export(samples, "csv", path)
-        assert path.read_text() == "\n".join(lines) + "\n"
+        assert path.read_text() == csv_reference(samples)
+
+    @pytest.mark.parametrize("run", TAIL_RUNS)
+    @pytest.mark.parametrize("axes", TAIL_GRIDS)
+    # one piece, and pieces of 1, nz - 1 and nz + 1 points, which cut the runs
+    @pytest.mark.parametrize("piece", [workspace._EXPORT_ROWS, 1, 2, 4])
+    def test_label_tails_are_per_row(self, tmp_path, monkeypatch, run, axes, piece):
+        samples = along_chains(TAIL_RUNS[run], TAIL_GRIDS[axes])
+        monkeypatch.setattr(workspace, "_EXPORT_ROWS", piece)
+        export(samples, "csv", tmp_path / "points.csv")
+        export(samples, "json", tmp_path / "points.json")
+        assert (tmp_path / "points.csv").read_text() == csv_reference(samples)
+        assert (tmp_path / "points.json").read_text() == json_reference(samples)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("piece", [1, 7, 25, 26])
@@ -389,28 +462,20 @@ class TestExport:
     @pytest.mark.parametrize("piece", [1, 3, workspace._EXPORT_ROWS])
     def test_determinant_columns_are_per_row_reprs(self, tmp_path, monkeypatch, piece):
         samples = DET_COLUMNS
-        columns = list(zip(samples.x, samples.y, samples.z, samples.real_solution_count.tolist(),
-                           samples.min_norm_det_jp.tolist(), samples.min_norm_det_jq.tolist(),
-                           samples.severity.tolist()))
-        csv_lines = [workspace.CSV_HEADER] + [",".join((
-            repr(x), repr(y), repr(z), "true" if count else "false", str(count),
-            repr(jp) if count else "nan", repr(jq) if count else "nan",
-            kind(severity).value if count else "none",
-        )) for x, y, z, count, jp, jq, severity in columns]
         # dets go in as quoted reprs and come out unquoted: an infinite det is
         # written by repr, not as json's Infinity
         records = [{
             "x": x, "y": y, "z": z, "feasible": count > 0, "real_solution_count": count,
-            "min_norm_det_jp": None if math.isnan(jp) or not count else repr(jp),
-            "min_norm_det_jq": None if math.isnan(jq) or not count else repr(jq),
-            "class": kind(severity).value if count else "none",
-        } for x, y, z, count, jp, jq, severity in columns]
+            "min_norm_det_jp": None if math.isnan(jp) else repr(jp),
+            "min_norm_det_jq": None if math.isnan(jq) else repr(jq),
+            "class": name,
+        } for x, y, z, count, jp, jq, name in per_row(samples)]
         json_text = re.sub(r'"(min_norm_det_j[pq])": "([^"]*)"', r'"\1": \2',
                            json.dumps(records, indent=1)) + "\n"
         monkeypatch.setattr(workspace, "_EXPORT_ROWS", piece)
         export(samples, "csv", tmp_path / "points.csv")
         export(samples, "json", tmp_path / "points.json")
-        assert (tmp_path / "points.csv").read_text() == "\n".join(csv_lines) + "\n"
+        assert (tmp_path / "points.csv").read_text() == csv_reference(samples)
         assert (tmp_path / "points.json").read_text() == json_text
 
     def test_check_writable_leaves_files_as_they_were(self, tmp_path):
