@@ -188,8 +188,7 @@ def _recover_beta(alpha: float, t: float, params: ValidatedParams):
     """beta from the t-definition and the X-closure; None if inconsistent."""
     sin_beta = (params.l4 * math.sin(alpha) - t) / params.l6
     cos_beta = (params.l4 * math.cos(alpha) + 2.0 * params.d - 2.0 * params.b) / params.l6
-    if abs(cos_beta) > 1.0 + CIRCLE_TOL:
-        return None
+    # |cos beta| > 1 + CIRCLE_TOL puts this above about 2 * CIRCLE_TOL, so it fails here too
     if abs(sin_beta * sin_beta + cos_beta * cos_beta - 1.0) > CIRCLE_TOL:
         return None
     return math.atan2(sin_beta, cos_beta)

@@ -122,6 +122,19 @@ def _row_norm(a: float, b: float, c: float) -> float:
     return math.sqrt(_fma_square(c, _fma_square(b, a * a)))
 
 
+def _class_index(u11, u22, u33, params: ValidatedParams, parallel):
+    """The class index ``serial + 2 * parallel`` into :class:`SingularityKind`.
+
+    Serial fires when any |u| normalised by its link length (l2, l2, l6) is
+    at most :data:`SERIAL_THRESHOLD`.  Takes floats and bools, or numpy
+    arrays of them elementwise, as the workspace kernel passes.
+    """
+    l2, l6 = params.l2, params.l6
+    serial = ((abs(u11) / l2 <= SERIAL_THRESHOLD) | (abs(u22) / l2 <= SERIAL_THRESHOLD)
+              | (abs(u33) / l6 <= SERIAL_THRESHOLD))
+    return serial + 2 * parallel
+
+
 def build(pose: Pose, solution: IkSolution, params: ValidatedParams) -> JacobianPair:
     """Evaluate the pair at an inverse solution's configuration.
 
@@ -166,13 +179,10 @@ def classify(
     """
     u11, u22, u33 = pair.u
     l2, l6 = params.l2, params.l6
-    serial = (abs(u11) / l2 <= SERIAL_THRESHOLD or abs(u22) / l2 <= SERIAL_THRESHOLD
-              or abs(u33) / l6 <= SERIAL_THRESHOLD)
     norms = [_row_norm(*row) for row in pair.jp]
     norm_det_jp = 0.0 if min(norms) == 0.0 else pair.det_jp / (norms[0] * norms[1] * norms[2])
-    parallel = abs(norm_det_jp) <= threshold
-    return Classification(_KINDS[serial + 2 * parallel], norm_det_jp,
-                          (u11 / l2) * (u22 / l2) * (u33 / l6))
+    kind = _KINDS[_class_index(u11, u22, u33, params, abs(norm_det_jp) <= threshold)]
+    return Classification(kind, norm_det_jp, (u11 / l2) * (u22 / l2) * (u33 / l6))
 
 
 def fd_check(

@@ -69,11 +69,14 @@ def _finite_fields(values) -> tuple[float, ...]:
 
 
 class _Checked(tuple):
-    """Base of the value types, ahead of their named tuple.
+    """The one base of every checked value type, ahead of its named tuple:
+    ``MechanismParams``, ``ValidatedParams``, ``JointInputs``, ``Pose``,
+    ``topology.LoopSpec`` and ``workspace.ScanSpec``.
 
     Every way to build one, ``_make`` and ``_replace`` included, binds the
     fields through the named tuple and keeps what the class's
-    ``__post_init__(values)`` returns for them.
+    ``__post_init__(values)`` returns for them.  A subclass declares only
+    that staticmethod; none overrides ``__new__`` or ``_make``.
     """
 
     __slots__ = ()
@@ -124,26 +127,26 @@ class ValidatedParams(MechanismParams):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        params = super().__new__(cls, *args, **kwargs)
+    @staticmethod
+    def __post_init__(values) -> tuple[float, ...]:
+        fields = _finite_fields(values)
+        length = dict(zip(PARAM_KEYS, fields))
         for name in _POSITIVE:
-            if getattr(params, name) <= 0.0:
-                raise InvalidParameter(name, f"must be > 0, got {getattr(params, name)}")
+            if length[name] <= 0.0:
+                raise InvalidParameter(name, f"must be > 0, got {length[name]}")
         for name in _NON_NEGATIVE:
-            if getattr(params, name) < 0.0:
-                raise InvalidParameter(name, f"must be >= 0, got {getattr(params, name)}")
+            if length[name] < 0.0:
+                raise InvalidParameter(name, f"must be >= 0, got {length[name]}")
         for name in PARAM_KEYS:
-            if getattr(params, name) > MAX_LENGTH:
-                raise InvalidParameter(
-                    name, f"must be <= {MAX_LENGTH:g} mm, got {getattr(params, name)}"
-                )
-        if params.l3 >= 2.0 * params.l2:
+            if length[name] > MAX_LENGTH:
+                raise InvalidParameter(name, f"must be <= {MAX_LENGTH:g} mm, got {length[name]}")
+        if length["l3"] >= 2.0 * length["l2"]:
             raise InvalidParameter(
                 "l3",
-                f"must be < 2*l2 = {2.0 * params.l2} (planar loop could never close), "
-                f"got {params.l3}",
+                f"must be < 2*l2 = {2.0 * length['l2']} (planar loop could never close), "
+                f"got {length['l3']}",
             )
-        return params
+        return fields
 
 
 def validate(params: MechanismParams) -> ValidatedParams:

@@ -15,6 +15,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import InvalidAkc, InvalidParameter, clipped
+from .params import _Checked
 
 
 def _check_count(name: str, value) -> None:
@@ -22,7 +23,8 @@ def _check_count(name: str, value) -> None:
         raise InvalidParameter(name, f"must be a non-negative integer, got {clipped(value)}")
 
 
-class LoopSpec(namedtuple("LoopSpec", "joint_dof_sum actuated_count independent_eq_count")):
+class LoopSpec(_Checked, namedtuple("LoopSpec",
+                                    "joint_dof_sum actuated_count independent_eq_count")):
     """One loop of the decomposition.
 
     joint_dof_sum: total joint freedoms along the loop's chain.
@@ -32,19 +34,15 @@ class LoopSpec(namedtuple("LoopSpec", "joint_dof_sum actuated_count independent_
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        loop = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(cls._fields, loop):
+    @staticmethod
+    def __post_init__(loop):
+        for name, value in zip(loop._fields, loop):
             _check_count(name, value)
         if loop.independent_eq_count > 6:
             raise InvalidParameter(
                 "independent_eq_count", f"must be <= 6, got {clipped(loop.independent_eq_count)}"
             )
         return loop
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class TopologyReport(NamedTuple):

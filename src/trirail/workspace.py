@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, cycle, islice, repeat
@@ -76,34 +77,37 @@ import numpy as np
 from . import fk, ik, jacobian
 from .errors import CotangentSingular, InvalidParameter, OutOfRange, Unreachable
 from .jacobian import _KINDS, SingularityKind
-from .params import Pose, ValidatedParams
+from .params import Pose, ValidatedParams, _Checked
 
 CSV_HEADER = "x,y,z,feasible,real_solution_count,min_norm_det_jp,min_norm_det_jq,class"
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    """Axis-aligned box, per-axis point count, and classification threshold."""
+class ScanSpec(_Checked, namedtuple("ScanSpec", ("x_range", "y_range", "z_range", "resolution",
+                                                  "singularity_threshold"),
+                                     defaults=(41, jacobian.SINGULARITY_THRESHOLD))):
+    """Axis-aligned box, per-axis point count, and classification threshold.
 
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    z_range: tuple[float, float]
-    resolution: int = 41
-    singularity_threshold: float = jacobian.SINGULARITY_THRESHOLD
+    A checked named tuple: every way to build one validates it, and it
+    compares and hashes as the plain tuple of its fields.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    @staticmethod
+    def __post_init__(spec):
         for name in ("x_range", "y_range", "z_range"):
-            lo, hi = getattr(self, name)
+            lo, hi = getattr(spec, name)
             # a finite span also keeps every grid coordinate finite
             if not (lo < hi and math.isfinite(hi - lo)):
                 raise InvalidParameter(name, f"needs finite min < max, got ({lo}, {hi})")
-        if not isinstance(self.resolution, int) or self.resolution < 2:
-            raise InvalidParameter("resolution", f"must be an integer >= 2, got {self.resolution!r}")
-        if not (math.isfinite(self.singularity_threshold) and self.singularity_threshold > 0):
+        if not isinstance(spec.resolution, int) or spec.resolution < 2:
+            raise InvalidParameter("resolution", f"must be an integer >= 2, got {spec.resolution!r}")
+        if not (math.isfinite(spec.singularity_threshold) and spec.singularity_threshold > 0):
             raise InvalidParameter(
                 "singularity_threshold",
-                f"must be finite and > 0, got {self.singularity_threshold!r}",
+                f"must be finite and > 0, got {spec.singularity_threshold!r}",
             )
+        return spec
 
 
 def _product(xs: list, ys: list, zs: list) -> tuple[Iterator, Iterator, Iterator]:
@@ -359,12 +363,9 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
         det = jacobian._det3(((j0_, u11, h12_), (j0_, u22, h12_), (j2_, u33, h3_)))
         det /= _norms(j0_, u11, h12_) * _norms(j0_, u22, h12_) * _norms(j2_, u33, h3_)
         np.abs(det, out=det)
-        serial = ((np.abs(u11) / l2 <= jacobian.SERIAL_THRESHOLD)
-                  | (np.abs(u22) / l2 <= jacobian.SERIAL_THRESHOLD)
-                  | (np.abs(u33) / l6 <= jacobian.SERIAL_THRESHOLD))
-        # the class index serial + 2 * parallel of classify; a folded chosen branch is serial
+        # the class index of classify; a folded chosen branch is serial
         severity = (chosen & fold[c, None]).astype(np.int8)
-        np.put(severity, pairs, serial + (det <= threshold) * np.int8(2))
+        np.put(severity, pairs, jacobian._class_index(u11, u22, u33, params, det <= threshold))
         least = np.full(classified.shape, np.nan)
         np.put(least, pairs, det)
         jp = np.fmin.reduceat(least, starts)

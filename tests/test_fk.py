@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -220,6 +221,56 @@ class TestSolveAtGamma:
 
     def test_off_circle_gamma_yields_nothing(self):
         assert fk.solve_at_gamma(WORKED_INPUTS, P, 0.9, 0.9) == []
+
+
+def circle_params(l4):
+    """Parameters whose t-definition and X-closure give sin beta = l4 * sin(alpha) - t
+    and cos beta = l4 * cos(alpha), both exactly: l6 = 1 and 2d - 2b cancels
+    without rounding."""
+    return P._replace(b=2.0 ** -30, d=2.0 ** -30, l4=l4, l6=1.0)
+
+
+def float_bits(value):
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def bits_float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def last_on_circle(off_circle, lo, hi):
+    """The largest float in [lo, hi) with ``off_circle(v) <= CIRCLE_TOL``, for a
+    non-decreasing ``off_circle`` that holds at ``lo`` and fails at ``hi``;
+    bisects the bit patterns, which order non-negative floats."""
+    lo, hi = float_bits(lo), float_bits(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if off_circle(bits_float(mid)) <= fk.CIRCLE_TOL else (lo, mid)
+    return bits_float(lo)
+
+
+class TestRecoverBeta:
+    @pytest.mark.parametrize("alpha", [0.0, math.pi])
+    def test_cosine_past_one_plus_tolerance_is_rejected(self, alpha):
+        params = circle_params(math.nextafter(1.0 + fk.CIRCLE_TOL, 2.0))
+        assert abs(params.l4 * math.cos(alpha)) == params.l4
+        assert fk._recover_beta(alpha, 0.0, params) is None
+
+    @pytest.mark.parametrize("alpha", [0.0, math.pi])
+    def test_cosine_edge_of_the_circle_tolerance(self, alpha):
+        # sin beta = 0 (to 1e-16 at alpha = pi): the circle test alone decides
+        edge = last_on_circle(lambda c: c * c - 1.0, 1.0, 1.0 + fk.CIRCLE_TOL)
+        beyond = math.nextafter(edge, 2.0)
+        assert beyond < 1.0 + fk.CIRCLE_TOL
+        assert fk._recover_beta(alpha, 0.0, circle_params(edge)) == pytest.approx(alpha)
+        assert fk._recover_beta(alpha, 0.0, circle_params(beyond)) is None
+
+    def test_sine_edge_of_the_circle_tolerance(self):
+        # cos beta = 1 exactly and sin beta = -t
+        edge = last_on_circle(lambda t: t * t + 1.0 - 1.0, 0.0, 1e-4)
+        params = circle_params(1.0)
+        assert fk._recover_beta(0.0, edge, params) == math.atan2(-edge, 1.0)
+        assert fk._recover_beta(0.0, math.nextafter(edge, 1.0), params) is None
 
 
 #: Two candidates within these of each other in x, y and z (mm) and in gamma,

@@ -2,11 +2,13 @@
 whose field names, field order and ``Name(field=value, ...)`` repr are part
 of the API, and which compare as tuples."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
-from trirail import fk, ik, jacobian, topology, verify
+from trirail import fk, ik, jacobian, topology, verify, workspace
 from trirail.errors import InvalidParameter
 from trirail.params import (
     PARAM_KEYS,
@@ -36,6 +38,7 @@ FIELDS = {
     topology.LoopSpec: ("joint_dof_sum", "actuated_count", "independent_eq_count"),
     topology.TopologyReport: ("dof", "deltas", "coupling_degree"),
     verify.CheckResult: ("name", "passed", "detail"),
+    workspace.ScanSpec: ("x_range", "y_range", "z_range", "resolution", "singularity_threshold"),
 }
 
 
@@ -59,6 +62,8 @@ def worked_results():
         topology.LoopSpec: topology.REFERENCE_LOOPS[0],
         topology.TopologyReport: topology.reference_report(),
         verify.CheckResult: verify.CheckResult("direct-worked-example", True, "4 poses"),
+        workspace.ScanSpec: workspace.ScanSpec((-110.0, 90.0), (-250.0, 250.0), (180.0, 480.0),
+                                               resolution=21),
     }
 
 
@@ -115,14 +120,38 @@ def test_jacobian_pair_u_is_the_diagonal_of_jq():
     (MechanismParams, "l4", "180"),
     (ValidatedParams, "l2", -1.0),
     (topology.LoopSpec, "independent_eq_count", 7),
+    (workspace.ScanSpec, "resolution", 1),
+    (workspace.ScanSpec, "y_range", (1.0, 1.0)),
 ], ids=lambda item: getattr(item, "__name__", None))
 def test_make_and_replace_check_like_the_constructor(cls, field, bad):
     value = RESULTS[cls]
-    with pytest.raises(InvalidParameter) as err:
-        value._replace(**{field: bad})
-    assert err.value.name == field
-    with pytest.raises(InvalidParameter) as err:
-        cls._make(bad if name == field else v for name, v in zip(FIELDS[cls], value))
-    assert err.value.name == field
+    fields = [bad if name == field else v for name, v in zip(FIELDS[cls], value)]
+    for build in (lambda: cls(*fields), lambda: cls(**dict(zip(FIELDS[cls], fields))),
+                  lambda: value._replace(**{field: bad}), lambda: cls._make(iter(fields))):
+        with pytest.raises(InvalidParameter) as err:
+            build()
+        assert err.value.name == field
     rebuilt = cls._make(value)
     assert type(rebuilt) is cls and rebuilt == value
+
+
+def test_checked_is_the_one_construction_path():
+    """Only ``_Checked`` defines ``__new__`` or ``_make``; the checked types
+    declare a ``__post_init__`` staticmethod.  ``ScanResult`` is the one
+    dataclass."""
+    builders, dataclasses = set(), set()
+    for path in (Path(__file__).resolve().parent.parent / "src" / "trirail").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                names = ([item.name] if isinstance(item, ast.FunctionDef)
+                         else [t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)])
+                if {"__new__", "_make"} & set(names):
+                    builders.add(node.name)
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                    dataclasses.add(node.name)
+    assert builders == {"_Checked"}
+    assert dataclasses == {"ScanResult"}

@@ -208,6 +208,15 @@ class TestScanSpec:
             ScanSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
                      resolution=1)
 
+    def test_defaults_and_tuple_equality(self):
+        spec = ScanSpec(**REFERENCE_BOX)
+        assert ScanSpec._field_defaults == {"resolution": 41, "singularity_threshold": 1e-3}
+        as_tuple = (*REFERENCE_BOX.values(), 41, 1e-3)
+        # a named tuple: equal to, and hashed as, the plain tuple of its fields
+        assert spec == as_tuple and hash(spec) == hash(as_tuple)
+        assert spec == ScanSpec(*as_tuple) and {spec: 1}[as_tuple] == 1
+        assert spec != spec._replace(resolution=21)
+
 
 class TestScanResult:
     @pytest.mark.parametrize("columns, named", [
