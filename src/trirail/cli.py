@@ -3,9 +3,12 @@
 Geometry comes from a JSON config file (``--params``); per-run targets are
 positional arguments.  Exit codes are a stable contract: 0 success,
 1 config/usage error, 2 no solution, 3 singular input, 4 verification
-failure.  The parser is the standard library's :mod:`argparse`; its usage
-errors exit 1 rather than argparse's 2, which is the no-solution code, and
-a float with a leading minus (``-3e2``, ``-inf``, ``-nan``) is a value,
+failure.  A command never exits itself: each ``cmd_*`` returns its code and
+lets the package's errors and ``OSError`` through, and :func:`main`, the one
+place that exits, maps such an error to its code through the one table
+``_EXIT_CODES``.  The parser is the standard library's :mod:`argparse`; its
+usage errors exit 1 rather than argparse's 2, which is the no-solution code,
+and a float with a leading minus (``-3e2``, ``-inf``, ``-nan``) is a value,
 not an option.
 
 Only ``workspace`` loads numpy: :mod:`trirail.workspace`, the one module
@@ -39,6 +42,12 @@ EXIT_NO_SOLUTION = 2
 EXIT_SINGULAR = 3
 EXIT_VERIFY_FAILED = 4
 
+#: The exit code of an error a command lets through: the first entry whose
+#: classes it is an instance of.
+_EXIT_CODES = ((IndeterminateGamma, EXIT_SINGULAR),
+               ((InvalidParameter, InvalidAkc, OutOfRange, OSError), EXIT_CONFIG),
+               (TrirailError, EXIT_NO_SOLUTION))
+
 #: What argparse takes for a negative number: a minus before a digit,
 #: ``.digit``, ``inf`` or ``nan``; ``float`` then rejects what is no number.
 #: argparse itself takes only ``-\d+`` and ``-\d*\.\d+``, so ``fk 1 -2 -3e2``
@@ -60,18 +69,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _fail(code: int, message: str):
+def _fail(code: int, message: str) -> int:
+    """Report ``message`` on stderr and return the exit ``code``."""
     print(f"error: {message}", file=sys.stderr)
-    sys.exit(code)
+    return code
 
 
 def _load(path):
-    if path is None:
-        return REFERENCE_PARAMS
-    try:
-        return load_params(path)
-    except (InvalidParameter, OSError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    return REFERENCE_PARAMS if path is None else load_params(path)
 
 
 def _angle(value: float, unit: str) -> float:
@@ -84,7 +89,7 @@ def _emit(payload: str, out_path):
             with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(payload if payload.endswith("\n") else payload + "\n")
         except OSError as exc:
-            _fail(EXIT_CONFIG, f"writing {out_path}: {exc}")
+            raise OSError(f"writing {out_path}: {exc}") from exc
     else:
         print(payload)
 
@@ -108,16 +113,7 @@ def cmd_fk(args):
     """Direct kinematics: all platform poses for rail inputs (mm)."""
     ya1, ya2, ya3 = args.yA1, args.yA2, args.yA3
     params = _load(args.params)
-    try:
-        inputs = JointInputs(ya1, ya2, ya3)
-    except InvalidParameter as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    try:
-        solutions = fk.solve(inputs, params, closure_tol=args.tol_closure)
-    except IndeterminateGamma as exc:
-        _fail(EXIT_SINGULAR, str(exc))
-    except TrirailError as exc:
-        _fail(EXIT_NO_SOLUTION, str(exc))
+    solutions = fk.solve(JointInputs(ya1, ya2, ya3), params, closure_tol=args.tol_closure)
     unit = args.angle_unit
     records = [_fk_record(s, unit) for s in solutions]
     if args.format == "json":
@@ -143,7 +139,7 @@ def cmd_fk(args):
         if not records:
             lines.append("  (none: inputs are regular but out of reach)")
         _emit("\n".join(lines), args.out)
-    sys.exit(EXIT_OK if records else EXIT_NO_SOLUTION)
+    return EXIT_OK if records else EXIT_NO_SOLUTION
 
 
 def _branch_class(pose, solution, params, threshold):
@@ -162,17 +158,12 @@ def cmd_ik(args):
     """Inverse kinematics: all real rail inputs for a pose (mm)."""
     x, y, z = args.x, args.y, args.z
     params = _load(args.params)
-    try:
-        pose = Pose(x, y, z)
-    except InvalidParameter as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    pose = Pose(x, y, z)
     try:
         solutions = ik.solve(pose, params, closure_tol=args.tol_closure,
                              roundtrip_tol=args.tol_closure)
     except Unreachable as exc:
-        _fail(EXIT_NO_SOLUTION, f"arccos domain: {exc}")
-    except TrirailError as exc:
-        _fail(EXIT_NO_SOLUTION, str(exc))
+        raise Unreachable(f"arccos domain: {exc}") from exc
     unit = args.angle_unit
     records = [{
         "yA1": s.inputs.yA1, "yA2": s.inputs.yA2, "yA3": s.inputs.yA3,
@@ -216,7 +207,7 @@ def cmd_ik(args):
         if not records:
             lines.append("  (none: every radicand is negative)")
         _emit("\n".join(lines), args.out)
-    sys.exit(EXIT_OK if records else EXIT_NO_SOLUTION)
+    return EXIT_OK if records else EXIT_NO_SOLUTION
 
 
 def cmd_workspace(args):
@@ -226,32 +217,30 @@ def cmd_workspace(args):
     params = _load(args.params)
     fmt = args.format if args.format in ("csv", "json") else "csv"
     if args.out is None:
-        _fail(EXIT_CONFIG, "workspace requires --out FILE for the sample table")
-    try:
-        spec = workspace.ScanSpec(
-            x_range=(args.bounds[0], args.bounds[1]),
-            y_range=(args.bounds[2], args.bounds[3]),
-            z_range=(args.bounds[4], args.bounds[5]),
-            resolution=args.resolution,
-            singularity_threshold=args.singularity_threshold,
-        )
-        # an unwritable --out fails here, not after the scan
-        workspace.check_writable(args.out)
-        if args.section:
-            axis, value = args.section
-            samples = workspace.cross_section(spec, params, axis, float(value))
-        else:
-            samples = workspace.scan(spec, params)
-    except (InvalidParameter, OutOfRange, ValueError, OSError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    try:
-        workspace.export(samples, fmt, args.out)
-    except OSError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+        return _fail(EXIT_CONFIG, "workspace requires --out FILE for the sample table")
+    spec = workspace.ScanSpec(
+        x_range=(args.bounds[0], args.bounds[1]),
+        y_range=(args.bounds[2], args.bounds[3]),
+        z_range=(args.bounds[4], args.bounds[5]),
+        resolution=args.resolution,
+        singularity_threshold=args.singularity_threshold,
+    )
+    # an unwritable --out fails here, not after the scan
+    workspace.check_writable(args.out)
+    if args.section:
+        axis, text = args.section
+        try:
+            value = float(text)
+        except ValueError as exc:
+            return _fail(EXIT_CONFIG, str(exc))
+        samples = workspace.cross_section(spec, params, axis, value)
+    else:
+        samples = workspace.scan(spec, params)
+    workspace.export(samples, fmt, args.out)
     counts = workspace.summary(samples)
     for key in ("total", "feasible", "regular", "serial", "parallel", "comprehensive"):
         print(f"{key}: {counts[key]}")
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 def cmd_verify(args):
@@ -274,8 +263,8 @@ def cmd_verify(args):
         _emit("\n".join(lines), args.out)
     failing = [r for r in results if not r.passed]
     if failing:
-        _fail(EXIT_VERIFY_FAILED, f"first failing check: {failing[0].name}")
-    sys.exit(EXIT_OK)
+        return _fail(EXIT_VERIFY_FAILED, f"first failing check: {failing[0].name}")
+    return EXIT_OK
 
 
 def cmd_sweep(args):
@@ -284,11 +273,8 @@ def cmd_sweep(args):
 
     params = _load(args.params)
     deltas = verify.RAIL_SPACING_DELTAS
-    try:
-        classes = verify.rail_spacing_sweep(params, deltas, args.singularity_threshold)
-        x, z_star, rows = verify.stroke_boundary_sweep(params, verify.STROKE_BOUNDARY_OFFSETS)
-    except TrirailError as exc:
-        _fail(EXIT_NO_SOLUTION, str(exc))
+    classes = verify.rail_spacing_sweep(params, deltas, args.singularity_threshold)
+    x, z_star, rows = verify.stroke_boundary_sweep(params, verify.STROKE_BOUNDARY_OFFSETS)
     if args.format == "json":
         _emit(json.dumps({
             "rail_spacing": [{"delta": delta, "norm_det_jp": cls.norm_det_jp,
@@ -309,7 +295,7 @@ def cmd_sweep(args):
             lines.append(f"{offset:>12g} {count:>15} "
                          + (f"{'-':>15}" if u33 is None else f"{u33:>15.6f}"))
         _emit("\n".join(lines), args.out)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 _LOOP_KEYS = ("total_joint_dof_sum", "loops")
@@ -352,20 +338,21 @@ def cmd_topology(args):
             rep = topology.report(*_loop_spec(json.loads(args.loops, parse_int=json_int)))
     # JSON nested past the recursion limit raises RecursionError
     except (InvalidAkc, InvalidParameter, json.JSONDecodeError, RecursionError) as exc:
-        _fail(EXIT_CONFIG, f"loop specification: {exc}")
+        raise InvalidParameter("loop specification", str(exc)) from exc
     # counts within the interpreter's int-to-text digit limit can still sum past it
     for name, value in rep._asdict().items():
         try:
             str(value)
         except ValueError:
-            _fail(EXIT_CONFIG, f"loop specification: {name}: {clipped(value)} is too long to write")
+            raise InvalidParameter("loop specification",
+                                   f"{name}: {clipped(value)} is too long to write") from None
     if args.format == "json":
         _emit(json.dumps({"dof": rep.dof, "deltas": list(rep.deltas),
                           "coupling_degree": rep.coupling_degree}, indent=1), args.out)
     else:
         _emit(f"dof: {rep.dof}\ndeltas: {', '.join(f'{d:+d}' for d in rep.deltas)}\n"
               f"coupling degree: {rep.coupling_degree}", args.out)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 def _workers(text: str) -> int:
@@ -438,8 +425,12 @@ def main(argv=None):
     for name, value in (("--tol-closure", args.tol_closure), ("--tol-table", args.tol_table),
                         ("--singularity-threshold", args.singularity_threshold)):
         if value is not None and not (math.isfinite(value) and value > 0):
-            _fail(EXIT_CONFIG, f"{name} must be finite and > 0, got {value!r}")
-    args.run(args)
+            sys.exit(_fail(EXIT_CONFIG, f"{name} must be finite and > 0, got {value!r}"))
+    try:
+        code = args.run(args)
+    except (TrirailError, OSError) as exc:
+        code = _fail(next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds)), str(exc))
+    sys.exit(code)
 
 
 if __name__ == "__main__":

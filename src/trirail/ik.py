@@ -93,6 +93,12 @@ def _clamped_acos(value: float, description: str) -> float:
     return math.acos(value)
 
 
+def _single_elbow(base: float) -> bool:
+    """Whether the elbow angles +/-``base`` are one: 0 and pi are their own
+    mirror images."""
+    return base in (0.0, math.pi)
+
+
 def _roundtrip(
     pose: Pose,
     inputs: JointInputs,
@@ -149,9 +155,8 @@ def solve(
                               "x + d - b relative to l6")
     y_c1, y_c2, y_c3 = pose.y + l3 / 2.0, pose.y - l3 / 2.0, pose.y
 
-    # 0 and pi are their own mirror images: one elbow, not two
-    alpha_signs = (1,) if alpha_base in (0.0, math.pi) else (1, -1)
-    beta_signs = (1,) if beta_base in (0.0, math.pi) else (1, -1)
+    alpha_signs = (1,) if _single_elbow(alpha_base) else (1, -1)
+    beta_signs = (1,) if _single_elbow(beta_base) else (1, -1)
 
     out: list[IkSolution] = []
     for s_alpha in alpha_signs:

@@ -51,13 +51,18 @@ def json_int(digits: str) -> int | float:
         return number
 
 
-def _finite(name, value) -> float:
+def _real(name, value) -> float:
+    """``value``, a real number other than a bool, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidParameter(name, f"must be a real number, got {clipped(value)}")
     try:
-        number = float(value)
+        return float(value)
     except OverflowError:  # an int past the float range
-        number = math.inf
+        return math.inf
+
+
+def _finite(name, value) -> float:
+    number = _real(name, value)
     if not math.isfinite(number):
         raise InvalidParameter(name, f"must be finite, got {clipped(value)}")
     return number

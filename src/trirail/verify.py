@@ -69,27 +69,25 @@ def pose_consistency_residual(pose: Pose, inputs: JointInputs, params: Validated
     elbow combination and returns the smallest achievable max-residual:
     both planar-loop link lengths, the parallelogram-chain link length,
     and the X-closure.  Large values expose claimed pairs that no assembly
-    satisfies.
+    satisfies.  All but |B1C1| are the terms of :func:`fk.residuals`.
     """
-    l1, l2, l3, l4, l6, l7, l8 = (params.l1, params.l2, params.l3, params.l4,
-                                  params.l6, params.l7, params.l8)
-    b, d = params.b, params.d
-    cos_alpha = (pose.x + b - d) / l4
-    cos_beta = (pose.x + d - b) / l6
+    l2, l4 = params.l2, params.l4
+    cos_alpha = (pose.x + params.b - params.d) / l4
+    cos_beta = (pose.x + params.d - params.b) / params.l6
     if abs(cos_alpha) > 1.0 or abs(cos_beta) > 1.0:
         return math.inf
-    cos_gamma = (pose.y - inputs.yA1 + l3 / 2.0) / l2
+    cos_gamma = (pose.y - inputs.yA1 + params.l3 / 2.0) / l2
     best = math.inf
     for s_a in (1.0, -1.0):
         sin_alpha = s_a * math.sqrt(1.0 - cos_alpha * cos_alpha)
-        sin_gamma = (pose.z - l4 * sin_alpha - l1) / l2
+        sin_gamma = (pose.z - l4 * sin_alpha - params.l1) / l2
         chain1 = abs(math.hypot(l2 * cos_gamma, l2 * sin_gamma) - l2)
-        chain2 = abs(math.hypot(inputs.yA1 + l2 * cos_gamma - l3 - inputs.yA2, l2 * sin_gamma) - l2)
+        chain2 = fk._planar_residual(inputs, params, sin_gamma, cos_gamma)
         for s_b in (1.0, -1.0):
             sin_beta = s_b * math.sqrt(1.0 - cos_beta * cos_beta)
-            z_c3 = pose.z - l8 - l6 * sin_beta - l7
-            chain3 = abs(math.hypot(pose.y - inputs.yA3, z_c3 - l1) - l6)
-            x_loop = abs(l4 * cos_alpha + 2.0 * d - l6 * cos_beta - 2.0 * b)
+            # a pose does not fix t: the t-definition term, here of t = 0, is dropped
+            chain3, _, x_loop = fk._chain_residuals(pose, 0.0, inputs.yA3, params, sin_alpha,
+                                                    cos_alpha, sin_beta, cos_beta)
             best = min(best, max(chain1, chain2, chain3, x_loop))
     return best
 

@@ -75,9 +75,9 @@ from itertools import chain, cycle, islice, repeat
 import numpy as np
 
 from . import fk, ik, jacobian
-from .errors import CotangentSingular, InvalidParameter, OutOfRange, Unreachable
+from .errors import CotangentSingular, InvalidParameter, OutOfRange, Unreachable, clipped
 from .jacobian import _KINDS, SingularityKind
-from .params import Pose, ValidatedParams, _Checked
+from .params import Pose, ValidatedParams, _Checked, _real
 
 CSV_HEADER = "x,y,z,feasible,real_solution_count,min_norm_det_jp,min_norm_det_jq,class"
 
@@ -96,17 +96,20 @@ class ScanSpec(_Checked, namedtuple("ScanSpec", ("x_range", "y_range", "z_range"
     @staticmethod
     def __post_init__(spec):
         for name in ("x_range", "y_range", "z_range"):
-            lo, hi = getattr(spec, name)
+            pair = getattr(spec, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise InvalidParameter(name, f"must be a (min, max) pair, got {clipped(pair)}")
+            lo, hi = (_real(name, end) for end in pair)
             # a finite span also keeps every grid coordinate finite
             if not (lo < hi and math.isfinite(hi - lo)):
-                raise InvalidParameter(name, f"needs finite min < max, got ({lo}, {hi})")
+                raise InvalidParameter(name, "needs finite min < max, got "
+                                             f"({clipped(pair[0])}, {clipped(pair[1])})")
         if not isinstance(spec.resolution, int) or spec.resolution < 2:
             raise InvalidParameter("resolution", f"must be an integer >= 2, got {spec.resolution!r}")
-        if not (math.isfinite(spec.singularity_threshold) and spec.singularity_threshold > 0):
-            raise InvalidParameter(
-                "singularity_threshold",
-                f"must be finite and > 0, got {spec.singularity_threshold!r}",
-            )
+        threshold = _real("singularity_threshold", spec.singularity_threshold)
+        if not (math.isfinite(threshold) and threshold > 0):
+            raise InvalidParameter("singularity_threshold", "must be finite and > 0, got "
+                                                            f"{clipped(spec.singularity_threshold)}")
         return spec
 
 
@@ -251,8 +254,7 @@ def _elbows(base: float | None, length: float):
     folds = [abs(s) < jacobian.COT_GUARD for s in sines]
     # a folded elbow has no velocity model, so its cotangent is never read
     cots = [0.0 if f else math.cos(a) / s for a, s, f in zip(angles, sines, folds)]
-    # 0 and pi are their own mirror images: one elbow, not two
-    return (True, base not in (0.0, math.pi)), [length * s for s in sines], cots, folds
+    return (True, not ik._single_elbow(base)), [length * s for s in sines], cots, folds
 
 
 def _norms(*row) -> np.ndarray:

@@ -1,11 +1,22 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from conftest import CliRunner
-from trirail import jacobian, verify, workspace
+from trirail import cli, fk, ik, jacobian, verify, workspace
 from trirail.cli import main
+from trirail.errors import (
+    GammaOutOfRange,
+    IndeterminateGamma,
+    InvalidAkc,
+    InvalidParameter,
+    NonComparable,
+    OutOfRange,
+    TrirailError,
+)
 from trirail.params import PARAM_KEYS, REFERENCE_PARAMS
 
 REFERENCE_VALUES = {key: getattr(REFERENCE_PARAMS, key) for key in PARAM_KEYS}
@@ -174,6 +185,57 @@ def test_params_error_echoes_a_clipped_value(runner, tmp_path, value, key, reaso
     assert result.stderr.endswith("...\n") and result.stderr.count("\n") == 1
     assert len(result.stderr) < 200
     assert result.stdout == ""
+
+
+# Where each command is made to fail: an entry point it calls outside any
+# handler of its own.  topology is not here: its every package error passes
+# through its "loop specification:" handler.
+ENTRY_POINTS = {
+    "fk": (fk, "solve"),
+    "ik": (ik, "solve"),
+    "workspace": (workspace, "scan"),
+    "verify": (verify, "run_builtin_checks"),
+    "sweep": (verify, "rail_spacing_sweep"),
+}
+
+
+@pytest.mark.parametrize("error, code", [
+    pytest.param(IndeterminateGamma("yA1 - l3 - yA2 = 0 mm"), 3, id="IndeterminateGamma"),
+    pytest.param(InvalidParameter("l2", "must be > 0, got 0.0"), 1, id="InvalidParameter"),
+    pytest.param(InvalidAkc("constraint degrees (1,) sum to 1, expected 0"), 1, id="InvalidAkc"),
+    pytest.param(OutOfRange("z = 90 outside scan range [180, 480]"), 1, id="OutOfRange"),
+    pytest.param(OSError("writing report: no space left"), 1, id="OSError"),
+    pytest.param(GammaOutOfRange("|yA1 - l3 - yA2| = 860 mm"), 2, id="GammaOutOfRange"),
+    pytest.param(NonComparable("tracked branch vanished"), 2, id="NonComparable"),
+    pytest.param(TrirailError("no solutions to match against"), 2, id="TrirailError"),
+])
+@pytest.mark.parametrize("command", list(ENTRY_POINTS))
+def test_an_error_let_through_exits_by_the_one_table(runner, tmp_path, monkeypatch,
+                                                     command, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(*ENTRY_POINTS[command], fail)
+    # only workspace needs --out; the others would print their report
+    out = ["--out", str(tmp_path / "scan.csv")] if command == "workspace" else []
+    result = runner.invoke(main, [*out, *VALID_CALLS[command]])
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {error}\n"
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_only_main_exits():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    exiting = {function.name for function in functions for node in ast.walk(function)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.exit"
+               or isinstance(node, ast.Raise) and node.exc is not None
+               and "SystemExit" in ast.unparse(node.exc)}
+    commands = {function.name for function in functions if function.name.startswith("cmd_")}
+    assert len(commands) == 6
+    assert exiting == {"main"}
 
 
 class TestFk:

@@ -203,6 +203,32 @@ class TestScanSpec:
             ScanSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
                      singularity_threshold=threshold)
 
+    @pytest.mark.parametrize("bounds, reason", [
+        (("0", "1"), "must be a real number, got '0'"),
+        (None, "must be a (min, max) pair, got None"),
+        ((0.0,), "must be a (min, max) pair, got (0.0,)"),
+        ((0, 1, 2), "must be a (min, max) pair, got (0, 1, 2)"),
+        ((True, 1.0), "must be a real number, got True"),
+        ((0.0, True), "must be a real number, got True"),
+    ], ids=["strings", "none", "one-end", "three-ends", "bool-min", "bool-max"])
+    def test_malformed_range_names_the_field(self, bounds, reason):
+        with pytest.raises(InvalidParameter, match=f"^y_range: {re.escape(reason)}$"):
+            ScanSpec(x_range=(0.0, 1.0), y_range=bounds, z_range=(0.0, 1.0))
+
+    @pytest.mark.parametrize("threshold", ["0.1", None, True])
+    def test_threshold_must_be_a_real_number(self, threshold):
+        reason = re.escape(f"must be a real number, got {threshold!r}")
+        with pytest.raises(InvalidParameter, match=f"^singularity_threshold: {reason}$"):
+            ScanSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
+                     singularity_threshold=threshold)
+
+    def test_inverted_or_nan_range_message(self):
+        # the type checks come first, and leave the message of a real pair as it was
+        for bounds, text in (((1, 0), "(1, 0)"), ((math.nan, 1.0), "(nan, 1.0)")):
+            reason = re.escape(f"needs finite min < max, got {text}")
+            with pytest.raises(InvalidParameter, match=f"^x_range: {reason}$"):
+                ScanSpec(x_range=bounds, y_range=(0.0, 1.0), z_range=(0.0, 1.0))
+
     def test_resolution_floor(self):
         with pytest.raises(InvalidParameter):
             ScanSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
