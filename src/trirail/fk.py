@@ -30,10 +30,8 @@ residual check.  Coincident candidates are merged by one rule, in
 root needs no case of its own: :func:`solve_t` and the alpha solver always
 return both roots, and the second copy falls to that rule.
 
-A caller that already knows the branch, as the inverse round trip does,
-can hint the t and alpha it expects: :func:`enumerate_candidates` then
-builds that one candidate, and solves every root only where another root
-could compete with it.
+The inverse round trip needs only the distance from its pose to the
+nearest solution on one elbow: :func:`distance_at_gamma`.
 
 Each candidate is an :class:`FkSolution` holding an :class:`FkBranch` and
 an :class:`FkIntermediates`.  All three are immutable named tuples; read
@@ -207,8 +205,8 @@ def residuals(
     """
     gamma, alpha, beta = intermediates.gamma, intermediates.alpha, intermediates.beta
     return (_planar_residual(inputs, params, math.sin(gamma), math.cos(gamma)),
-            *_chain_residuals(pose, intermediates.t, inputs.yA3, params, math.sin(alpha),
-                              math.cos(alpha), math.sin(beta), math.cos(beta)))
+            *_chain_residuals(pose.y, pose.z, intermediates.t, inputs.yA3, params,
+                              math.sin(alpha), math.cos(alpha), math.sin(beta), math.cos(beta)))
 
 
 def _planar_residual(inputs: JointInputs, params: ValidatedParams, sin_g: float, cos_g: float):
@@ -217,39 +215,26 @@ def _planar_residual(inputs: JointInputs, params: ValidatedParams, sin_g: float,
     return abs(math.hypot(inputs.yA1 + l2 * cos_g - params.l3 - inputs.yA2, l2 * sin_g) - l2)
 
 
-def _chain_residuals(pose: Pose, t: float, yA3: float, params: ValidatedParams,
+def _chain_residuals(y: float, z: float, t: float, yA3: float, params: ValidatedParams,
                      sin_a: float, cos_a: float, sin_b: float, cos_b: float):
-    """The last three violations of :func:`residuals`, from sin and cos of alpha and beta."""
+    """The last three violations of :func:`residuals` at platform (y, z),
+    from sin and cos of alpha and beta."""
     l4, l6 = params.l4, params.l6
-    z_c3 = pose.z - params.l8 - l6 * sin_b - params.l7
-    return (abs(math.hypot(pose.y - yA3, z_c3 - params.l1) - l6),
+    z_c3 = z - params.l8 - l6 * sin_b - params.l7
+    return (abs(math.hypot(y - yA3, z_c3 - params.l1) - l6),
             abs(l4 * sin_a - l6 * sin_b - t),
             abs(l4 * cos_a + 2.0 * params.d - l6 * cos_b - 2.0 * params.b))
 
 
-def enumerate_candidates(
-    inputs: JointInputs,
-    params: ValidatedParams,
-    cos_gamma: float,
-    sin_gammas: tuple[float, ...],
-    hint: tuple[float, float, float] | None = None,
-    closure_tol: float = CLOSURE_TOL,
-) -> list[FkSolution]:
+def enumerate_candidates(inputs: JointInputs, params: ValidatedParams, cos_gamma: float,
+                         sin_gammas: tuple[float, ...]) -> list[FkSolution]:
     """All assemblable candidates for given gamma values, residual-unfiltered.
 
     Diagnostic surface: :func:`solve` filters this list by closure
     residual, but spurious-branch investigations (e.g. the sign-flipped
     cos(gamma) of the planar loop) need the rejected candidates too.
-
-    ``hint = (t, alpha, reach)`` predicts an elbow's branch: the candidate
-    on the t root nearest ``t`` and the alpha root nearest ``alpha`` is
-    then the only one built, unless another root of that elbow could give a
-    candidate within ``closure_tol`` that lies within ``2 * reach`` mm of
-    it in x and z or coincides with it (see :func:`_predicted`).  In that
-    case, or when the predicted root has no candidate, every candidate is
-    built as without a hint.
     """
-    l1, l2, l3, l4, d, b = params.l1, params.l2, params.l3, params.l4, params.d, params.b
+    l2, l3 = params.l2, params.l3
     out: list[FkSolution] = []
     seen_sin = set()
     for sin_gamma in sin_gammas:
@@ -267,31 +252,35 @@ def enumerate_candidates(
             continue
         # one elbow: the planar-loop residual does not depend on t or alpha
         r1 = _planar_residual(inputs, params, math.sin(gamma), math.cos(gamma))
-        roots = None if hint is None else _predicted(t_values, hint, params, closure_tol)
-        if roots is None:
-            roots = []
-            for t_sign, t in zip((1, -1), t_values):
-                try:
-                    roots.append((t_sign, t, _alpha_candidates(t, params)))
-                except AlphaUnreachable:
-                    continue
-        for t_sign, t, alphas in roots:
+        for t_sign, t in zip((1, -1), t_values):
+            try:
+                alphas = _alpha_candidates(t, params)
+            except AlphaUnreachable:
+                continue
             for alpha_sign, alpha, beta in alphas:
-                sin_a, cos_a = math.sin(alpha), math.cos(alpha)
+                x, z, vec = _assemble(inputs.yA3, params, y, sin_gamma, r1, t, alpha, beta)
                 # finite by construction, so Pose's check is skipped
-                pose = tuple.__new__(Pose, (-b + l4 * cos_a + d, y,
-                                            l1 + l2 * sin_gamma + l4 * sin_a))
-                vec = (r1, *_chain_residuals(pose, t, inputs.yA3, params, sin_a, cos_a,
-                                             math.sin(beta), math.cos(beta)))
-                out.append(FkSolution(pose, FkBranch(gamma_sign, t_sign, alpha_sign),
+                out.append(FkSolution(tuple.__new__(Pose, (x, y, z)),
+                                      FkBranch(gamma_sign, t_sign, alpha_sign),
                                       FkIntermediates(gamma, alpha, beta, t), max(vec), vec))
     return out
 
 
-def _predicted(t_values: tuple[float, float], hint: tuple[float, float, float],
-               params: ValidatedParams, closure_tol: float):
-    """The hinted root of one elbow as ``[(t_sign, t, [(alpha_sign, alpha, beta)])]``,
-    or None when every root must be enumerated.
+def _assemble(yA3: float, params: ValidatedParams, y: float, sin_gamma: float, r1: float,
+              t: float, alpha: float, beta: float):
+    """x, z and the residual vector of the candidate on (t, alpha, beta) of an
+    elbow with platform y and planar-loop residual ``r1``."""
+    sin_a, cos_a = math.sin(alpha), math.cos(alpha)
+    z = params.l1 + params.l2 * sin_gamma + params.l4 * sin_a
+    return (-params.b + params.l4 * cos_a + params.d, z,
+            (r1, *_chain_residuals(y, z, t, yA3, params, sin_a, cos_a,
+                                   math.sin(beta), math.cos(beta))))
+
+
+def _predicted(inputs: JointInputs, params: ValidatedParams, gamma: float, y: float,
+               hint: tuple[float, float, float], closure_tol: float):
+    """The hinted ``(t, alpha, beta)`` of the elbow ``gamma`` with platform
+    ``y``, or None when every root must be enumerated (or there is none).
 
     All candidates of an elbow share y, and their x and z depend on alpha
     only.  A candidate within ``2 * reach`` of the predicted one in x and z
@@ -314,15 +303,15 @@ def _predicted(t_values: tuple[float, float], hint: tuple[float, float, float],
     of their largest terms.
     """
     hint_t, hint_alpha, reach = hint
-    t_sign, t, t_other = 1, *t_values
-    if abs(t_other - hint_t) < abs(t - hint_t):
-        t_sign, t_other, t = -1, t, t_other
     try:
-        (sign, alpha), (other_sign, other) = _alpha_roots(t, params)
-    except AlphaUnreachable:
+        t, t_other = solve_t(gamma, inputs.yA3, y, params)
+        if abs(t_other - hint_t) < abs(t - hint_t):
+            t_other, t = t, t_other
+        (_, alpha), (_, other) = _alpha_roots(t, params)
+    except (ChainIIUnreachable, AlphaUnreachable):
         return None
     if abs(other - hint_alpha) < abs(alpha - hint_alpha):
-        sign, alpha, other = other_sign, other, alpha
+        alpha, other = other, alpha
     l4, l6 = params.l4, params.l6
     slop = 8.0 * sys.float_info.epsilon * (
         reach + closure_tol + abs(t) + abs(t_other) + l4 + l6
@@ -341,7 +330,7 @@ def _predicted(t_values: tuple[float, float], hint: tuple[float, float, float],
     shift = t_other - t
     if abs(shift) * abs(sin_b) <= bound or abs(shift - 2.0 * l6 * sin_b) * abs(sin_b) <= bound:
         return None
-    return [(t_sign, t, [(sign, alpha, beta)])]
+    return t, alpha, beta
 
 
 #: A candidate within this of a kept one in x, y and z (mm) and in gamma,
@@ -409,7 +398,6 @@ def solve_at_gamma(
     sin_gamma: float,
     *,
     closure_tol: float = CLOSURE_TOL,
-    hint: tuple[float, float, float] | None = None,
 ) -> list[FkSolution]:
     """Direct solutions with the planar-loop angle pinned by the caller.
 
@@ -420,19 +408,37 @@ def solve_at_gamma(
     it, passing one elbow of :func:`solve_gamma` gives that elbow's share
     of :func:`solve`.  The full residual filter applies: a pinned gamma off
     the closure circle yields no solutions.
-
-    With ``hint = (t, alpha, reach)`` (see :func:`enumerate_candidates`)
-    the list holds only the predicted candidate, if it passes the filter,
-    whenever no other root could give a passing candidate within
-    ``2 * reach`` of it in x and z or coincident with it.  For any pose
-    within ``reach`` of the predicted candidate, the distance to the
-    nearest solution is then the same as without the hint; where another
-    root could compete, the hint is declined and every root is solved.
     """
-    return _finish(
-        enumerate_candidates(inputs, params, cos_gamma, (sin_gamma,), hint, closure_tol),
-        closure_tol,
-    )
+    return _finish(enumerate_candidates(inputs, params, cos_gamma, (sin_gamma,)), closure_tol)
+
+
+def distance_at_gamma(pose: Pose, inputs: JointInputs, params: ValidatedParams,
+                      cos_gamma: float, sin_gamma: float, *, closure_tol: float = CLOSURE_TOL,
+                      hint: tuple[float, float, float]) -> float:
+    """The worst-coordinate distance (mm) from ``pose`` to the nearest
+    :func:`solve_at_gamma` solution, bit for bit; inf when there is none.
+
+    ``hint = (t, alpha, reach)`` predicts the branch of the nearest solution
+    and only saves work.  The candidate on the t root nearest ``t`` and the
+    alpha root nearest ``alpha`` is built alone, as plain floats, when no
+    other root could give a passing candidate within ``2 * reach`` of it in
+    x and z or coincident with it (see :func:`_predicted`).  Its distance is
+    returned if it passes the closure filter and lies within ``reach``;
+    otherwise every root is solved.
+    """
+    gamma = math.atan2(sin_gamma, cos_gamma)
+    y = inputs.yA1 + params.l2 * cos_gamma - params.l3 / 2.0
+    predicted = _predicted(inputs, params, gamma, y, hint, closure_tol)
+    if predicted is not None:
+        r1 = _planar_residual(inputs, params, math.sin(gamma), math.cos(gamma))
+        x, z, vec = _assemble(inputs.yA3, params, y, sin_gamma, r1, *predicted)
+        # the filter of _finish and the distance of nearest, on the one candidate
+        if not max(vec) > closure_tol:
+            distance = max(abs(x - pose.x), abs(y - pose.y), abs(z - pose.z))
+            if distance <= hint[2]:
+                return distance
+    return nearest(pose, solve_at_gamma(inputs, params, cos_gamma, sin_gamma,
+                                        closure_tol=closure_tol))[1]
 
 
 def nearest(pose: Pose, solutions) -> tuple[FkSolution | None, float]:

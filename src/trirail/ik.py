@@ -17,18 +17,17 @@ solution itself and verifies the pose lies in the singular family.
 
 Every other solution is confirmed by the direct map on its own planar-loop
 elbow: cos(gamma) is re-derived from the rails, and the sign of sin(gamma)
-is the one the solution fixes through ``zC1 - l1``.  Both routes end in one
-:func:`fk.solve_at_gamma` call on the solution's own branch: its chain
-offset ``t = l4*sin(alpha) - l6*sin(beta)`` and its alpha are passed as a
-hint, so FK builds only the candidate on the t root and alpha root nearest
-them.  FK declines the hint, and solves every root, where another root
-could give a candidate as near the target or coincident with it; if the
-predicted candidate is not within ``roundtrip_tol`` of the target, the
-call is repeated without the hint, unless it returned more than one
-solution: an accepted hint builds a single candidate, so such a list
-already holds every root.  Either way ``roundtrip`` and
-``roundtrip_residual`` are bit for bit what the full enumeration gives.
-The ``roundtrip`` field records which route confirmed each solution.
+is the one the solution fixes through ``zC1 - l1``.  Both routes ask FK
+for one number, :func:`fk.distance_at_gamma`: the distance from the target
+to the nearest direct solution on that elbow.  The solution's chain offset
+``t = l4*sin(alpha) - l6*sin(beta)`` and its alpha go along as a hint, so
+FK builds only the candidate they predict.  FK solves every root instead
+where another root could give a candidate as near the target or
+coincident with it, or where the predicted candidate fails its closure
+residual or is not within ``roundtrip_tol`` of the target.  Either way
+``roundtrip`` and ``roundtrip_residual`` are bit for bit what the full
+enumeration gives.  The ``roundtrip`` field records which route confirmed
+each solution.
 
 :class:`IkSolution` and :class:`IkBranch` are immutable named tuples, like
 the direct map's results.
@@ -74,9 +73,10 @@ class IkSolution(NamedTuple):
     #: "direct" (FK on this solution's own gamma elbow, cos(gamma) from the
     #: rails, reproduced the pose), "singular-family" (FK with the loop angle
     #: pinned from this solution reproduced it), "failed", or "skipped" when
-    #: checking was disabled.  FK is hinted with this solution's t and alpha,
-    #: but ``roundtrip_residual`` is still the distance to the nearest of all
-    #: FK solutions on that elbow.
+    #: checking was disabled.  ``roundtrip_residual`` is the one distance FK
+    #: returns: from the pose to the nearest of all FK solutions on that
+    #: elbow, though FK solves every root only where the hinted t and alpha
+    #: do not settle it.
     roundtrip: str
     roundtrip_residual: float
 
@@ -99,18 +99,9 @@ def _single_elbow(base: float) -> bool:
     return base in (0.0, math.pi)
 
 
-def _roundtrip(
-    pose: Pose,
-    inputs: JointInputs,
-    y_c1: float,
-    z_c1: float,
-    parallel_singular: bool,
-    params: ValidatedParams,
-    closure_tol: float,
-    roundtrip_tol: float,
-    t: float,
-    alpha: float,
-) -> tuple[str, float]:
+def _roundtrip(pose: Pose, inputs: JointInputs, y_c1: float, z_c1: float,
+               parallel_singular: bool, params: ValidatedParams, closure_tol: float,
+               roundtrip_tol: float, t: float, alpha: float) -> tuple[str, float]:
     if parallel_singular:
         cos_gamma = (y_c1 - inputs.yA1) / params.l2
         sin_gamma = (z_c1 - params.l1) / params.l2
@@ -121,15 +112,8 @@ def _roundtrip(
         if z_c1 < params.l1 and sin_gamma:
             sin_gamma = -sin_gamma
         mode = "direct"
-    solutions = fk.solve_at_gamma(inputs, params, cos_gamma, sin_gamma,
-                                  closure_tol=closure_tol, hint=(t, alpha, roundtrip_tol))
-    _, best = fk.nearest(pose, solutions)
-    if not best <= roundtrip_tol and len(solutions) <= 1:
-        # the predicted candidate did not confirm: solve every root, so that a
-        # "failed" verdict and its residual are exact too (an accepted hint
-        # builds one candidate, so a longer list is already every root)
-        _, best = fk.nearest(pose, fk.solve_at_gamma(inputs, params, cos_gamma, sin_gamma,
-                                                     closure_tol=closure_tol))
+    best = fk.distance_at_gamma(pose, inputs, params, cos_gamma, sin_gamma,
+                                closure_tol=closure_tol, hint=(t, alpha, roundtrip_tol))
     return (mode if best <= roundtrip_tol else "failed"), best
 
 

@@ -22,8 +22,9 @@ the workspace labels points with the same index.
 Raw determinants carry mm^3; classification therefore normalises each Jp
 row by its Euclidean norm and each u by its link length (l2, l2, l6) so a
 single dimensionless threshold works at any scale.  The determinant is
-formed by cofactors and each row norm rounds like a fused-multiply-add dot
-(:func:`_row_norm`), all on Python floats.
+formed by cofactors and each row norm rounds like a fused-multiply-add dot,
+all on Python floats.  That row norm is one function, :func:`_row_norm`,
+which folds both fused steps into its body.
 
 :class:`JacobianPair` and :class:`Classification` are immutable named
 tuples, built once per classified branch.  ``JacobianPair.jp`` and ``jq``
@@ -97,21 +98,15 @@ def _det3(m) -> float:
 _SPLIT = 134217729.0
 
 
-def _fma_square(b: float, p: float) -> float:
-    """``b * b + p`` rounded once, like a fused multiply-add: ``b`` splits into
-    two halves of at most 26 bits (Veltkamp), their three products are exact
-    (Dekker 1971), and :func:`math.fsum` rounds the partials and ``p`` once."""
-    t = _SPLIT * b
-    hi = t - (t - b)
-    lo = b - hi
-    return math.fsum((hi * hi, 2.0 * hi * lo, lo * lo, p))
-
-
 def _row_norm(a: float, b: float, c: float) -> float:
     """``sqrt(fma(c, c, fma(b, b, a*a)))``: the Euclidean norm of one Jp row,
     rounded like a BLAS dot that accumulates with fused multiply-adds, which
     the workspace kernel's ``np.matmul`` calls (a plain ``a*a + b*b + c*c``
     differs in the last bit on about one row in twelve).
+
+    Each fma rounds once: its factor splits into two halves of at most 26
+    bits (Veltkamp), their three products are exact (Dekker 1971), and
+    :func:`math.fsum` rounds the partials and the addend once.
 
     Exact for every Jp row: entries are at most ``MAX_LENGTH / COT_GUARD`` =
     1e15 in magnitude, so the split (about 1.3e23) and the squares never
@@ -119,7 +114,11 @@ def _row_norm(a: float, b: float, c: float) -> float:
     entry too tiny for its split halves to square exactly cannot move the
     rounded sum.
     """
-    return math.sqrt(_fma_square(c, _fma_square(b, a * a)))
+    sb, sc = _SPLIT * b, _SPLIT * c
+    hb, hc = sb - (sb - b), sc - (sc - c)
+    lb, lc = b - hb, c - hc
+    return math.sqrt(math.fsum((hc * hc, 2.0 * hc * lc, lc * lc,
+                                math.fsum((hb * hb, 2.0 * hb * lb, lb * lb, a * a)))))
 
 
 def _class_index(u11, u22, u33, params: ValidatedParams, parallel):
@@ -179,8 +178,9 @@ def classify(
     """
     u11, u22, u33 = pair.u
     l2, l6 = params.l2, params.l6
-    norms = [_row_norm(*row) for row in pair.jp]
-    norm_det_jp = 0.0 if min(norms) == 0.0 else pair.det_jp / (norms[0] * norms[1] * norms[2])
+    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = pair.jp
+    n1, n2, n3 = _row_norm(a1, b1, c1), _row_norm(a2, b2, c2), _row_norm(a3, b3, c3)
+    norm_det_jp = 0.0 if min(n1, n2, n3) == 0.0 else pair.det_jp / (n1 * n2 * n3)
     kind = _KINDS[_class_index(u11, u22, u33, params, abs(norm_det_jp) <= threshold)]
     return Classification(kind, norm_det_jp, (u11 / l2) * (u22 / l2) * (u33 / l6))
 

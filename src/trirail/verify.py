@@ -86,8 +86,8 @@ def pose_consistency_residual(pose: Pose, inputs: JointInputs, params: Validated
         for s_b in (1.0, -1.0):
             sin_beta = s_b * math.sqrt(1.0 - cos_beta * cos_beta)
             # a pose does not fix t: the t-definition term, here of t = 0, is dropped
-            chain3, _, x_loop = fk._chain_residuals(pose, 0.0, inputs.yA3, params, sin_alpha,
-                                                    cos_alpha, sin_beta, cos_beta)
+            chain3, _, x_loop = fk._chain_residuals(pose.y, pose.z, 0.0, inputs.yA3, params,
+                                                    sin_alpha, cos_alpha, sin_beta, cos_beta)
             best = min(best, max(chain1, chain2, chain3, x_loop))
     return best
 

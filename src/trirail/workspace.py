@@ -66,6 +66,7 @@ the ``perfbench`` workloads label and export about 1.1M points/s on the
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import namedtuple
 from collections.abc import Iterator
@@ -88,13 +89,15 @@ class ScanSpec(_Checked, namedtuple("ScanSpec", ("x_range", "y_range", "z_range"
     """Axis-aligned box, per-axis point count, and classification threshold.
 
     A checked named tuple: every way to build one validates it, and it
-    compares and hashes as the plain tuple of its fields.
+    compares and hashes as the plain tuple of its fields.  Each range is
+    kept as a tuple of two floats and the resolution as an ``int``.
     """
 
     __slots__ = ()
 
     @staticmethod
     def __post_init__(spec):
+        ranges = []
         for name in ("x_range", "y_range", "z_range"):
             pair = getattr(spec, name)
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
@@ -104,13 +107,19 @@ class ScanSpec(_Checked, namedtuple("ScanSpec", ("x_range", "y_range", "z_range"
             if not (lo < hi and math.isfinite(hi - lo)):
                 raise InvalidParameter(name, "needs finite min < max, got "
                                              f"({clipped(pair[0])}, {clipped(pair[1])})")
-        if not isinstance(spec.resolution, int) or spec.resolution < 2:
+            ranges.append((lo, hi))
+        try:
+            resolution = operator.index(spec.resolution)
+        except TypeError:
+            resolution = 0
+        # operator.index takes a bool as an int, but a bool is no resolution
+        if isinstance(spec.resolution, bool) or resolution < 2:
             raise InvalidParameter("resolution", f"must be an integer >= 2, got {spec.resolution!r}")
         threshold = _real("singularity_threshold", spec.singularity_threshold)
         if not (math.isfinite(threshold) and threshold > 0):
             raise InvalidParameter("singularity_threshold", "must be finite and > 0, got "
                                                             f"{clipped(spec.singularity_threshold)}")
-        return spec
+        return (*ranges, resolution, spec.singularity_threshold)
 
 
 def _product(xs: list, ys: list, zs: list) -> tuple[Iterator, Iterator, Iterator]:

@@ -1,11 +1,11 @@
 """The IK round trip on each solution's own branch, against full enumeration.
 
-``ik.solve`` hands FK each solution's chain offset t and its alpha as a
-hint.  FK then builds only the candidate on the nearest t root and alpha
-root, unless another root could give a candidate as near the target or
-coincident with it.  Whatever FK builds, ``(roundtrip, roundtrip_residual)``
-must be bit for bit what ``_roundtrip_oracle.roundtrip`` gets by solving
-every root.
+``ik.solve`` asks ``fk.distance_at_gamma`` for one distance and hands it
+each solution's chain offset t and its alpha as a hint.  FK then builds
+only the candidate on the nearest t root and alpha root, unless another
+root could give a candidate as near the target or coincident with it.
+Whatever FK builds, ``(roundtrip, roundtrip_residual)`` must be bit for bit
+what ``_roundtrip_oracle.roundtrip`` gets by solving every root.
 """
 
 import math
@@ -133,8 +133,9 @@ def test_exact_double_t_root(tolerances):
 
 def test_one_candidate_per_solution_at_the_worked_pose(built):
     solutions = ik.solve(WORKED_POSE, P)
-    counts = [built[id(s.inputs)] for s in solutions]
-    assert counts == [[1]] * 8
+    assert len(solutions) == 8
+    # every round trip took the predicted candidate alone: no full enumeration
+    assert built == {}
     assert {s.roundtrip for s in solutions} == {"direct", "singular-family"}
     assert_matches_oracle(WORKED_POSE)
 
@@ -165,12 +166,13 @@ def test_failed_roundtrip_after_a_declined_hint_solves_once(built):
 
 
 def assert_hint_keeps_the_nearest_distance(inputs, params, cos_gamma, sin_gamma, closure_tol):
-    """The contract ``ik`` relies on: for any target within ``reach`` of the
-    predicted candidate, the hinted list's nearest distance is the full list's.
+    """The contract ``ik`` relies on: whatever the hint, ``fk.distance_at_gamma``
+    is the full list's nearest distance, bit for bit.
 
     Each candidate in turn is the predicted one, and targets are placed
     between it and each other candidate, so that other roots do compete
-    once ``reach`` is large.
+    once ``reach`` is large.  A ``reach`` of 0 or the least subnormal puts
+    almost every target out of reach, so the fallback runs too.
     """
     every = fk.solve_at_gamma(inputs, params, cos_gamma, sin_gamma, closure_tol=closure_tol)
     for predicted in every:
@@ -180,14 +182,12 @@ def assert_hint_keeps_the_nearest_distance(inputs, params, cos_gamma, sin_gamma,
                 target = Pose(predicted.pose.x + blend * (other.pose.x - predicted.pose.x),
                               predicted.pose.y,
                               predicted.pose.z + blend * (other.pose.z - predicted.pose.z))
-                for slack in (1.0, 1.25):
-                    reach = fk.nearest(target, [predicted])[1] * slack
-                    hinted = fk.solve_at_gamma(inputs, params, cos_gamma, sin_gamma,
-                                               closure_tol=closure_tol,
-                                               hint=(hint_t, hint_alpha, reach))
-                    distance = fk.nearest(target, hinted)[1]
-                    if distance <= reach:
-                        assert distance == fk.nearest(target, every)[1]
+                exact = fk.nearest(target, [predicted])[1]
+                for reach in (exact, exact * 1.25, 0.0, 5e-324):
+                    distance = fk.distance_at_gamma(target, inputs, params, cos_gamma, sin_gamma,
+                                                    closure_tol=closure_tol,
+                                                    hint=(hint_t, hint_alpha, reach))
+                    assert repr(distance) == repr(fk.nearest(target, every)[1])
     return every
 
 

@@ -234,6 +234,24 @@ class TestScanSpec:
             ScanSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
                      resolution=1)
 
+    def test_numpy_integer_resolution_is_stored_as_int(self):
+        spec = ScanSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
+                        resolution=np.int64(5))
+        assert spec.resolution == 5 and type(spec.resolution) is int
+
+    @pytest.mark.parametrize("resolution", [True, 5.0, 1], ids=["bool", "float", "one"])
+    def test_non_integer_or_small_resolution_refused(self, resolution):
+        reason = re.escape(f"must be an integer >= 2, got {resolution!r}")
+        with pytest.raises(InvalidParameter, match=f"^resolution: {reason}$"):
+            ScanSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
+                     resolution=resolution)
+
+    def test_list_ranges_compare_and_hash_as_tuples(self):
+        listed = ScanSpec([0.0, 1.0], [0.0, 1.0], [0.0, 1.0])
+        tupled = ScanSpec((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed.x_range == (0.0, 1.0) and type(listed.x_range) is tuple
+
     def test_defaults_and_tuple_equality(self):
         spec = ScanSpec(**REFERENCE_BOX)
         assert ScanSpec._field_defaults == {"resolution": 41, "singularity_threshold": 1e-3}
