@@ -30,8 +30,18 @@ residual check.  Coincident candidates are merged by one rule, in
 root needs no case of its own: :func:`solve_t` and the alpha solver always
 return both roots, and the second copy falls to that rule.
 
+One function, :func:`_candidate`, builds each candidate from its t and
+alpha: sin and cos of alpha, beta from the t-definition and the X-closure,
+sin and cos of beta, the pose, and the residual vector through
+:func:`_chain_residuals`, whose formulas :func:`residuals` shares.
+
 The inverse round trip needs only the distance from its pose to the
-nearest solution on one elbow: :func:`distance_at_gamma`.
+nearest solution on one elbow: :func:`distance_at_gamma`.  It takes an
+:class:`Elbow` from :func:`roundtrip_elbow`, which holds the terms every
+candidate on that elbow shares (gamma, platform y, H1 and the planar-loop
+residual), so the inverse solutions with the same alpha and rails 1 and 2
+compute them once.  Where the solution's branch settles the answer, it
+calls :func:`_candidate` for that one root.
 
 Each candidate is an :class:`FkSolution` holding an :class:`FkBranch` and
 an :class:`FkIntermediates`.  All three are immutable named tuples; read
@@ -94,13 +104,36 @@ class FkSolution(NamedTuple):
     residual_vector: tuple[float, float, float, float]
 
 
+class Elbow(NamedTuple):
+    """The planar-loop elbow that confirms inverse solutions; see :func:`roundtrip_elbow`.
+
+    ``mode`` is the round trip's route, "direct" or "singular-family".
+    ``gamma`` is atan2 of the sine and cosine, ``y`` the platform y (mm),
+    ``H1`` the gamma term of :func:`solve_t`, ``r1`` the planar-loop
+    residual (mm) and ``scale`` the sum of the lengths (mm) that bound the
+    rounding of the elbow's candidates.
+    """
+
+    mode: str
+    cos_gamma: float
+    sin_gamma: float
+    gamma: float
+    y: float
+    H1: float
+    r1: float
+    scale: float
+
+
 def solve_gamma(inputs: JointInputs, params: ValidatedParams) -> tuple[float, tuple[float, float]]:
     """Closure-consistent cos(gamma) plus both elbow values of sin(gamma).
 
     Raises :class:`IndeterminateGamma` at the B = 0 parallel singularity
     and :class:`GammaOutOfRange` when the loop cannot close.
     """
-    B = inputs.yA1 - params.l3 - inputs.yA2
+    return _solve_gamma(inputs.yA1 - params.l3 - inputs.yA2, params)
+
+
+def _solve_gamma(B: float, params: ValidatedParams) -> tuple[float, tuple[float, float]]:
     if abs(B) <= EPS_B:
         raise IndeterminateGamma(
             f"yA1 - l3 - yA2 = {B:.3g} mm: planar-loop angle undetermined (parallel singularity)"
@@ -123,7 +156,10 @@ def solve_t(gamma: float, yA3: float, pose_y: float, params: ValidatedParams) ->
     of rail 3).  At H2 = 0 the two roots are equal; :func:`_finish` keeps one
     of the coincident candidates they give.
     """
-    H1 = params.l2 * math.sin(gamma) - params.l8 - params.l7
+    return _t_roots(params.l2 * math.sin(gamma) - params.l8 - params.l7, yA3, pose_y, params)
+
+
+def _t_roots(H1: float, yA3: float, pose_y: float, params: ValidatedParams) -> tuple[float, float]:
     H2 = params.l6 * params.l6 - (pose_y - yA3) * (pose_y - yA3)
     if H2 < 0.0:
         raise ChainIIUnreachable(
@@ -168,28 +204,26 @@ def _alpha_roots(t: float, params: ValidatedParams) -> list[tuple[int, float]]:
     return raw
 
 
-def _alpha_candidates(t: float, params: ValidatedParams):
-    """(sign, alpha, beta) triples of :func:`_alpha_roots`.
+def _candidate(params: ValidatedParams, yA3: float, y: float, sin_gamma: float, r1: float,
+               t: float, alpha: float):
+    """x, z, beta, sin(beta) and the residual vector of the candidate on
+    (t, alpha) of an elbow with platform y and planar-loop residual ``r1``.
 
-    Roots whose recovered beta leaves the unit circle are dropped; a double
-    root is listed twice.
+    beta follows from the t-definition and the X-closure; None when their
+    (sin, cos) pair is off the unit circle.
     """
-    out = []
-    for sign, alpha in _alpha_roots(t, params):
-        beta = _recover_beta(alpha, t, params)
-        if beta is not None:
-            out.append((sign, alpha, beta))
-    return out
-
-
-def _recover_beta(alpha: float, t: float, params: ValidatedParams):
-    """beta from the t-definition and the X-closure; None if inconsistent."""
-    sin_beta = (params.l4 * math.sin(alpha) - t) / params.l6
-    cos_beta = (params.l4 * math.cos(alpha) + 2.0 * params.d - 2.0 * params.b) / params.l6
+    l4, l6 = params.l4, params.l6
+    sin_a, cos_a = math.sin(alpha), math.cos(alpha)
+    sin_beta = (l4 * sin_a - t) / l6
+    cos_beta = (l4 * cos_a + 2.0 * params.d - 2.0 * params.b) / l6
     # |cos beta| > 1 + CIRCLE_TOL puts this above about 2 * CIRCLE_TOL, so it fails here too
     if abs(sin_beta * sin_beta + cos_beta * cos_beta - 1.0) > CIRCLE_TOL:
         return None
-    return math.atan2(sin_beta, cos_beta)
+    beta = math.atan2(sin_beta, cos_beta)
+    sin_b, cos_b = math.sin(beta), math.cos(beta)
+    z = params.l1 + params.l2 * sin_gamma + l4 * sin_a
+    return (-params.b + l4 * cos_a + params.d, z, beta, sin_b,
+            (r1, *_chain_residuals(y, z, t, yA3, params, sin_a, cos_a, sin_b, cos_b)))
 
 
 def residuals(
@@ -204,15 +238,15 @@ def residuals(
     link length |B3C3| - l6, the t-definition, and the X-direction closure.
     """
     gamma, alpha, beta = intermediates.gamma, intermediates.alpha, intermediates.beta
-    return (_planar_residual(inputs, params, math.sin(gamma), math.cos(gamma)),
+    return (_planar_residual(inputs.yA1, inputs.yA2, params, math.sin(gamma), math.cos(gamma)),
             *_chain_residuals(pose.y, pose.z, intermediates.t, inputs.yA3, params,
                               math.sin(alpha), math.cos(alpha), math.sin(beta), math.cos(beta)))
 
 
-def _planar_residual(inputs: JointInputs, params: ValidatedParams, sin_g: float, cos_g: float):
-    """|B2C2| - l2 of :func:`residuals`, from sin and cos of gamma."""
+def _planar_residual(yA1: float, yA2: float, params: ValidatedParams, sin_g: float, cos_g: float):
+    """|B2C2| - l2 of :func:`residuals`, from rails 1 and 2 and sin and cos of gamma."""
     l2 = params.l2
-    return abs(math.hypot(inputs.yA1 + l2 * cos_g - params.l3 - inputs.yA2, l2 * sin_g) - l2)
+    return abs(math.hypot(yA1 + l2 * cos_g - params.l3 - yA2, l2 * sin_g) - l2)
 
 
 def _chain_residuals(y: float, z: float, t: float, yA3: float, params: ValidatedParams,
@@ -234,7 +268,7 @@ def enumerate_candidates(inputs: JointInputs, params: ValidatedParams, cos_gamma
     residual, but spurious-branch investigations (e.g. the sign-flipped
     cos(gamma) of the planar loop) need the rejected candidates too.
     """
-    l2, l3 = params.l2, params.l3
+    yA1, yA2, yA3 = inputs
     out: list[FkSolution] = []
     seen_sin = set()
     for sin_gamma in sin_gammas:
@@ -244,93 +278,67 @@ def enumerate_candidates(inputs: JointInputs, params: ValidatedParams, cos_gamma
             continue
         seen_sin.add(sin_gamma)
         gamma_sign = 1 if sin_gamma >= 0.0 else -1
-        gamma = math.atan2(sin_gamma, cos_gamma)
-        y = inputs.yA1 + l2 * cos_gamma - l3 / 2.0
+        gamma, y, H1, r1 = _elbow_terms(yA1, yA2, cos_gamma, sin_gamma, params)
         try:
-            t_values = solve_t(gamma, inputs.yA3, y, params)
+            t_values = _t_roots(H1, yA3, y, params)
         except ChainIIUnreachable:
             continue
-        # one elbow: the planar-loop residual does not depend on t or alpha
-        r1 = _planar_residual(inputs, params, math.sin(gamma), math.cos(gamma))
         for t_sign, t in zip((1, -1), t_values):
             try:
-                alphas = _alpha_candidates(t, params)
+                roots = _alpha_roots(t, params)
             except AlphaUnreachable:
                 continue
-            for alpha_sign, alpha, beta in alphas:
-                x, z, vec = _assemble(inputs.yA3, params, y, sin_gamma, r1, t, alpha, beta)
+            for alpha_sign, alpha in roots:
+                candidate = _candidate(params, yA3, y, sin_gamma, r1, t, alpha)
+                if candidate is None:
+                    continue
+                x, z, beta, _, vec = candidate
                 # finite by construction, so Pose's check is skipped
-                out.append(FkSolution(tuple.__new__(Pose, (x, y, z)),
-                                      FkBranch(gamma_sign, t_sign, alpha_sign),
-                                      FkIntermediates(gamma, alpha, beta, t), max(vec), vec))
+                out.append(tuple.__new__(FkSolution, (
+                    tuple.__new__(Pose, (x, y, z)),
+                    tuple.__new__(FkBranch, (gamma_sign, t_sign, alpha_sign)),
+                    tuple.__new__(FkIntermediates, (gamma, alpha, beta, t)), max(vec), vec)))
     return out
 
 
-def _assemble(yA3: float, params: ValidatedParams, y: float, sin_gamma: float, r1: float,
-              t: float, alpha: float, beta: float):
-    """x, z and the residual vector of the candidate on (t, alpha, beta) of an
-    elbow with platform y and planar-loop residual ``r1``."""
-    sin_a, cos_a = math.sin(alpha), math.cos(alpha)
-    z = params.l1 + params.l2 * sin_gamma + params.l4 * sin_a
-    return (-params.b + params.l4 * cos_a + params.d, z,
-            (r1, *_chain_residuals(y, z, t, yA3, params, sin_a, cos_a,
-                                   math.sin(beta), math.cos(beta))))
+def _elbow_terms(yA1: float, yA2: float, cos_gamma: float, sin_gamma: float,
+                 params: ValidatedParams) -> tuple[float, float, float, float]:
+    """gamma, platform y, the H1 of :func:`solve_t` and the planar-loop
+    residual of one elbow: every candidate on it shares them."""
+    gamma = math.atan2(sin_gamma, cos_gamma)
+    sin_g = math.sin(gamma)
+    return (gamma, yA1 + params.l2 * cos_gamma - params.l3 / 2.0,
+            params.l2 * sin_g - params.l8 - params.l7,
+            _planar_residual(yA1, yA2, params, sin_g, math.cos(gamma)))
 
 
-def _predicted(inputs: JointInputs, params: ValidatedParams, gamma: float, y: float,
-               hint: tuple[float, float, float], closure_tol: float):
-    """The hinted ``(t, alpha, beta)`` of the elbow ``gamma`` with platform
-    ``y``, or None when every root must be enumerated (or there is none).
+def roundtrip_elbow(yA1: float, yA2: float, y_c1: float, z_c1: float,
+                    params: ValidatedParams) -> Elbow:
+    """The elbow that confirms every inverse solution with rails 1 and 2 at
+    ``yA1`` and ``yA2`` and chain-1 joint C1 at (``y_c1``, ``z_c1``).
 
-    All candidates of an elbow share y, and their x and z depend on alpha
-    only.  A candidate within ``2 * reach`` of the predicted one in x and z
-    has its (cos, sin) of alpha within a chord of ``2 * sqrt(2) * reach / l4``,
-    so within an arc of pi/2 times that; a coincident one (:func:`_near`)
-    is within ``_COINCIDENT_RAD``.  ``window`` is the larger of the two, and
-    the hint is declined when another root could fall inside it:
-
-    * the other alpha root of the same t is compared directly;
-    * a candidate on the other t root t' that passes ``closure_tol`` has,
-      by the X-closure of both candidates, ``l6 |cos(beta') - cos(beta)| <=
-      near = l4 * window + 2 * closure_tol``, hence
-      ``l6 ||sin(beta')| - |sin(beta)|| <= 2 * near / |sin(beta)|``, and by
-      the t-definition of both, t' lies within ``near * (1 + 2 / |sin(beta)|)``
-      of t (same sign of sin(beta)) or of ``t + 2 * l6 * sin(beta)``
-      (opposite sign).  Near the fold planes sin(beta) -> 0 and the bound
-      declines by itself.
-
-    ``slop`` bounds the rounding of the pose and residual sums: a few ulps
-    of their largest terms.
+    Away from the parallel singularity ("direct") cos(gamma) comes from the
+    rails as in :func:`solve_gamma`, and sin(gamma) takes the sign of
+    ``z_c1 - l1``; on it ("singular-family") both are pinned from C1.
     """
-    hint_t, hint_alpha, reach = hint
-    try:
-        t, t_other = solve_t(gamma, inputs.yA3, y, params)
-        if abs(t_other - hint_t) < abs(t - hint_t):
-            t_other, t = t, t_other
-        (_, alpha), (_, other) = _alpha_roots(t, params)
-    except (ChainIIUnreachable, AlphaUnreachable):
-        return None
-    if abs(other - hint_alpha) < abs(alpha - hint_alpha):
-        alpha, other = other, alpha
-    l4, l6 = params.l4, params.l6
-    slop = 8.0 * sys.float_info.epsilon * (
-        reach + closure_tol + abs(t) + abs(t_other) + l4 + l6
-        + abs(params.b) + abs(params.d) + abs(params.l1) + params.l2)
-    window = max(math.pi * math.sqrt(2.0) * (reach + slop) / l4, _COINCIDENT_RAD)
-    gap = abs(other - alpha)
-    if min(gap, 2.0 * math.pi - gap) <= window:
-        return None
-    beta = _recover_beta(alpha, t, params)
-    if beta is None:
-        return None
-    sin_b = math.sin(beta)
-    near = l4 * window + 2.0 * (closure_tol + slop)
-    # |shift| <= near * (1 + 2/|sin|), multiplied through by |sin| so sin = 0 declines
-    bound = near * (abs(sin_b) + 2.0)
-    shift = t_other - t
-    if abs(shift) * abs(sin_b) <= bound or abs(shift - 2.0 * l6 * sin_b) * abs(sin_b) <= bound:
-        return None
-    return t, alpha, beta
+    l2 = params.l2
+    B = yA1 - params.l3 - yA2
+    if abs(B) <= EPS_B:
+        mode, cos_gamma, sin_gamma = "singular-family", (y_c1 - yA1) / l2, (z_c1 - params.l1) / l2
+    else:
+        mode, (cos_gamma, (sin_gamma, _)) = "direct", _solve_gamma(B, params)
+        # the solution's own elbow; sin = 0 is a single elbow, kept as +0.0 like solve
+        if z_c1 < params.l1 and sin_gamma:
+            sin_gamma = -sin_gamma
+    return _elbow(mode, yA1, yA2, cos_gamma, sin_gamma, params)
+
+
+def _elbow(mode: str, yA1: float, yA2: float, cos_gamma: float, sin_gamma: float,
+           params: ValidatedParams) -> Elbow:
+    """The :class:`Elbow` of route ``mode`` at the given cos and sin of gamma."""
+    scale = params.l4 + params.l6 + abs(params.b) + abs(params.d) + abs(params.l1) + params.l2
+    return tuple.__new__(Elbow, (mode, cos_gamma, sin_gamma,
+                                 *_elbow_terms(yA1, yA2, cos_gamma, sin_gamma, params), scale))
 
 
 #: A candidate within this of a kept one in x, y and z (mm) and in gamma,
@@ -412,32 +420,80 @@ def solve_at_gamma(
     return _finish(enumerate_candidates(inputs, params, cos_gamma, (sin_gamma,)), closure_tol)
 
 
-def distance_at_gamma(pose: Pose, inputs: JointInputs, params: ValidatedParams,
-                      cos_gamma: float, sin_gamma: float, *, closure_tol: float = CLOSURE_TOL,
+#: A chord c of the unit circle spans an arc of at most pi/2 * c, and a
+#: candidate within 2 * reach in x and z is within a chord of
+#: 2 * sqrt(2) * reach / l4 in (cos, sin) of alpha.
+_ARC_PER_REACH = math.pi * math.sqrt(2.0)
+
+
+def distance_at_gamma(pose: Pose, inputs: JointInputs, params: ValidatedParams, elbow: Elbow,
+                      *, closure_tol: float = CLOSURE_TOL,
                       hint: tuple[float, float, float]) -> float:
     """The worst-coordinate distance (mm) from ``pose`` to the nearest
-    :func:`solve_at_gamma` solution, bit for bit; inf when there is none.
+    :func:`solve_at_gamma` solution on ``elbow``, bit for bit; inf when
+    there is none.
 
     ``hint = (t, alpha, reach)`` predicts the branch of the nearest solution
     and only saves work.  The candidate on the t root nearest ``t`` and the
-    alpha root nearest ``alpha`` is built alone, as plain floats, when no
-    other root could give a passing candidate within ``2 * reach`` of it in
-    x and z or coincident with it (see :func:`_predicted`).  Its distance is
-    returned if it passes the closure filter and lies within ``reach``;
-    otherwise every root is solved.
+    alpha root nearest ``alpha`` is built alone, as plain floats, unless
+    another root could give a passing candidate within ``2 * reach`` of it
+    in x and z or coincident with it.  Its distance is returned if it passes
+    the closure filter and lies within ``reach``; otherwise every root is
+    solved.
+
+    All candidates of an elbow share y, and their x and z depend on alpha
+    only.  A candidate within ``2 * reach`` of the predicted one in x and z
+    has its alpha within ``_ARC_PER_REACH * reach / l4``; a coincident one
+    (:func:`_near`) is within ``_COINCIDENT_RAD``.  ``window`` is the larger
+    of the two, and the hint is declined when another root could fall
+    inside it:
+
+    * the other alpha root of the same t is compared directly;
+    * a candidate on the other t root t' that passes ``closure_tol`` has,
+      by the X-closure of both candidates, ``l6 |cos(beta') - cos(beta)| <=
+      near = l4 * window + 2 * closure_tol``, hence
+      ``l6 ||sin(beta')| - |sin(beta)|| <= 2 * near / |sin(beta)|``, and by
+      the t-definition of both, t' lies within ``near * (1 + 2 / |sin(beta)|)``
+      of t (same sign of sin(beta)) or of ``t + 2 * l6 * sin(beta)``
+      (opposite sign).  Near the fold planes sin(beta) -> 0 and the bound
+      declines by itself.
+
+    ``slop`` bounds the rounding of the pose and residual sums: a few ulps
+    of their largest terms.
     """
-    gamma = math.atan2(sin_gamma, cos_gamma)
-    y = inputs.yA1 + params.l2 * cos_gamma - params.l3 / 2.0
-    predicted = _predicted(inputs, params, gamma, y, hint, closure_tol)
-    if predicted is not None:
-        r1 = _planar_residual(inputs, params, math.sin(gamma), math.cos(gamma))
-        x, z, vec = _assemble(inputs.yA3, params, y, sin_gamma, r1, *predicted)
-        # the filter of _finish and the distance of nearest, on the one candidate
-        if not max(vec) > closure_tol:
-            distance = max(abs(x - pose.x), abs(y - pose.y), abs(z - pose.z))
-            if distance <= hint[2]:
-                return distance
-    return nearest(pose, solve_at_gamma(inputs, params, cos_gamma, sin_gamma,
+    hint_t, hint_alpha, reach = hint
+    y = elbow.y
+    try:
+        t, t_other = _t_roots(elbow.H1, inputs.yA3, y, params)
+        if abs(t_other - hint_t) < abs(t - hint_t):
+            t_other, t = t, t_other
+        (_, alpha), (_, other) = _alpha_roots(t, params)
+    except (ChainIIUnreachable, AlphaUnreachable):
+        pass
+    else:
+        if abs(other - hint_alpha) < abs(alpha - hint_alpha):
+            alpha, other = other, alpha
+        l4, l6 = params.l4, params.l6
+        slop = 8.0 * sys.float_info.epsilon * (
+            reach + closure_tol + abs(t) + abs(t_other) + elbow.scale)
+        window = max(_ARC_PER_REACH * (reach + slop) / l4, _COINCIDENT_RAD)
+        gap = abs(other - alpha)
+        candidate = (None if min(gap, 2.0 * math.pi - gap) <= window
+                     else _candidate(params, inputs.yA3, y, elbow.sin_gamma, elbow.r1, t, alpha))
+        if candidate is not None:
+            x, z, _, sin_b, vec = candidate
+            near = l4 * window + 2.0 * (closure_tol + slop)
+            # |shift| <= near * (1 + 2/|sin|), multiplied through by |sin| so sin = 0 declines
+            bound = near * (abs(sin_b) + 2.0)
+            shift = t_other - t
+            declined = (abs(shift) * abs(sin_b) <= bound
+                        or abs(shift - 2.0 * l6 * sin_b) * abs(sin_b) <= bound)
+            # the filter of _finish and the distance of nearest, on the one candidate
+            if not declined and not max(vec) > closure_tol:
+                distance = max(abs(x - pose.x), abs(y - pose.y), abs(z - pose.z))
+                if distance <= reach:
+                    return distance
+    return nearest(pose, solve_at_gamma(inputs, params, elbow.cos_gamma, elbow.sin_gamma,
                                         closure_tol=closure_tol))[1]
 
 

@@ -17,17 +17,20 @@ solution itself and verifies the pose lies in the singular family.
 
 Every other solution is confirmed by the direct map on its own planar-loop
 elbow: cos(gamma) is re-derived from the rails, and the sign of sin(gamma)
-is the one the solution fixes through ``zC1 - l1``.  Both routes ask FK
-for one number, :func:`fk.distance_at_gamma`: the distance from the target
-to the nearest direct solution on that elbow.  The solution's chain offset
-``t = l4*sin(alpha) - l6*sin(beta)`` and its alpha go along as a hint, so
-FK builds only the candidate they predict.  FK solves every root instead
-where another root could give a candidate as near the target or
-coincident with it, or where the predicted candidate fails its closure
-residual or is not within ``roundtrip_tol`` of the target.  Either way
-``roundtrip`` and ``roundtrip_residual`` are bit for bit what the full
-enumeration gives.  The ``roundtrip`` field records which route confirmed
-each solution.
+is the one the solution fixes through ``zC1 - l1``.  Either way the elbow
+depends on alpha and rails 1 and 2 only, so :func:`solve` builds one,
+:func:`fk.roundtrip_elbow`, per alpha slot and pair of rail-1/2 roots, and
+every solution of that group shares it (both roots of rail 3, per beta
+slot).  Per solution it asks FK for one number, :func:`fk.distance_at_gamma`:
+the distance from the target to the nearest direct solution on that elbow.
+The solution's chain offset ``t = l4*sin(alpha) - l6*sin(beta)`` and its
+alpha go along as a hint, so FK builds only the candidate they predict.
+FK solves every root instead where another root could give a candidate as
+near the target or coincident with it, or where the predicted candidate
+fails its closure residual or is not within ``roundtrip_tol`` of the
+target.  Either way ``roundtrip`` and ``roundtrip_residual`` are bit for bit
+what the full enumeration gives.  The ``roundtrip`` field records which
+route confirmed each solution.
 
 :class:`IkSolution` and :class:`IkBranch` are immutable named tuples, like
 the direct map's results.
@@ -99,24 +102,6 @@ def _single_elbow(base: float) -> bool:
     return base in (0.0, math.pi)
 
 
-def _roundtrip(pose: Pose, inputs: JointInputs, y_c1: float, z_c1: float,
-               parallel_singular: bool, params: ValidatedParams, closure_tol: float,
-               roundtrip_tol: float, t: float, alpha: float) -> tuple[str, float]:
-    if parallel_singular:
-        cos_gamma = (y_c1 - inputs.yA1) / params.l2
-        sin_gamma = (z_c1 - params.l1) / params.l2
-        mode = "singular-family"
-    else:
-        cos_gamma, (sin_gamma, _) = fk.solve_gamma(inputs, params)
-        # the branch's own elbow; sin = 0 is a single elbow, kept as +0.0 like fk.solve
-        if z_c1 < params.l1 and sin_gamma:
-            sin_gamma = -sin_gamma
-        mode = "direct"
-    best = fk.distance_at_gamma(pose, inputs, params, cos_gamma, sin_gamma,
-                                closure_tol=closure_tol, hint=(t, alpha, roundtrip_tol))
-    return (mode if best <= roundtrip_tol else "failed"), best
-
-
 def solve(
     pose: Pose,
     params: ValidatedParams,
@@ -139,48 +124,49 @@ def solve(
                               "x + d - b relative to l6")
     y_c1, y_c2, y_c3 = pose.y + l3 / 2.0, pose.y - l3 / 2.0, pose.y
 
-    alpha_signs = (1,) if _single_elbow(alpha_base) else (1, -1)
-    beta_signs = (1,) if _single_elbow(beta_base) else (1, -1)
+    # (s_beta, beta, l6 sin(beta), M3, root_3, rail-3 signs, merged chain 3) per beta slot
+    beta_slots = []
+    for s_beta in (1,) if _single_elbow(beta_base) else (1, -1):
+        beta = s_beta * beta_base
+        l6_sin_b = l6 * math.sin(beta)
+        z_c3 = pose.z - params.l8 - l6_sin_b - params.l7
+        M3 = l6 * l6 - (z_c3 - l1) * (z_c3 - l1)
+        if M3 >= 0.0:
+            root_3 = math.sqrt(M3)
+            signs_3, merged_3 = ((1,), (3,)) if root_3 == 0.0 else ((1, -1), ())
+            beta_slots.append((s_beta, beta, l6_sin_b, M3, root_3, signs_3, merged_3))
+    if not beta_slots:
+        return []
 
     out: list[IkSolution] = []
-    for s_alpha in alpha_signs:
+    for s_alpha in (1,) if _single_elbow(alpha_base) else (1, -1):
         alpha = s_alpha * alpha_base
         l4_sin_a = params.l4 * math.sin(alpha)
         z_c1 = pose.z - l4_sin_a
         M1 = l2 * l2 - (z_c1 - l1) * (z_c1 - l1)
         if M1 < 0.0:
             continue
-        for s_beta in beta_signs:
-            beta = s_beta * beta_base
-            l6_sin_b = l6 * math.sin(beta)
-            z_c3 = pose.z - params.l8 - l6_sin_b - params.l7
-            M3 = l6 * l6 - (z_c3 - l1) * (z_c3 - l1)
-            if M3 < 0.0:
-                continue
-            root_1 = math.sqrt(M1)
-            root_3 = math.sqrt(M3)
-            sign_sets = (
-                (1,) if root_1 == 0.0 else (1, -1),
-                (1,) if root_1 == 0.0 else (1, -1),
-                (1,) if root_3 == 0.0 else (1, -1),
-            )
-            merged = tuple(i + 1 for i, signs in enumerate(sign_sets) if len(signs) == 1)
-            for s1, s2, s3 in product(*sign_sets):
-                # finite by construction, so JointInputs' check is skipped
-                inputs = tuple.__new__(JointInputs, (
-                    y_c1 + s1 * root_1, y_c2 + s2 * root_1, y_c3 + s3 * root_3,
-                ))
-                B = inputs.yA1 - l3 - inputs.yA2
-                parallel_singular = abs(B) <= fk.EPS_B
-                if check_roundtrip:
-                    roundtrip, residual = _roundtrip(
-                        pose, inputs, y_c1, z_c1, parallel_singular,
-                        params, closure_tol, roundtrip_tol, l4_sin_a - l6_sin_b, alpha,
-                    )
-                else:
-                    roundtrip, residual = "skipped", math.nan
-                out.append(IkSolution(inputs, IkBranch(s_alpha, s_beta, (s1, s2, s3)),
-                                      M1, M3, alpha, beta, merged, parallel_singular,
-                                      roundtrip, residual))
+        root_1 = math.sqrt(M1)
+        signs_1, merged_1 = ((1,), (1, 2)) if root_1 == 0.0 else ((1, -1), ())
+        for s1, s2 in product(signs_1, signs_1):
+            yA1, yA2 = y_c1 + s1 * root_1, y_c2 + s2 * root_1
+            parallel_singular = abs(yA1 - l3 - yA2) <= fk.EPS_B
+            # one planar-loop elbow confirms every solution of this alpha, yA1 and yA2
+            elbow = fk.roundtrip_elbow(yA1, yA2, y_c1, z_c1, params) if check_roundtrip else None
+            for s_beta, beta, l6_sin_b, M3, root_3, signs_3, merged_3 in beta_slots:
+                for s3 in signs_3:
+                    # finite by construction, so JointInputs' check is skipped
+                    inputs = tuple.__new__(JointInputs, (yA1, yA2, y_c3 + s3 * root_3))
+                    if elbow is None:
+                        roundtrip, residual = "skipped", math.nan
+                    else:
+                        residual = fk.distance_at_gamma(
+                            pose, inputs, params, elbow, closure_tol=closure_tol,
+                            hint=(l4_sin_a - l6_sin_b, alpha, roundtrip_tol))
+                        roundtrip = elbow.mode if residual <= roundtrip_tol else "failed"
+                    out.append(tuple.__new__(IkSolution, (
+                        inputs, tuple.__new__(IkBranch, (s_alpha, s_beta, (s1, s2, s3))),
+                        M1, M3, alpha, beta, merged_1 + merged_3, parallel_singular,
+                        roundtrip, residual)))
     out.sort(key=lambda s: (s.inputs.yA1, s.inputs.yA2, s.inputs.yA3, s.alpha, s.beta))
     return out

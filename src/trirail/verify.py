@@ -82,7 +82,7 @@ def pose_consistency_residual(pose: Pose, inputs: JointInputs, params: Validated
         sin_alpha = s_a * math.sqrt(1.0 - cos_alpha * cos_alpha)
         sin_gamma = (pose.z - l4 * sin_alpha - params.l1) / l2
         chain1 = abs(math.hypot(l2 * cos_gamma, l2 * sin_gamma) - l2)
-        chain2 = fk._planar_residual(inputs, params, sin_gamma, cos_gamma)
+        chain2 = fk._planar_residual(inputs.yA1, inputs.yA2, params, sin_gamma, cos_gamma)
         for s_b in (1.0, -1.0):
             sin_beta = s_b * math.sqrt(1.0 - cos_beta * cos_beta)
             # a pose does not fix t: the t-definition term, here of t = 0, is dropped

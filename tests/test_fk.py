@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -94,12 +96,32 @@ class TestSolveT:
         assert roots == (-h1 + P.l6, -h1 - P.l6)
 
 
+def alpha_candidates(t):
+    """(sign, alpha, beta) of each ``fk._alpha_roots`` root of a chain offset t
+    whose ``fk._candidate`` beta is on the unit circle."""
+    out = []
+    for sign, alpha in fk._alpha_roots(t, P):
+        beta = candidate_beta(alpha, t, P)
+        if beta is not None:
+            out.append((sign, alpha, beta))
+    return out
+
+
+def candidate_beta(alpha, t, params):
+    """The beta ``fk._candidate`` recovers on (t, alpha), or None off the unit circle.
+
+    The elbow's y, sin(gamma) and r1 and rail 3 are 0: beta does not depend on them.
+    """
+    candidate = fk._candidate(params, 0.0, 0.0, 0.0, 0.0, t, alpha)
+    return None if candidate is None else candidate[2]
+
+
 class TestSolveAlpha:
-    """``fk._alpha_candidates``: (sign, alpha, beta) triples for a chain offset t."""
+    """``fk._alpha_roots`` with ``fk._candidate``: (sign, alpha, beta) triples for a chain offset t."""
 
     @staticmethod
     def alphas(t):
-        candidates = fk._alpha_candidates(t, P)
+        candidates = alpha_candidates(t)
         return [alpha for _, alpha, _ in candidates]
 
     def test_worked_example_contains_documented_root(self):
@@ -120,10 +142,10 @@ class TestSolveAlpha:
 
     def test_triangle_inequality(self):
         with pytest.raises(AlphaUnreachable):
-            fk._alpha_candidates(P.l4 + P.l6 + 1.0, P)
+            alpha_candidates(P.l4 + P.l6 + 1.0)
 
     def test_t_zero_roots_are_symmetric_and_close_the_x_loop(self):
-        candidates = fk._alpha_candidates(0.0, P)
+        candidates = alpha_candidates(0.0)
         assert len(candidates) == 2
         assert candidates[0][1] == pytest.approx(-candidates[1][1], abs=1e-12)
         for _, alpha, beta in candidates:
@@ -250,11 +272,13 @@ def last_on_circle(off_circle, lo, hi):
 
 
 class TestRecoverBeta:
+    """The unit-circle test on the beta that ``fk._candidate`` recovers."""
+
     @pytest.mark.parametrize("alpha", [0.0, math.pi])
     def test_cosine_past_one_plus_tolerance_is_rejected(self, alpha):
         params = circle_params(math.nextafter(1.0 + fk.CIRCLE_TOL, 2.0))
         assert abs(params.l4 * math.cos(alpha)) == params.l4
-        assert fk._recover_beta(alpha, 0.0, params) is None
+        assert candidate_beta(alpha, 0.0, params) is None
 
     @pytest.mark.parametrize("alpha", [0.0, math.pi])
     def test_cosine_edge_of_the_circle_tolerance(self, alpha):
@@ -262,15 +286,15 @@ class TestRecoverBeta:
         edge = last_on_circle(lambda c: c * c - 1.0, 1.0, 1.0 + fk.CIRCLE_TOL)
         beyond = math.nextafter(edge, 2.0)
         assert beyond < 1.0 + fk.CIRCLE_TOL
-        assert fk._recover_beta(alpha, 0.0, circle_params(edge)) == pytest.approx(alpha)
-        assert fk._recover_beta(alpha, 0.0, circle_params(beyond)) is None
+        assert candidate_beta(alpha, 0.0, circle_params(edge)) == pytest.approx(alpha)
+        assert candidate_beta(alpha, 0.0, circle_params(beyond)) is None
 
     def test_sine_edge_of_the_circle_tolerance(self):
         # cos beta = 1 exactly and sin beta = -t
         edge = last_on_circle(lambda t: t * t + 1.0 - 1.0, 0.0, 1e-4)
         params = circle_params(1.0)
-        assert fk._recover_beta(0.0, edge, params) == math.atan2(-edge, 1.0)
-        assert fk._recover_beta(0.0, math.nextafter(edge, 1.0), params) is None
+        assert candidate_beta(0.0, edge, params) == math.atan2(-edge, 1.0)
+        assert candidate_beta(0.0, math.nextafter(edge, 1.0), params) is None
 
 
 #: Two candidates within these of each other in x, y and z (mm) and in gamma,
@@ -420,3 +444,17 @@ def test_oracle_equivalence_on_random_grid():
         if mine:
             nonempty += 1
     assert nonempty >= 50  # the comparison must not be vacuous
+
+
+def callers_in_fk(name):
+    """Functions of ``fk.py`` whose body names ``name``."""
+    tree = ast.parse(Path(fk.__file__).read_text(encoding="utf-8"))
+    return {function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function) if isinstance(node, ast.Name) and node.id == name}
+
+
+def test_one_copy_of_the_residual_formulas():
+    """Both FK paths build candidates through ``_candidate``, and only it and
+    ``residuals`` reach ``_chain_residuals``."""
+    assert callers_in_fk("_chain_residuals") == {"residuals", "_candidate"}
+    assert callers_in_fk("_candidate") == {"enumerate_candidates", "distance_at_gamma"}

@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,3 +297,16 @@ def test_roundtrip_on_the_own_elbow_matches_the_full_direct_map():
             zero_sin_gamma += pose.z - P.l4 * math.sin(sol.alpha) == P.l1
     assert checked > 500
     assert zero_sin_gamma > 0
+
+
+def test_ik_reaches_fk_only_through_module_attributes():
+    """``ik`` names FK functions as ``fk.<name>`` at each call, so rebinding a
+    module attribute (a tracer, ``monkeypatch``) reaches every call."""
+    tree = ast.parse(Path(ik.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "fk" for alias in node.names}
+    attribute_of = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    bare = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "fk" and id(node) not in attribute_of]
+    assert imported == set()
+    assert bare == []

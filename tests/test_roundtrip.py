@@ -1,11 +1,14 @@
 """The IK round trip on each solution's own branch, against full enumeration.
 
-``ik.solve`` asks ``fk.distance_at_gamma`` for one distance and hands it
-each solution's chain offset t and its alpha as a hint.  FK then builds
-only the candidate on the nearest t root and alpha root, unless another
-root could give a candidate as near the target or coincident with it.
-Whatever FK builds, ``(roundtrip, roundtrip_residual)`` must be bit for bit
-what ``_roundtrip_oracle.roundtrip`` gets by solving every root.
+``ik.solve`` builds one planar-loop elbow, ``fk.roundtrip_elbow``, per
+alpha slot and pair of rail-1/2 roots, and every solution of that group
+shares it.  Per solution it asks ``fk.distance_at_gamma`` for one distance
+on that elbow and hands it the solution's chain offset t and its alpha as
+a hint.  FK then builds only the candidate on the nearest t root and alpha
+root, unless another root could give a candidate as near the target or
+coincident with it.  Whatever FK builds, ``(roundtrip, roundtrip_residual)``
+must be bit for bit what ``_roundtrip_oracle.roundtrip`` gets by solving
+every root.
 """
 
 import math
@@ -61,6 +64,20 @@ def built(monkeypatch):
         return out
 
     monkeypatch.setattr(fk, "enumerate_candidates", counted)
+    return calls
+
+
+@pytest.fixture
+def elbows(monkeypatch):
+    """``(yA1, yA2, z_c1)`` of every ``fk.roundtrip_elbow`` call, in call order."""
+    calls = []
+    original = fk.roundtrip_elbow
+
+    def counted(yA1, yA2, y_c1, z_c1, params):
+        calls.append((yA1, yA2, z_c1))
+        return original(yA1, yA2, y_c1, z_c1, params)
+
+    monkeypatch.setattr(fk, "roundtrip_elbow", counted)
     return calls
 
 
@@ -140,6 +157,37 @@ def test_one_candidate_per_solution_at_the_worked_pose(built):
     assert_matches_oracle(WORKED_POSE)
 
 
+def assert_one_elbow_per_group(pose, solutions, elbows):
+    """One elbow was built per (alpha, yA1, yA2) group of ``solutions``, none twice."""
+    groups = {(s.inputs.yA1, s.inputs.yA2, pose.z - P.l4 * math.sin(s.alpha)) for s in solutions}
+    assert sorted(elbows) == sorted(groups)
+
+
+def test_solutions_of_one_alpha_and_rails_1_and_2_share_an_elbow(elbows):
+    solutions = ik.solve(WORKED_POSE, P)
+    assert (len(solutions), len(elbows)) == (8, 4)
+    assert_one_elbow_per_group(WORKED_POSE, solutions, elbows)
+    assert_matches_oracle(WORKED_POSE)
+
+
+def test_no_elbow_without_the_round_trip(elbows):
+    solutions = ik.solve(WORKED_POSE, P, check_roundtrip=False)
+    assert len(solutions) == 8
+    assert elbows == []
+    assert {s.roundtrip for s in solutions} == {"skipped"}
+
+
+#: Both alpha slots reach rails 1 and 2 here: 16 solutions in 8 groups.
+TWO_ALPHA_SLOT_POSE = Pose(75.01344042169464, -21.115370479377333, 263.1548298323095)
+
+
+def test_each_alpha_slot_builds_its_own_elbows(elbows):
+    solutions = assert_matches_oracle(TWO_ALPHA_SLOT_POSE)
+    assert (len(solutions), len(elbows)) == (16, 8)
+    assert {s.branch.alpha_sign for s in solutions} == {1, -1}
+    assert_one_elbow_per_group(TWO_ALPHA_SLOT_POSE, solutions, elbows)
+
+
 def test_declined_hint_builds_every_candidate(built):
     pose = fk.solve(DOUBLE_T_ROOT_INPUTS, P)[0].pose
     solutions = ik.solve(pose, P)
@@ -175,6 +223,7 @@ def assert_hint_keeps_the_nearest_distance(inputs, params, cos_gamma, sin_gamma,
     almost every target out of reach, so the fallback runs too.
     """
     every = fk.solve_at_gamma(inputs, params, cos_gamma, sin_gamma, closure_tol=closure_tol)
+    elbow = fk._elbow("direct", inputs.yA1, inputs.yA2, cos_gamma, sin_gamma, params)
     for predicted in every:
         hint_t, hint_alpha = predicted.intermediates.t, predicted.intermediates.alpha
         for other in every:
@@ -184,7 +233,7 @@ def assert_hint_keeps_the_nearest_distance(inputs, params, cos_gamma, sin_gamma,
                               predicted.pose.z + blend * (other.pose.z - predicted.pose.z))
                 exact = fk.nearest(target, [predicted])[1]
                 for reach in (exact, exact * 1.25, 0.0, 5e-324):
-                    distance = fk.distance_at_gamma(target, inputs, params, cos_gamma, sin_gamma,
+                    distance = fk.distance_at_gamma(target, inputs, params, elbow,
                                                     closure_tol=closure_tol,
                                                     hint=(hint_t, hint_alpha, reach))
                     assert repr(distance) == repr(fk.nearest(target, every)[1])
