@@ -347,15 +347,6 @@ _COINCIDENT_MM = 2e-9
 _COINCIDENT_RAD = 2e-12
 
 
-def _near(a: FkSolution, b: FkSolution) -> bool:
-    pa, pb, ia, ib = a.pose, b.pose, a.intermediates, b.intermediates
-    return (abs(pa.x - pb.x) <= _COINCIDENT_MM and abs(pa.y - pb.y) <= _COINCIDENT_MM
-            and abs(pa.z - pb.z) <= _COINCIDENT_MM
-            and abs(ia.gamma - ib.gamma) <= _COINCIDENT_RAD
-            and abs(ia.alpha - ib.alpha) <= _COINCIDENT_RAD
-            and abs(ia.beta - ib.beta) <= _COINCIDENT_RAD)
-
-
 def _order(sol: FkSolution) -> tuple[float, ...]:
     pose, inter = sol.pose, sol.intermediates
     return (pose.x, pose.y, pose.z, inter.gamma, inter.alpha, inter.beta)
@@ -364,16 +355,22 @@ def _order(sol: FkSolution) -> tuple[float, ...]:
 def _finish(candidates: list[FkSolution], closure_tol: float) -> list[FkSolution]:
     """Candidates within ``closure_tol``, coincident ones merged, sorted by pose then angles.
 
-    A passing candidate is dropped when it is :func:`_near` one already kept
-    (the second copy of a double root of t or alpha), so the first of a
-    coincident group in enumeration order is the one kept.
+    A passing candidate is dropped when it is within ``_COINCIDENT_MM`` in
+    x, y and z and ``_COINCIDENT_RAD`` in gamma, alpha and beta of one
+    already kept (the second copy of a double root of t or alpha), so the
+    first of a coincident group in enumeration order is the one kept.
     """
     kept: list[FkSolution] = []
     for sol in candidates:
         if sol.residual > closure_tol:
             continue
-        for k in kept:
-            if _near(sol, k):
+        (x, y, z), _, (gamma, alpha, beta, _), _, _ = sol
+        for (kx, ky, kz), _, (k_gamma, k_alpha, k_beta, _), _, _ in kept:
+            if (abs(x - kx) <= _COINCIDENT_MM and abs(y - ky) <= _COINCIDENT_MM
+                    and abs(z - kz) <= _COINCIDENT_MM
+                    and abs(gamma - k_gamma) <= _COINCIDENT_RAD
+                    and abs(alpha - k_alpha) <= _COINCIDENT_RAD
+                    and abs(beta - k_beta) <= _COINCIDENT_RAD):
                 break
         else:
             kept.append(sol)
@@ -444,7 +441,7 @@ def distance_at_gamma(pose: Pose, inputs: JointInputs, params: ValidatedParams, 
     All candidates of an elbow share y, and their x and z depend on alpha
     only.  A candidate within ``2 * reach`` of the predicted one in x and z
     has its alpha within ``_ARC_PER_REACH * reach / l4``; a coincident one
-    (:func:`_near`) is within ``_COINCIDENT_RAD``.  ``window`` is the larger
+    (see :func:`_finish`) is within ``_COINCIDENT_RAD``.  ``window`` is the larger
     of the two, and the hint is declined when another root could fall
     inside it:
 
@@ -460,6 +457,12 @@ def distance_at_gamma(pose: Pose, inputs: JointInputs, params: ValidatedParams, 
 
     ``slop`` bounds the rounding of the pose and residual sums: a few ulps
     of their largest terms.
+
+    The answer reads rail 3 only as ``|elbow.y - inputs.yA3|``: ``_t_roots``
+    squares ``y - yA3`` and ``_chain_residuals`` passes it to ``math.hypot``,
+    on the hinted path and through :func:`solve_at_gamma` alike.  So rails
+    whose yA3 lies bit for bit mirrored about ``elbow.y`` get the same
+    distance, and :func:`ik.solve` asks once for such a pair.
     """
     hint_t, hint_alpha, reach = hint
     y = elbow.y

@@ -23,6 +23,9 @@ depends on alpha and rails 1 and 2 only, so :func:`solve` builds one,
 every solution of that group shares it (both roots of rail 3, per beta
 slot).  Per solution it asks FK for one number, :func:`fk.distance_at_gamma`:
 the distance from the target to the nearest direct solution on that elbow.
+FK reads rail 3 only as ``|y - yA3|`` with y the elbow's platform y, so
+where the two rail-3 roots of a beta slot lie bit for bit mirrored about
+it, the second root takes the first one's answer without asking again.
 The solution's chain offset ``t = l4*sin(alpha) - l6*sin(beta)`` and its
 alpha go along as a hint, so FK builds only the candidate they predict.
 FK solves every root instead where another root could give a candidate as
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import fk
@@ -155,18 +159,23 @@ def solve(
             elbow = fk.roundtrip_elbow(yA1, yA2, y_c1, z_c1, params) if check_roundtrip else None
             for s_beta, beta, l6_sin_b, M3, root_3, signs_3, merged_3 in beta_slots:
                 for s3 in signs_3:
+                    yA3 = y_c3 + s3 * root_3
                     # finite by construction, so JointInputs' check is skipped
-                    inputs = tuple.__new__(JointInputs, (yA1, yA2, y_c3 + s3 * root_3))
+                    inputs = tuple.__new__(JointInputs, (yA1, yA2, yA3))
                     if elbow is None:
                         roundtrip, residual = "skipped", math.nan
                     else:
-                        residual = fk.distance_at_gamma(
-                            pose, inputs, params, elbow, closure_tol=closure_tol,
-                            hint=(l4_sin_a - l6_sin_b, alpha, roundtrip_tol))
-                        roundtrip = elbow.mode if residual <= roundtrip_tol else "failed"
+                        # FK reads rail 3 only as |y - yA3|: a mirrored root shares the answer
+                        offset = abs(elbow.y - yA3)
+                        if s3 == 1 or offset != mirror:
+                            residual = fk.distance_at_gamma(
+                                pose, inputs, params, elbow, closure_tol=closure_tol,
+                                hint=(l4_sin_a - l6_sin_b, alpha, roundtrip_tol))
+                            roundtrip = elbow.mode if residual <= roundtrip_tol else "failed"
+                        mirror = offset
                     out.append(tuple.__new__(IkSolution, (
                         inputs, tuple.__new__(IkBranch, (s_alpha, s_beta, (s1, s2, s3))),
                         M1, M3, alpha, beta, merged_1 + merged_3, parallel_singular,
                         roundtrip, residual)))
-    out.sort(key=lambda s: (s.inputs.yA1, s.inputs.yA2, s.inputs.yA3, s.alpha, s.beta))
+    out.sort(key=itemgetter(0, 4, 5))  # (inputs, alpha, beta): (yA1, yA2, yA3, alpha, beta)
     return out

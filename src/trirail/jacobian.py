@@ -160,7 +160,7 @@ def build(pose: Pose, solution: IkSolution, params: ValidatedParams) -> Jacobian
     j2 = (cos_b / sin_b) * h3
     jp = ((j0, u11, h12), (j0, u22, h12), (j2, u33, h3))
     jq = ((u11, 0.0, 0.0), (0.0, u22, 0.0), (0.0, 0.0, u33))
-    return JacobianPair(jp, jq, _det3(jp), u11 * u22 * u33)
+    return tuple.__new__(JacobianPair, (jp, jq, _det3(jp), u11 * u22 * u33))
 
 
 def classify(
@@ -175,14 +175,22 @@ def classify(
     link length is at most :data:`SERIAL_THRESHOLD` (exact rank loss of
     the diagonal, modulo float noise).  The class is the
     :class:`SingularityKind` at index ``serial + 2 * parallel``.
+
+    A row norm depends only on the squares of the row's entries, so Jp
+    rows 1 and 2 share one where their a and c are equal and their b
+    differ at most in sign (``build`` gives both rows the same a and c).
     """
-    u11, u22, u33 = pair.u
+    (u11, _, _), (_, u22, _), (_, _, u33) = pair.jq
     l2, l6 = params.l2, params.l6
     (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = pair.jp
-    n1, n2, n3 = _row_norm(a1, b1, c1), _row_norm(a2, b2, c2), _row_norm(a3, b3, c3)
+    n1 = _row_norm(a1, b1, c1)
+    # _row_norm reads only the squares of a row: twin rows share one norm
+    n2 = n1 if a2 == a1 and c2 == c1 and abs(b2) == abs(b1) else _row_norm(a2, b2, c2)
+    n3 = _row_norm(a3, b3, c3)
     norm_det_jp = 0.0 if min(n1, n2, n3) == 0.0 else pair.det_jp / (n1 * n2 * n3)
     kind = _KINDS[_class_index(u11, u22, u33, params, abs(norm_det_jp) <= threshold)]
-    return Classification(kind, norm_det_jp, (u11 / l2) * (u22 / l2) * (u33 / l6))
+    return tuple.__new__(Classification,
+                         (kind, norm_det_jp, (u11 / l2) * (u22 / l2) * (u33 / l6)))
 
 
 def fd_check(

@@ -62,6 +62,8 @@ def _real(name, value) -> float:
 
 
 def _finite(name, value) -> float:
+    if type(value) is float and value - value == 0.0:  # finite: inf - inf and nan are nan
+        return value
     number = _real(name, value)
     if not math.isfinite(number):
         raise InvalidParameter(name, f"must be finite, got {clipped(value)}")

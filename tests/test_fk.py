@@ -458,3 +458,70 @@ def test_one_copy_of_the_residual_formulas():
     ``residuals`` reach ``_chain_residuals``."""
     assert callers_in_fk("_chain_residuals") == {"residuals", "_candidate"}
     assert callers_in_fk("_candidate") == {"enumerate_candidates", "distance_at_gamma"}
+
+
+def arithmetic_users_in_fk(name):
+    """Functions of ``fk.py`` with ``name``, or an attribute called ``name``,
+    inside an arithmetic or comparison expression."""
+    tree = ast.parse(Path(fk.__file__).read_text(encoding="utf-8"))
+    arithmetic = (ast.BinOp, ast.UnaryOp, ast.Compare, ast.AugAssign, ast.BoolOp)
+    return {function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+            for expression in ast.walk(function) if isinstance(expression, arithmetic)
+            for node in ast.walk(expression)
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)}
+
+
+def test_rail_3_enters_fk_only_as_its_offset_from_y():
+    """``ik`` gives the two rail-3 roots mirrored about an elbow's y one round
+    trip.  That holds while FK computes with yA3 only where ``_t_roots``
+    squares ``y - yA3`` and ``_chain_residuals`` takes its hypot."""
+    assert arithmetic_users_in_fk("yA3") == {"_t_roots", "_chain_residuals"}
+
+
+class TestSymbolicIdentities:
+    """The closed forms FK solves, checked in exact algebra: sin and cos are
+    symbols with sin^2 = 1 - cos^2."""
+
+    @pytest.fixture
+    def sympy(self):
+        return pytest.importorskip("sympy")
+
+    def test_planar_closure_is_b_times_2_l2_cos_gamma_plus_b(self, sympy):
+        yA1, yA2, l2, l3, s, c = sympy.symbols("yA1 yA2 l2 l3 s c", real=True)
+        B = yA1 - l3 - yA2
+        # the two components of B2C2, whose length _planar_residual compares with l2
+        closure = (yA1 + l2 * c - l3 - yA2) ** 2 + (l2 * s) ** 2 - l2 ** 2
+        assert sympy.expand(sympy.expand(closure).subs(s ** 2, 1 - c ** 2)
+                            - B * (2 * l2 * c + B)) == 0
+        length = sympy.lambdify((yA1, yA2, s, c),
+                                sympy.sqrt(closure + l2 ** 2).subs({l2: P.l2, l3: P.l3}))
+        rng = random.Random(7)
+        for _ in range(20):
+            gamma = rng.uniform(-3.0, 3.0)
+            rails = rng.uniform(-200.0, 200.0), rng.uniform(-200.0, 200.0)
+            sin_g, cos_g = math.sin(gamma), math.cos(gamma)
+            assert fk._planar_residual(*rails, P, sin_g, cos_g) == pytest.approx(
+                abs(length(*rails, sin_g, cos_g) - P.l2), abs=1e-9)
+
+    def test_chain_3_closure_is_h1_plus_t_squared_equal_h2(self, sympy):
+        (y, yA3, l1, l2, l4, l6, l7, l8,
+         sg, sa, sb) = sympy.symbols("y yA3 l1 l2 l4 l6 l7 l8 sg sa sb", real=True)
+        z = l1 + l2 * sg + l4 * sa  # the platform height of _candidate
+        z_c3 = z - l8 - l6 * sb - l7  # C3, as _chain_residuals places it
+        t = l4 * sa - l6 * sb
+        H1 = l2 * sg - l8 - l7
+        H2 = l6 ** 2 - (y - yA3) ** 2
+        # |B3C3| = l6 in the (y, z) plane
+        closure = (y - yA3) ** 2 + (z_c3 - l1) ** 2 - l6 ** 2
+        assert sympy.expand(closure - ((H1 + t) ** 2 - H2)) == 0
+
+    def test_alpha_equation_eliminates_beta(self, sympy):
+        from types import SimpleNamespace
+
+        t, l4, l6, b, d, sa, ca = sympy.symbols("t l4 l6 b d sa ca", real=True)
+        J1, J2, J3 = fk._alpha_coefficients(t, SimpleNamespace(l4=l4, l6=l6, b=b, d=d))
+        # l6 sin(beta) from the t-definition, l6 cos(beta) from the X-closure
+        l6_sin_b, l6_cos_b = l4 * sa - t, l4 * ca + 2 * d - 2 * b
+        circle = sympy.expand(l6_sin_b ** 2 + l6_cos_b ** 2 - l6 ** 2).subs(sa ** 2, 1 - ca ** 2)
+        assert sympy.expand(circle + (J1 * sa + J2 * ca + J3)) == 0

@@ -335,3 +335,60 @@ def test_row_norms_round_like_an_fma_dot():
             "numpy's BLAS dot kernel on this host does not round like an FMA dot, so "
             "the workspace determinants and the pinned CSV bytes will differ"
         )
+
+
+def classify_with_three_norms(pair, params, threshold=jacobian.SINGULARITY_THRESHOLD):
+    """``classify`` as it reads with one ``_row_norm`` call per Jp row."""
+    u11, u22, u33 = pair.u
+    n1, n2, n3 = (jacobian._row_norm(*row) for row in pair.jp)
+    norm_det_jp = 0.0 if min(n1, n2, n3) == 0.0 else pair.det_jp / (n1 * n2 * n3)
+    kind = jacobian._KINDS[jacobian._class_index(u11, u22, u33, params,
+                                                 abs(norm_det_jp) <= threshold)]
+    return jacobian.Classification(kind, norm_det_jp,
+                                   (u11 / params.l2) * (u22 / params.l2) * (u33 / params.l6))
+
+
+def hand_built_pair(row1, row2, row3):
+    """A :class:`JacobianPair` of the given Jp rows, with u taken from their
+    middle entries as ``build`` does."""
+    jp = (tuple(row1), tuple(row2), tuple(row3))
+    u11, u22, u33 = row1[1], row2[1], row3[1]
+    jq = ((u11, 0.0, 0.0), (0.0, u22, 0.0), (0.0, 0.0, u33))
+    return jacobian.JacobianPair(jp, jq, jacobian._det3(jp), u11 * u22 * u33)
+
+
+def twin_row_cases():
+    """(row 1, row 2, row 3, whether rows 1 and 2 share a norm) for seeded
+    rows: row 2 equal to row 1, differing only in the sign of b, one ulp
+    apart in |b|, or differing in a or in c; signed zeros among them."""
+    rng = random.Random(20261020)
+    cases = []
+    for _ in range(40):
+        a, b, c = (rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3))
+        row3 = [rng.uniform(-500.0, 500.0) for _ in range(3)]
+        cases += [([a, b, c], [a, b, c], row3, True),
+                  ([a, b, c], [a, -b, c], row3, True),
+                  ([a, b, c], [a, math.nextafter(b, math.inf), c], row3, False),
+                  ([a, b, c], [a, -math.nextafter(b, 0.0), c], row3, False),
+                  ([a, b, c], [math.nextafter(a, math.inf), b, c], row3, False),
+                  ([a, b, c], [a, b, -c], row3, False)]
+    return cases + [([1.5, 0.0, 2.0], [1.5, -0.0, 2.0], [3.0, 4.0, 5.0], True),
+                    ([-0.0, 3.0, 0.0], [0.0, -3.0, -0.0], [3.0, 4.0, 5.0], True),
+                    ([0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [3.0, 4.0, 5.0], True)]
+
+
+def test_twin_rows_share_one_norm(monkeypatch):
+    norms = []
+    row_norm = jacobian._row_norm
+
+    def counted(a, b, c):
+        norms.append((a, b, c))
+        return row_norm(a, b, c)
+
+    cases = twin_row_cases()
+    expected = [repr(classify_with_three_norms(hand_built_pair(*rows[:3]), P)) for rows in cases]
+    monkeypatch.setattr(jacobian, "_row_norm", counted)
+    for (row1, row2, row3, twin), reference in zip(cases, expected):
+        norms.clear()
+        assert repr(jacobian.classify(hand_built_pair(row1, row2, row3), P)) == reference
+        assert len(norms) == (2 if twin else 3), (row1, row2)

@@ -4,7 +4,8 @@
 alpha slot and pair of rail-1/2 roots, and every solution of that group
 shares it.  Per solution it asks ``fk.distance_at_gamma`` for one distance
 on that elbow and hands it the solution's chain offset t and its alpha as
-a hint.  FK then builds only the candidate on the nearest t root and alpha
+a hint; the second rail-3 root of a beta slot reuses the first's answer
+where the two lie bit for bit mirrored about the elbow's y.  FK then builds only the candidate on the nearest t root and alpha
 root, unless another root could give a candidate as near the target or
 coincident with it.  Whatever FK builds, ``(roundtrip, roundtrip_residual)``
 must be bit for bit what ``_roundtrip_oracle.roundtrip`` gets by solving
@@ -13,9 +14,10 @@ every root.
 
 import math
 import random
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trirail import fk, ik
 from trirail.errors import IndeterminateGamma, GammaOutOfRange, Unreachable
@@ -64,6 +66,20 @@ def built(monkeypatch):
         return out
 
     monkeypatch.setattr(fk, "enumerate_candidates", counted)
+    return calls
+
+
+@pytest.fixture
+def distances(monkeypatch):
+    """The rails of every ``fk.distance_at_gamma`` call, in call order."""
+    calls = []
+    original = fk.distance_at_gamma
+
+    def counted(pose, inputs, *args, **kwargs):
+        calls.append(inputs)
+        return original(pose, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(fk, "distance_at_gamma", counted)
     return calls
 
 
@@ -177,6 +193,52 @@ def test_no_elbow_without_the_round_trip(elbows):
     assert {s.roundtrip for s in solutions} == {"skipped"}
 
 
+def test_mirrored_rail_3_roots_share_one_round_trip(distances):
+    solutions = assert_matches_oracle(WORKED_POSE)
+    assert len(distances) < len(solutions) == 8
+    # each call stands for its own solution or its mirrored twin
+    called = {id(inputs) for inputs in distances}
+    for s in solutions:
+        if id(s.inputs) not in called:
+            first = next(t for t in mirrored_pair(solutions, s) if t is not s)
+            assert id(first.inputs) in called
+            assert (s.roundtrip, s.roundtrip_residual) == (first.roundtrip,
+                                                           first.roundtrip_residual)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([P, FOLD_PARAMS]), st.integers(0, 1),
+       st.sampled_from([fk.CLOSURE_TOL, 1.0]))
+def test_rail_3_mirrored_about_the_elbow_gives_the_same_distance(rng, params, elbow,
+                                                                 closure_tol):
+    """FK reads rail 3 only as |y - yA3|: the rails with yA3 mirrored about
+    the elbow's y give every distance bit for bit, on the hinted path and
+    on the fallback."""
+    inputs = random_feasible_inputs(rng, params)
+    try:
+        cos_gamma, sin_gammas = fk.solve_gamma(inputs, params)
+    except (IndeterminateGamma, GammaOutOfRange):
+        return
+    e = fk._elbow("direct", inputs.yA1, inputs.yA2, cos_gamma, sin_gammas[elbow], params)
+    mirrored = inputs._replace(yA3=e.y + (e.y - inputs.yA3))
+    assume(abs(e.y - mirrored.yA3) == abs(e.y - inputs.yA3))
+    every = fk.solve_at_gamma(inputs, params, cos_gamma, sin_gammas[elbow],
+                              closure_tol=closure_tol)
+    assert repr(fk.solve_at_gamma(mirrored, params, cos_gamma, sin_gammas[elbow],
+                                  closure_tol=closure_tol)) == repr(every)
+    for predicted, other in product(every, every):
+        target = Pose(0.5 * (predicted.pose.x + other.pose.x), predicted.pose.y,
+                      0.5 * (predicted.pose.z + other.pose.z))
+        exact = fk.nearest(target, [predicted])[1]
+        hint_t, hint_alpha = predicted.intermediates.t, predicted.intermediates.alpha
+        for reach in (exact, 0.0, 5e-324):
+            distance = [repr(fk.distance_at_gamma(target, rails, params, e,
+                                                  closure_tol=closure_tol,
+                                                  hint=(hint_t, hint_alpha, reach)))
+                        for rails in (inputs, mirrored)]
+            assert distance[0] == distance[1]
+
+
 #: Both alpha slots reach rails 1 and 2 here: 16 solutions in 8 groups.
 TWO_ALPHA_SLOT_POSE = Pose(75.01344042169464, -21.115370479377333, 263.1548298323095)
 
@@ -188,13 +250,24 @@ def test_each_alpha_slot_builds_its_own_elbows(elbows):
     assert_one_elbow_per_group(TWO_ALPHA_SLOT_POSE, solutions, elbows)
 
 
+def mirrored_pair(solutions, solution):
+    """``solution`` and the one on its other rail-3 root: same rails 1 and 2,
+    alpha and beta."""
+    key = (solution.inputs.yA1, solution.inputs.yA2, solution.alpha, solution.beta)
+    pair = [s for s in solutions if (s.inputs.yA1, s.inputs.yA2, s.alpha, s.beta) == key]
+    assert len(pair) == 2
+    return pair
+
+
 def test_declined_hint_builds_every_candidate(built):
     pose = fk.solve(DOUBLE_T_ROOT_INPUTS, P)[0].pose
     solutions = ik.solve(pose, P)
     declined = next(s for s in solutions if s.inputs == DOUBLE_T_ROOT_INPUTS)
-    # both t roots times both alpha roots, in one call: no fallback either
-    assert built[id(declined.inputs)] == [4]
-    assert declined.roundtrip == "direct"
+    pair = mirrored_pair(solutions, declined)
+    # both t roots times both alpha roots, in one call for the mirrored pair:
+    # no fallback either
+    assert [n for s in pair for n in built.get(id(s.inputs), [])] == [4]
+    assert {s.roundtrip for s in pair} == {"direct"}
     assert_matches_oracle(pose)
 
 
