@@ -36,12 +36,18 @@ shifts the rails.
   (about a fifth of all), in passes of consecutive whole (x, z) groups.  A
   pass holds up to ``_PASS_PAIRS`` pairs: a 21^3 scan takes 5 passes and a
   41 x 41 cross-section one or two.  A pass decides which branches work and
-  are classified, computes the determinants, row norms and serial test on
-  the classified pairs only, gathered into 1-D arrays, reduces them per
-  point with ``reduceat`` over the cells of each (x, z), and writes the
-  results into label arrays over (x, z) by y.  The pass's temporaries are
-  bounded by ``_PASS_PAIRS``; the label arrays span the grid, and one
-  transposed copy of each puts it in row-major order.
+  are classified, then labels each run of classified pairs whose
+  u = y_c - yA, the y offset of each chain's joint C from its rail A, are
+  equal bit for bit from one y to the next in a cell.  A pair's
+  determinants, row norms and serial test read only its cell's y-free terms
+  and its u's, so a run's labels are computed once, at its start, and are
+  exact for the whole run.  The rounding of y_c + r seldom changes along y:
+  a 21^3 scan labels 3,294 runs for its 27,468 classified pairs.  Each pair
+  reads its run's labels (or fixed ones when it is not classified), the
+  labels are reduced per point with ``reduceat`` over the cells of each
+  (x, z), and the results are written into label arrays over (x, z) by y.
+  The pass's temporaries are bounded by ``_PASS_PAIRS``; the label arrays
+  span the grid, and one transposed copy of each puts it in row-major order.
 
 The kernel
 
@@ -55,12 +61,15 @@ The kernel
 These make the two agree bit for bit, which keeps exports byte-identical;
 the staging changes no value, as every operation on a cell or a pair is
 elementwise, no group is split between passes, and a per-point minimum or
-maximum does not depend on the order of the branches.
+maximum does not depend on the order of the branches.  Labels are shared
+along y only between pairs whose inputs are equal bit for bit; where the
+rounding of a rail differs, so may the determinant bits, and the pair
+starts a run of its own.
 
 An export writes each axis value's text once and each point's label text
 once per run of equal labels along y (:func:`_tails`).  On a 2-core Xeon
-the ``perfbench`` workloads label and export about 1.1M points/s on the
-21^3 box and about 600k points/s on 41 x 41 sections.
+the ``perfbench`` workloads label and export about 1.2M points/s on the
+21^3 box and about 780k points/s on 41 x 41 sections.
 """
 
 from __future__ import annotations
@@ -250,22 +259,6 @@ def _grid(spec: ScanSpec, axis: str | None = None, value: float | None = None):
     return axes
 
 
-def _elbows(base: float | None, length: float):
-    """Both slots of one distal elbow at one x: (live, length * sin, cot, fold) pairs.
-
-    ``base`` is None when the x is out of reach: no slot is live, and the
-    placeholder values of a dead slot are never read.
-    """
-    if base is None:
-        return (False, False), (0.0, 0.0), (0.0, 0.0), (False, False)
-    angles = (base, -base)
-    sines = [math.sin(a) for a in angles]
-    folds = [abs(s) < jacobian.COT_GUARD for s in sines]
-    # a folded elbow has no velocity model, so its cotangent is never read
-    cots = [0.0 if f else math.cos(a) / s for a, s, f in zip(angles, sines, folds)]
-    return (True, not ik._single_elbow(base)), [length * s for s in sines], cots, folds
-
-
 def _norms(*row) -> np.ndarray:
     """Euclidean norms of the 3-vectors ``row`` broadcast to one shape, each
     bitwise equal to :func:`jacobian._row_norm` of its row."""
@@ -275,14 +268,33 @@ def _norms(*row) -> np.ndarray:
 
 def _passes(sizes: list[int], budget: int) -> Iterator[tuple[int, int]]:
     """(start, stop) of runs of consecutive groups with ``sizes`` pairs each: a
-    run holds at most ``budget`` pairs, unless it is one group."""
+    run holds at most ``budget`` pairs, unless it is one group.  No groups, no
+    runs."""
     start = total = 0
     for stop, size in enumerate(sizes):
         if total + size > budget and stop > start:
             yield start, stop
             start, total = stop, 0
         total += size
-    yield start, len(sizes)
+    if sizes:
+        yield start, len(sizes)
+
+
+def _run_heads(classified: np.ndarray, *u: np.ndarray) -> np.ndarray:
+    """Which (cell, y) pairs start a run along y: each classified pair, unless
+    the pair one y back in its cell is classified too and every ``u`` there
+    has the same bits.
+
+    A pair's labels read only its cell's y-free terms and its u's, so every
+    pair of a run has the labels of its head, bit for bit.
+    """
+    same = classified[:, :-1].copy()
+    for column in u:
+        bits = column.view(np.int64)
+        same &= bits[:, 1:] == bits[:, :-1]
+    heads = classified.copy()
+    heads[:, 1:] &= ~same
+    return heads
 
 
 def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
@@ -293,21 +305,44 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     and :func:`jacobian.classify` make for that branch.  Stage A decides which
     branches exist over (x, z, alpha slot, beta slot, s1, s2, s3), as y takes
     no part in that, and lists the existing ones as cells grouped by (x, z).
-    Stage B runs over (cell, y) pairs in passes of whole groups.
+    Stage B runs over (cell, y) pairs in passes of whole groups.  It computes
+    the labels once per run of classified pairs whose u's are bit-equal along
+    y, which is exact: a pair's labels read nothing but its cell's y-free
+    terms and its u's.
     """
     l1, l2, l3, l6 = params.l1, params.l2, params.l3, params.l6
-    per_x = []
-    for x in xs:
-        try:
-            alpha_base = ik._clamped_acos((x + params.b - params.d) / params.l4, "alpha")
-            beta_base = ik._clamped_acos((x + params.d - params.b) / params.l6, "beta")
-        except Unreachable:
-            alpha_base = beta_base = None
-        per_x.append(_elbows(alpha_base, params.l4) + _elbows(beta_base, l6))
+
+    def elbow(plus: float, minus: float, length: float, description: str):
+        """Both slots of one distal elbow, at angles +/-acos((x + plus - minus) /
+        length), at every x: whether the slot is live, length * sin, the
+        cotangent and whether the link folds, each an array over (x, slot).
+
+        An x out of reach has no live slot; a dead slot's placeholder values
+        are never read.
+        """
+        flags, values = [], []
+        for x in xs:
+            try:
+                base = ik._clamped_acos((x + plus - minus) / length, description)
+            except Unreachable:
+                flags.append((False, False, False, False))
+                values.append((0.0, 0.0, 0.0, 0.0))
+                continue
+            sin_p, sin_m = math.sin(base), math.sin(-base)
+            fold_p, fold_m = abs(sin_p) < jacobian.COT_GUARD, abs(sin_m) < jacobian.COT_GUARD
+            flags.append((True, not ik._single_elbow(base), fold_p, fold_m))
+            # a folded elbow has no velocity model, so its cotangent is never read
+            values.append((length * sin_p, length * sin_m,
+                           0.0 if fold_p else math.cos(base) / sin_p,
+                           0.0 if fold_m else math.cos(-base) / sin_m))
+        flags, values = np.reshape(flags, (-1, 2, 2)), np.reshape(values, (-1, 2, 2))
+        return flags[:, 0], values[:, 0], values[:, 1], flags[:, 1]
+
     # stage A, over (x, z, alpha slot, beta slot, s1, s2, s3)
-    live_a, l4_sin_a, cot_a, fold_a, live_b, l6_sin_b, cot_b, fold_b = (
-        np.reshape(column, (-1, 1, 2, 1, 1, 1, 1) if i < 4 else (-1, 1, 1, 2, 1, 1, 1))
-        for i, column in enumerate(zip(*per_x)))
+    live_a, l4_sin_a, cot_a, fold_a = (np.reshape(column, (-1, 1, 2, 1, 1, 1, 1)) for column
+                                       in elbow(params.b, params.d, params.l4, "alpha"))
+    live_b, l6_sin_b, cot_b, fold_b = (np.reshape(column, (-1, 1, 1, 2, 1, 1, 1)) for column
+                                       in elbow(params.d, params.b, l6, "beta"))
     Z = np.reshape(np.asarray(zs, dtype=float), (-1, 1, 1, 1, 1, 1))
     h12 = (Z - l4_sin_a) - l1
     h3 = (Z - params.l8 - l6_sin_b - params.l7) - l1
@@ -351,37 +386,39 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
         yA1 = y_c1 + r1[c, None]
         yA2 = y_c2 + r2[c, None]
         working = np.abs((yA1 - l3) - yA2) > fk.EPS_B
-        # pair arrays are dropped once used: the gathered arrays set a pass's peak
+        # u = y_c - yA at every pair, written over the rail yA = y_c + r
+        U = (np.subtract(y_c1, yA1, out=yA1), np.subtract(y_c2, yA2, out=yA2),
+             np.subtract(y_c3, y_c3 + r3[c, None]))
         del yA1, yA2
         # a point with no working branch labels all its existing ones
         chosen = working | np.repeat(~np.logical_or.reduceat(working, starts), sizes[g], axis=0)
         classified = chosen & ~fold[c, None]
-        # the determinants and the serial test run on the classified pairs only
-        pairs = np.flatnonzero(classified)
-        cell, y = np.divmod(pairs, ny)
-        cell += c.start
-
-        def u(y_c, r) -> np.ndarray:
-            """``y_c - yA`` at the classified pairs, where ``yA = y_c + r`` is the rail."""
-            at = y_c[y]
-            return at - (at + r[cell])
-
-        u11, u22, u33 = u(y_c1, r1), u(y_c2, r2), u(y_c3, r3)
+        head = _run_heads(classified, *U)
+        # the determinants and the serial test run once per run, at its head
+        heads = np.flatnonzero(head)
+        u11, u22, u33 = (u.take(heads) for u in U)
+        cell = heads // ny + c.start
         j0_, j2_, h12_, h3_ = j0[cell], j2[cell], h12[cell], h3[cell]
-        del cell, y
+        # pair arrays are dropped once used: the gathered arrays set a pass's peak
+        del U, heads, cell
         # the cofactor expansion of jacobian.build; no row of Jp vanishes:
         # u**2 + h**2 = l**2 on every branch
         det = jacobian._det3(((j0_, u11, h12_), (j0_, u22, h12_), (j2_, u33, h3_)))
         det /= _norms(j0_, u11, h12_) * _norms(j0_, u22, h12_) * _norms(j2_, u33, h3_)
         np.abs(det, out=det)
-        # the class index of classify; a folded chosen branch is serial
-        severity = (chosen & fold[c, None]).astype(np.int8)
-        np.put(severity, pairs, jacobian._class_index(u11, u22, u33, params, det <= threshold))
-        least = np.full(classified.shape, np.nan)
-        np.put(least, pairs, det)
-        jp = np.fmin.reduceat(least, starts)
-        np.put(least, pairs, np.abs((u11 / l2) * (u22 / l2) * (u33 / l6)))
-        return jp, np.fmin.reduceat(least, starts), np.maximum.reduceat(severity, starts)
+        del j0_, j2_, h12_, h3_
+        # each pair's entry: its run's, the runs counted in flat order (a run
+        # never reaches across cells, as a cell's first classified pair heads
+        # one), or one of two more for the pairs that are not classified: an
+        # unchosen branch (NaN dets, regular) and a folded chosen one (serial)
+        run = np.where(classified, np.cumsum(head).reshape(head.shape) - 1,
+                       len(det) + (chosen & fold[c, None]))
+        severity = np.concatenate((jacobian._class_index(u11, u22, u33, params, det <= threshold),
+                                   (0, 1))).astype(np.int8)
+        jq = np.concatenate((np.abs((u11 / l2) * (u22 / l2) * (u33 / l6)), (np.nan, np.nan)))
+        det = np.concatenate((det, (np.nan, np.nan)))
+        return (np.fmin.reduceat(det.take(run), starts), np.fmin.reduceat(jq.take(run), starts),
+                np.maximum.reduceat(severity.take(run), starts))
 
     # the labels over (x, z) by y; an (x, z) with no cell keeps the infeasible fill
     labels = (np.full((nx * nz, ny), np.nan), np.full((nx * nz, ny), np.nan),

@@ -760,6 +760,42 @@ class TestKernelMatchesSamplePoint:
             monkeypatch.setattr(workspace, "_PASS_PAIRS", budget)
             assert labels() == expected
 
+    def test_no_groups_take_no_pass(self):
+        # a section with no feasible cell runs no stage-B pass
+        assert list(workspace._passes([], 1)) == []
+        assert list(workspace._passes([], workspace._PASS_PAIRS)) == []
+        assert list(workspace._passes([5], 1)) == [(0, 1)]
+
+    def test_run_heads(self):
+        # one cell at six y; the pair at y = 1 is not classified
+        classified = np.array([[True, False, True, True, True, True]])
+        u11 = np.array([[0.5, 0.5, 0.5, 0.5, -0.0, 0.0]])
+        u22 = np.full((1, 6), 2.0)
+        # y = 2 follows an unclassified pair, though with the same u's; y = 4
+        # changes u11; y = 5 holds 0.0 after -0.0, equal as values, not as bits
+        assert workspace._run_heads(classified, u11, u22, u22).tolist() == [
+            [True, False, True, False, True, True]]
+        # rows are cells: a run never reaches from one cell into the next
+        assert workspace._run_heads(np.ones((2, 1), bool), np.zeros((2, 1))).tolist() == [
+            [True], [True]]
+
+    @pytest.mark.parametrize("budget", [1, 12288])
+    def test_each_run_of_equal_u_is_labelled_once(self, monkeypatch, budget):
+        # the 21^3 box has 27,468 classified (cell, y) pairs, whose u's form
+        # 3,294 runs along y; each run's head takes one norm of each Jp row
+        norms = workspace._norms
+        rows = []
+
+        def counted(*row):
+            out = norms(*row)
+            rows.append(out.size)
+            return out
+
+        monkeypatch.setattr(workspace, "_norms", counted)
+        monkeypatch.setattr(workspace, "_PASS_PAIRS", budget)
+        scan(ScanSpec(resolution=21, **REFERENCE_BOX), P)
+        assert sum(rows) == 3 * 3294
+
     @settings(max_examples=40, deadline=None)
     @given(
         params=st.sampled_from([P, SPACER_PARAMS]),
@@ -773,3 +809,62 @@ class TestKernelMatchesSamplePoint:
         spec = ScanSpec(*((lo, lo + width) for lo, width in zip(corner, size)),
                         resolution=resolution, singularity_threshold=threshold)
         assert rows(scan(spec, params)) == rows(oracle(spec, params))
+
+
+def label_digest(spec, params, axis, value) -> str:
+    """SHA-256 of the bytes of the kernel's four label columns over a grid."""
+    digest = hashlib.sha256()
+    for column in workspace._label(*workspace._grid(spec, axis, value), params,
+                                   spec.singularity_threshold):
+        digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()
+
+
+def section(axis, value):
+    return ScanSpec(resolution=41, **REFERENCE_BOX), axis, value
+
+
+#: the kernel's label bytes on each grid, the same at every pass budget:
+#: (spec, axis, value) and the digest
+LABEL_DIGESTS = {
+    "box-5": ((SMALL_SPEC, None, None),
+              "7b9bfb5899f45814d1887dea3c71167100425e86571c12f8c006bfbcff2785c0"),
+    "box-21": ((ScanSpec(resolution=21, **REFERENCE_BOX), None, None),
+               "1408ced128b3f03c65743210fb5bc13baa86565e728ce4afd0707a4c0a5e2e66"),
+    "box-41": ((ScanSpec(resolution=41, **REFERENCE_BOX), None, None),
+               "7f247517adb03be94baf3b4916aa7d2faf2991e46e57a0fa6e17e07f01eeef6a"),
+    "section-z280": (section("z", 280.0),
+                     "e4c7e27334bad1dedb0db5c8dcc0105614aca3e96691958e96ba46f8fa753cdc"),
+    "section-x80": (section("x", 80.0),
+                    "d3f2f67058596084b6d48a99ac27fbc6098022f5e39ad9fdd329d2e8ed8db4c8"),
+    "section-x-6": (section("x", -6.0),
+                    "e6426a625d12350b015aa1317963c63fb76ab9bc11fe364f1f56ea27d47d040f"),
+    "section-y0": (section("y", 0.0),
+                   "131af91a22f19bfd9ba6414ddd0c31feaf09c6113241eb5341e9f89797ae2eac"),
+    "fallback-z": ((ScanSpec(x_range=(-10.0, -2.0), y_range=(-250.0, 250.0),
+                             z_range=(180.0, 480.0), resolution=9), "z", FALLBACK_Z),
+                   "11dd8ecc65bda0262fd398c55242dba8afdac820df747401b602ad3fbd98ae1a"),
+    # both fold planes and the unreachable space around them
+    "wide-box-23": ((ScanSpec(x_range=(-150.0, 100.0), y_range=(-300.0, 300.0),
+                              z_range=(100.0, 600.0), resolution=23), None, None),
+                    "71366747be7811e85f251c6702ec3cc70fea56984533cdc5cd96768e911fab9a"),
+    "spacer-box-21": ((ScanSpec(resolution=21, **REFERENCE_BOX), None, None),
+                      "2535031e4e257cd261675210504f7d21cc5dedb7d1ed7a2f1469026b8b6cc1e7"),
+    # y values far from round numbers: the runs of equal u's are short
+    "odd-y-box-21": ((ScanSpec(x_range=(-110.0, 90.0), y_range=(-250.1234567891, 249.9876543219),
+                               z_range=(180.0, 480.0), resolution=21), None, None),
+                     "310569c3e879fa99a7e9d60de8dbb3fd96eb4441589cc7f14fc859ec40523500"),
+}
+
+
+class TestLabelDigests:
+    """The kernel's label bytes, pinned per grid at pass budgets from one group
+    per pass to one pass per call."""
+
+    @pytest.mark.parametrize("budget", [1, 12288, 10 ** 8])
+    @pytest.mark.parametrize("name", LABEL_DIGESTS)
+    def test_label_bytes_are_pinned(self, monkeypatch, name, budget):
+        (spec, axis, value), digest = LABEL_DIGESTS[name]
+        params = SPACER_PARAMS if name.startswith("spacer") else P
+        monkeypatch.setattr(workspace, "_PASS_PAIRS", budget)
+        assert label_digest(spec, params, axis, value) == digest
