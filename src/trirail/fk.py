@@ -130,14 +130,22 @@ def solve_gamma(inputs: JointInputs, params: ValidatedParams) -> tuple[float, tu
     Raises :class:`IndeterminateGamma` at the B = 0 parallel singularity
     and :class:`GammaOutOfRange` when the loop cannot close.
     """
-    return _solve_gamma(inputs.yA1 - params.l3 - inputs.yA2, params)
+    B = inputs.yA1 - params.l3 - inputs.yA2
+    if _parallel(B):
+        raise IndeterminateGamma(f"yA1 - l3 - yA2 = {B:.3g} mm: planar-loop angle "
+                                 "undetermined (parallel singularity)")
+    return _solve_gamma(B, params)
+
+
+def _parallel(B):
+    """Whether rails 1 and 2 sit l3 apart, ``B = yA1 - l3 - yA2`` within
+    :data:`EPS_B` of zero: the planar-loop parallel singularity.  Takes a
+    float, or a numpy array elementwise."""
+    return abs(B) <= EPS_B
 
 
 def _solve_gamma(B: float, params: ValidatedParams) -> tuple[float, tuple[float, float]]:
-    if abs(B) <= EPS_B:
-        raise IndeterminateGamma(
-            f"yA1 - l3 - yA2 = {B:.3g} mm: planar-loop angle undetermined (parallel singularity)"
-        )
+    """cos(gamma) and both values of sin(gamma) at a B off the singularity."""
     cos_gamma = -B / (2.0 * params.l2)
     if abs(cos_gamma) > 1.0:
         if abs(cos_gamma) > 1.0 + ACOS_CLAMP:
@@ -313,20 +321,20 @@ def _elbow_terms(yA1: float, yA2: float, cos_gamma: float, sin_gamma: float,
 
 
 def roundtrip_elbow(yA1: float, yA2: float, y_c1: float, z_c1: float,
-                    params: ValidatedParams) -> Elbow:
+                    params: ValidatedParams, parallel: bool) -> Elbow:
     """The elbow that confirms every inverse solution with rails 1 and 2 at
     ``yA1`` and ``yA2`` and chain-1 joint C1 at (``y_c1``, ``z_c1``).
 
-    Away from the parallel singularity ("direct") cos(gamma) comes from the
-    rails as in :func:`solve_gamma`, and sin(gamma) takes the sign of
-    ``z_c1 - l1``; on it ("singular-family") both are pinned from C1.
+    ``parallel`` is :func:`_parallel` of the rails, which the caller has
+    decided already.  Away from the singularity ("direct") cos(gamma) comes
+    from the rails as in :func:`solve_gamma`, and sin(gamma) takes the sign
+    of ``z_c1 - l1``; on it ("singular-family") both are pinned from C1.
     """
     l2 = params.l2
-    B = yA1 - params.l3 - yA2
-    if abs(B) <= EPS_B:
+    if parallel:
         mode, cos_gamma, sin_gamma = "singular-family", (y_c1 - yA1) / l2, (z_c1 - params.l1) / l2
     else:
-        mode, (cos_gamma, (sin_gamma, _)) = "direct", _solve_gamma(B, params)
+        mode, (cos_gamma, (sin_gamma, _)) = "direct", _solve_gamma(yA1 - params.l3 - yA2, params)
         # the solution's own elbow; sin = 0 is a single elbow, kept as +0.0 like solve
         if z_c1 < params.l1 and sin_gamma:
             sin_gamma = -sin_gamma

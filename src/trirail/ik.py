@@ -100,10 +100,30 @@ def _clamped_acos(value: float, description: str) -> float:
     return math.acos(value)
 
 
+def _bases(x: float, params: ValidatedParams) -> tuple[float, float]:
+    """The base angles of alpha and beta at platform x: each distal link's
+    elbows are +/-base.  Raises :class:`Unreachable` when x puts either link
+    outside its arccos domain."""
+    return (_clamped_acos((x + params.b - params.d) / params.l4, "x + b - d relative to l4"),
+            _clamped_acos((x + params.d - params.b) / params.l6, "x + d - b relative to l6"))
+
+
 def _single_elbow(base: float) -> bool:
     """Whether the elbow angles +/-``base`` are one: 0 and pi are their own
     mirror images."""
     return base in (0.0, math.pi)
+
+
+def _roots(M):
+    """How many rail positions ``yC +/- sqrt(M)`` a chain's radicand ``M``
+    gives: 0 when it is negative, 1 when it is zero (the two roots merge:
+    the rail is at its stroke boundary, a serial singularity) and 2 else.
+
+    Root k (0 for +sqrt(M), 1 for -sqrt(M)) exists where the count is above
+    k.  Takes a float, or a numpy array elementwise.  The sqrt of a positive
+    float is never zero, so a zero root and a zero radicand are one test.
+    """
+    return (M >= 0.0) * 1 + (M > 0.0)
 
 
 def solve(
@@ -122,10 +142,7 @@ def solve(
     map (see module docstring) and tagged in ``roundtrip``.
     """
     l1, l2, l3, l6 = params.l1, params.l2, params.l3, params.l6
-    alpha_base = _clamped_acos((pose.x + params.b - params.d) / params.l4,
-                               "x + b - d relative to l4")
-    beta_base = _clamped_acos((pose.x + params.d - params.b) / params.l6,
-                              "x + d - b relative to l6")
+    alpha_base, beta_base = _bases(pose.x, params)
     y_c1, y_c2, y_c3 = pose.y + l3 / 2.0, pose.y - l3 / 2.0, pose.y
 
     # (s_beta, beta, l6 sin(beta), M3, root_3, rail-3 signs, merged chain 3) per beta slot
@@ -135,10 +152,10 @@ def solve(
         l6_sin_b = l6 * math.sin(beta)
         z_c3 = pose.z - params.l8 - l6_sin_b - params.l7
         M3 = l6 * l6 - (z_c3 - l1) * (z_c3 - l1)
-        if M3 >= 0.0:
-            root_3 = math.sqrt(M3)
-            signs_3, merged_3 = ((1,), (3,)) if root_3 == 0.0 else ((1, -1), ())
-            beta_slots.append((s_beta, beta, l6_sin_b, M3, root_3, signs_3, merged_3))
+        roots_3 = _roots(M3)
+        if roots_3:
+            signs_3, merged_3 = ((1, -1), ()) if roots_3 == 2 else ((1,), (3,))
+            beta_slots.append((s_beta, beta, l6_sin_b, M3, math.sqrt(M3), signs_3, merged_3))
     if not beta_slots:
         return []
 
@@ -148,21 +165,22 @@ def solve(
         l4_sin_a = params.l4 * math.sin(alpha)
         z_c1 = pose.z - l4_sin_a
         M1 = l2 * l2 - (z_c1 - l1) * (z_c1 - l1)
-        if M1 < 0.0:
+        roots_1 = _roots(M1)
+        if not roots_1:
             continue
         root_1 = math.sqrt(M1)
-        signs_1, merged_1 = ((1,), (1, 2)) if root_1 == 0.0 else ((1, -1), ())
+        signs_1, merged_1 = ((1, -1), ()) if roots_1 == 2 else ((1,), (1, 2))
         for s1, s2 in product(signs_1, signs_1):
             yA1, yA2 = y_c1 + s1 * root_1, y_c2 + s2 * root_1
-            parallel_singular = abs(yA1 - l3 - yA2) <= fk.EPS_B
+            parallel = fk._parallel(yA1 - l3 - yA2)
             # one planar-loop elbow confirms every solution of this alpha, yA1 and yA2
-            elbow = fk.roundtrip_elbow(yA1, yA2, y_c1, z_c1, params) if check_roundtrip else None
+            elbow = check_roundtrip and fk.roundtrip_elbow(yA1, yA2, y_c1, z_c1, params, parallel)
             for s_beta, beta, l6_sin_b, M3, root_3, signs_3, merged_3 in beta_slots:
                 for s3 in signs_3:
                     yA3 = y_c3 + s3 * root_3
                     # finite by construction, so JointInputs' check is skipped
                     inputs = tuple.__new__(JointInputs, (yA1, yA2, yA3))
-                    if elbow is None:
+                    if not elbow:
                         roundtrip, residual = "skipped", math.nan
                     else:
                         # FK reads rail 3 only as |y - yA3|: a mirrored root shares the answer
@@ -175,7 +193,7 @@ def solve(
                         mirror = offset
                     out.append(tuple.__new__(IkSolution, (
                         inputs, tuple.__new__(IkBranch, (s_alpha, s_beta, (s1, s2, s3))),
-                        M1, M3, alpha, beta, merged_1 + merged_3, parallel_singular,
+                        M1, M3, alpha, beta, merged_1 + merged_3, parallel,
                         roundtrip, residual)))
     out.sort(key=itemgetter(0, 4, 5))  # (inputs, alpha, beta): (yA1, yA2, yA3, alpha, beta)
     return out

@@ -121,6 +121,19 @@ def _row_norm(a: float, b: float, c: float) -> float:
                                 math.fsum((hb * hb, 2.0 * hb * lb, lb * lb, a * a)))))
 
 
+def _folded(sin):
+    """Whether a distal link with this sin(angle) folds onto X: |sin| below
+    :data:`COT_GUARD`, where its cotangent row has no meaning.  Takes a
+    float, or a numpy array elementwise."""
+    return abs(sin) < COT_GUARD
+
+
+def _norm_det_jq(u11, u22, u33, params: ValidatedParams):
+    """det Jq with each u normalised by its link length (l2, l2, l6).  Takes
+    floats, or numpy arrays elementwise."""
+    return (u11 / params.l2) * (u22 / params.l2) * (u33 / params.l6)
+
+
 def _class_index(u11, u22, u33, params: ValidatedParams, parallel):
     """The class index ``serial + 2 * parallel`` into :class:`SingularityKind`.
 
@@ -144,7 +157,7 @@ def build(pose: Pose, solution: IkSolution, params: ValidatedParams) -> Jacobian
     inputs = solution.inputs
     sin_a, cos_a = math.sin(solution.alpha), math.cos(solution.alpha)
     sin_b, cos_b = math.sin(solution.beta), math.cos(solution.beta)
-    if abs(sin_a) < COT_GUARD or abs(sin_b) < COT_GUARD:
+    if _folded(sin_a) or _folded(sin_b):
         raise CotangentSingular(
             f"sin(alpha) = {sin_a:.3e}, sin(beta) = {sin_b:.3e}: distal link folded onto X"
         )
@@ -181,7 +194,6 @@ def classify(
     differ at most in sign (``build`` gives both rows the same a and c).
     """
     (u11, _, _), (_, u22, _), (_, _, u33) = pair.jq
-    l2, l6 = params.l2, params.l6
     (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = pair.jp
     n1 = _row_norm(a1, b1, c1)
     # _row_norm reads only the squares of a row: twin rows share one norm
@@ -189,8 +201,7 @@ def classify(
     n3 = _row_norm(a3, b3, c3)
     norm_det_jp = 0.0 if min(n1, n2, n3) == 0.0 else pair.det_jp / (n1 * n2 * n3)
     kind = _KINDS[_class_index(u11, u22, u33, params, abs(norm_det_jp) <= threshold)]
-    return tuple.__new__(Classification,
-                         (kind, norm_det_jp, (u11 / l2) * (u22 / l2) * (u33 / l6)))
+    return tuple.__new__(Classification, (kind, norm_det_jp, _norm_det_jq(u11, u22, u33, params)))
 
 
 def fd_check(

@@ -53,7 +53,16 @@ The kernel
 
 * computes the distal angles, their sines, cosines and cotangents once
   per x as Python scalars (``math``, never ``np.sin``/``np.arccos``);
-* evaluates every grid expression in the scalar path's operation order;
+* takes every branch decision from the function the scalar path calls for
+  it: the reach and base angles of the distal links (:func:`ik._bases`),
+  whether a chain root exists or two merge (:func:`ik._roots`), the parallel
+  B test (:func:`fk._parallel`), the distal fold (:func:`jacobian._folded`),
+  the normalised det Jq (:func:`jacobian._norm_det_jq`) and the class index
+  (:func:`jacobian._class_index`).  Each rule uses operators only, so it acts
+  on arrays elementwise in the scalar operation order, and the kernel names
+  no tolerance of its own;
+* evaluates the remaining grid terms (h12, h3, the radicands, u and the Jp
+  entries) in the scalar path's operation order;
 * takes row norms with ``np.matmul`` of stacked rows, whose BLAS dot
   accumulates with fused multiply-adds and so rounds like
   :func:`jacobian._row_norm`.
@@ -301,62 +310,59 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     """Per-point (solution count, min |norm det Jp|, min |norm det Jq|, worst
     severity) arrays over the points ``xs`` x ``ys`` x ``zs``, row-major.
 
-    Every branch decision is the one :func:`ik.solve`, :func:`jacobian.build`
-    and :func:`jacobian.classify` make for that branch.  Stage A decides which
-    branches exist over (x, z, alpha slot, beta slot, s1, s2, s3), as y takes
-    no part in that, and lists the existing ones as cells grouped by (x, z).
-    Stage B runs over (cell, y) pairs in passes of whole groups.  It computes
+    Every branch decision is a call of the rule that :func:`ik.solve`,
+    :func:`jacobian.build` and :func:`jacobian.classify` (and so
+    :func:`sample_point`) call for that branch: :func:`ik._bases` per x,
+    :func:`jacobian._folded` per distal slot, :func:`ik._roots` on the
+    radicand arrays, :func:`fk._parallel` on the rail arrays, and
+    :func:`jacobian._norm_det_jq` and :func:`jacobian._class_index` on the u
+    arrays.  No tolerance and no comparison with zero is written here.
+
+    Stage A decides which branches exist over (x, z, alpha slot, beta slot,
+    s1, s2, s3), as y takes no part in that, and lists the existing ones as
+    cells grouped by (x, z).  Stage B runs over (cell, y) pairs in passes of
+    whole groups.  It computes
     the labels once per run of classified pairs whose u's are bit-equal along
     y, which is exact: a pair's labels read nothing but its cell's y-free
     terms and its u's.
     """
     l1, l2, l3, l6 = params.l1, params.l2, params.l3, params.l6
-
-    def elbow(plus: float, minus: float, length: float, description: str):
-        """Both slots of one distal elbow, at angles +/-acos((x + plus - minus) /
-        length), at every x: whether the slot is live, length * sin, the
-        cotangent and whether the link folds, each an array over (x, slot).
-
-        An x out of reach has no live slot; a dead slot's placeholder values
-        are never read.
-        """
-        flags, values = [], []
-        for x in xs:
-            try:
-                base = ik._clamped_acos((x + plus - minus) / length, description)
-            except Unreachable:
-                flags.append((False, False, False, False))
-                values.append((0.0, 0.0, 0.0, 0.0))
-                continue
+    # per x, distal link (alpha, beta), field and slot (+base, -base): whether
+    # the slot is live and whether the link folds, then length * sin and the
+    # cotangent
+    flags, values = [], []
+    for x in xs:
+        try:
+            bases, live = ik._bases(x, params), True
+        except Unreachable:
+            # an x out of reach has no live slot; a dead slot's values are never read
+            bases, live = (0.0, 0.0), False
+        for base, length in zip(bases, (params.l4, l6)):
             sin_p, sin_m = math.sin(base), math.sin(-base)
-            fold_p, fold_m = abs(sin_p) < jacobian.COT_GUARD, abs(sin_m) < jacobian.COT_GUARD
-            flags.append((True, not ik._single_elbow(base), fold_p, fold_m))
+            fold_p, fold_m = jacobian._folded(sin_p), jacobian._folded(sin_m)
+            flags += (live, live and not ik._single_elbow(base), fold_p, fold_m)
             # a folded elbow has no velocity model, so its cotangent is never read
-            values.append((length * sin_p, length * sin_m,
-                           0.0 if fold_p else math.cos(base) / sin_p,
-                           0.0 if fold_m else math.cos(-base) / sin_m))
-        flags, values = np.reshape(flags, (-1, 2, 2)), np.reshape(values, (-1, 2, 2))
-        return flags[:, 0], values[:, 0], values[:, 1], flags[:, 1]
+            values += (length * sin_p, length * sin_m,
+                       0.0 if fold_p else math.cos(base) / sin_p,
+                       0.0 if fold_m else math.cos(-base) / sin_m)
+    flags, values = np.reshape(flags, (-1, 2, 2, 2)), np.reshape(values, (-1, 2, 2, 2))
 
     # stage A, over (x, z, alpha slot, beta slot, s1, s2, s3)
-    live_a, l4_sin_a, cot_a, fold_a = (np.reshape(column, (-1, 1, 2, 1, 1, 1, 1)) for column
-                                       in elbow(params.b, params.d, params.l4, "alpha"))
-    live_b, l6_sin_b, cot_b, fold_b = (np.reshape(column, (-1, 1, 1, 2, 1, 1, 1)) for column
-                                       in elbow(params.d, params.b, l6, "beta"))
+    (live_a, fold_a, l4_sin_a, cot_a), (live_b, fold_b, l6_sin_b, cot_b) = (
+        [np.reshape(column[:, link, k], shape) for column in (flags, values) for k in (0, 1)]
+        for link, shape in enumerate(((-1, 1, 2, 1, 1, 1, 1), (-1, 1, 1, 2, 1, 1, 1))))
     Z = np.reshape(np.asarray(zs, dtype=float), (-1, 1, 1, 1, 1, 1))
     h12 = (Z - l4_sin_a) - l1
     h3 = (Z - params.l8 - l6_sin_b - params.l7) - l1
     M1 = l2 * l2 - h12 * h12
     M3 = l6 * l6 - h3 * h3
-    with np.errstate(invalid="ignore"):
-        root_1 = np.sqrt(M1)
-        root_3 = np.sqrt(M3)
-    s3 = np.array([1.0, -1.0])
-    s1, s2 = s3[:, None, None], s3[:, None]
-    # a zero radicand merges the two roots of its chain into one branch
-    exists = (live_a & live_b & (M1 >= 0.0) & (M3 >= 0.0)
-              & ((s1 > 0) | (root_1 != 0.0)) & ((s2 > 0) | (root_1 != 0.0))
-              & ((s3 > 0) | (root_3 != 0.0)))
+    # a negative radicand's root is never read
+    root_1, root_3 = np.sqrt(np.abs(M1)), np.sqrt(np.abs(M3))
+    # root k of a chain (+root, then -root) exists where its root count is above k
+    s3, k3 = np.array([1.0, -1.0]), np.arange(2)
+    s1, s2, k1, k2 = s3[:, None, None], s3[:, None], k3[:, None, None], k3[:, None]
+    roots_1, roots_3 = ik._roots(M1), ik._roots(M3)
+    exists = live_a & live_b & (roots_1 > k1) & (roots_1 > k2) & (roots_3 > k3)
 
     def cells(values) -> np.ndarray:
         """``values`` at the existing branches, one 1-D array grouped by (x, z)."""
@@ -385,7 +391,7 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
         starts = edges[g] - c.start
         yA1 = y_c1 + r1[c, None]
         yA2 = y_c2 + r2[c, None]
-        working = np.abs((yA1 - l3) - yA2) > fk.EPS_B
+        working = ~fk._parallel((yA1 - l3) - yA2)
         # u = y_c - yA at every pair, written over the rail yA = y_c + r
         U = (np.subtract(y_c1, yA1, out=yA1), np.subtract(y_c2, yA2, out=yA2),
              np.subtract(y_c3, y_c3 + r3[c, None]))
@@ -415,8 +421,8 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
                        len(det) + (chosen & fold[c, None]))
         severity = np.concatenate((jacobian._class_index(u11, u22, u33, params, det <= threshold),
                                    (0, 1))).astype(np.int8)
-        jq = np.concatenate((np.abs((u11 / l2) * (u22 / l2) * (u33 / l6)), (np.nan, np.nan)))
-        det = np.concatenate((det, (np.nan, np.nan)))
+        jq = np.abs(jacobian._norm_det_jq(u11, u22, u33, params))
+        det, jq = (np.concatenate((column, (np.nan, np.nan))) for column in (det, jq))
         return (np.fmin.reduceat(det.take(run), starts), np.fmin.reduceat(jq.take(run), starts),
                 np.maximum.reduceat(severity.take(run), starts))
 

@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import io
 import random
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -11,6 +13,26 @@ from trirail.params import REFERENCE_PARAMS, JointInputs
 @pytest.fixture
 def params():
     return REFERENCE_PARAMS
+
+
+def readers(module, name) -> set[str]:
+    """The functions in ``module``'s source that read ``name``, as a variable
+    or as an attribute (``fk.EPS_B``); ``"<module>"`` stands for a read outside
+    every function.  A nested function's reads count for it and for every
+    function around it."""
+    found = set()
+
+    def visit(node, scopes):
+        if isinstance(node, ast.FunctionDef):
+            scopes = (*scopes, node.name)
+        if ((isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == name)):
+            found.update(scopes or ("<module>",))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes)
+
+    visit(ast.parse(Path(module.__file__).read_text(encoding="utf-8")), ())
+    return found
 
 
 def random_feasible_inputs(rng: random.Random, p=REFERENCE_PARAMS) -> JointInputs:

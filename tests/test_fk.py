@@ -17,7 +17,7 @@ from trirail.errors import (
 from trirail.params import MAX_LENGTH, JointInputs, Pose, REFERENCE_PARAMS
 
 from _closure_oracle import oracle_poses
-from conftest import random_feasible_inputs
+from conftest import random_feasible_inputs, readers
 
 P = REFERENCE_PARAMS
 WORKED_INPUTS = JointInputs(162.6907, -143.3209, -24.6776)
@@ -446,18 +446,11 @@ def test_oracle_equivalence_on_random_grid():
     assert nonempty >= 50  # the comparison must not be vacuous
 
 
-def callers_in_fk(name):
-    """Functions of ``fk.py`` whose body names ``name``."""
-    tree = ast.parse(Path(fk.__file__).read_text(encoding="utf-8"))
-    return {function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
-            for node in ast.walk(function) if isinstance(node, ast.Name) and node.id == name}
-
-
 def test_one_copy_of_the_residual_formulas():
     """Both FK paths build candidates through ``_candidate``, and only it and
     ``residuals`` reach ``_chain_residuals``."""
-    assert callers_in_fk("_chain_residuals") == {"residuals", "_candidate"}
-    assert callers_in_fk("_candidate") == {"enumerate_candidates", "distance_at_gamma"}
+    assert readers(fk, "_chain_residuals") == {"residuals", "_candidate"}
+    assert readers(fk, "_candidate") == {"enumerate_candidates", "distance_at_gamma"}
 
 
 def arithmetic_users_in_fk(name):

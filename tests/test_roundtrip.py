@@ -91,9 +91,9 @@ def elbows(monkeypatch):
     calls = []
     original = fk.roundtrip_elbow
 
-    def counted(yA1, yA2, y_c1, z_c1, params):
+    def counted(yA1, yA2, y_c1, z_c1, params, parallel):
         calls.append((yA1, yA2, z_c1))
-        return original(yA1, yA2, y_c1, z_c1, params)
+        return original(yA1, yA2, y_c1, z_c1, params, parallel)
 
     monkeypatch.setattr(fk, "roundtrip_elbow", counted)
     return calls
