@@ -36,7 +36,10 @@ shifts the rails.
   (about a fifth of all), in passes of consecutive whole (x, z) groups.  A
   pass holds up to ``_PASS_PAIRS`` pairs: a 21^3 scan takes 5 passes and a
   41 x 41 cross-section one or two.  A pass decides which branches work and
-  are classified, then labels each run of classified pairs whose
+  which each point chooses: its working ones, or all of its existing ones
+  when none works.  It drops each cell that no point chooses, which on the
+  reference design are the branches whose rails 1 and 2 sit l3 apart, half
+  of all cells.  Then it labels each run of classified pairs whose
   u = y_c - yA, the y offset of each chain's joint C from its rail A, are
   equal bit for bit from one y to the next in a cell.  A pair's
   determinants, row norms and serial test read only its cell's y-free terms
@@ -48,11 +51,14 @@ shifts the rails.
   (x, z), and the results are written into label arrays over (x, z) by y.
   The pass's temporaries are bounded by ``_PASS_PAIRS``; the label arrays
   span the grid, and one transposed copy of each puts it in row-major order.
+  The result freezes those copies in place, without a further copy.
 
 The kernel
 
 * computes the distal angles, their sines, cosines and cotangents once
-  per x as Python scalars (``math``, never ``np.sin``/``np.arccos``);
+  per x as Python scalars (``math``, never ``np.sin``/``np.arccos``), and
+  keeps those of the last x axis (:func:`_per_x`), which the sections of
+  one box share;
 * takes every branch decision from the function the scalar path calls for
   it: the reach and base angles of the distal links (:func:`ik._bases`),
   whether a chain root exists or two merge (:func:`ik._roots`), the parallel
@@ -69,20 +75,22 @@ The kernel
 
 These make the two agree bit for bit, which keeps exports byte-identical;
 the staging changes no value, as every operation on a cell or a pair is
-elementwise, no group is split between passes, and a per-point minimum or
-maximum does not depend on the order of the branches.  Labels are shared
-along y only between pairs whose inputs are equal bit for bit; where the
-rounding of a rail differs, so may the determinant bits, and the pair
-starts a run of its own.
+elementwise, no group is split between passes, a per-point minimum or
+maximum does not depend on the order of the branches, and a dropped cell
+would add only NaN dets and class 0, which the minimum and maximum ignore.
+Labels are shared along y only between pairs whose inputs are equal bit
+for bit; where the rounding of a rail differs, so may the determinant
+bits, and the pair starts a run of its own.
 
 An export writes each axis value's text once and each point's label text
 once per run of equal labels along y (:func:`_tails`).  On a 2-core Xeon
-the ``perfbench`` workloads label and export about 1.2M points/s on the
-21^3 box and about 780k points/s on 41 x 41 sections.
+the ``perfbench`` workloads label and export about 1.3M points/s on the
+21^3 box and about 800k points/s on 41 x 41 sections.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -180,7 +188,7 @@ class ScanResult:
     min_norm_det_jq: np.ndarray
     severity: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         for name in ("xs", "ys", "zs"):
             # export writes each axis value by repr, which has no JSON form for nan or inf
             if not all(map(math.isfinite, getattr(self, name))):
@@ -197,9 +205,20 @@ class ScanResult:
             if lo is not None and not np.all((lo <= given) & (given <= hi) & (given % 1 == 0)):
                 raise InvalidParameter(name, f"must hold integers from {lo} to {hi}")
             # a copy: freezing it leaves the caller's own array writable
-            column = given.astype(dtype)
+            column = given.astype(dtype, copy=copy)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+
+    @classmethod
+    def _adopt(cls, *fields) -> ScanResult:
+        """A result over ``fields`` that freezes their label arrays in place
+        instead of copying them, after the same checks; only for arrays that
+        nothing else holds."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, fields):
+            object.__setattr__(self, name, value)
+        self.__post_init__(copy=False)
+        return self
 
     def __len__(self) -> int:
         return len(self.xs) * len(self.ys) * len(self.zs)
@@ -255,7 +274,7 @@ _AXES = ("x", "y", "z")
 #: consecutive (x, z) groups are taken while a pass holds no more than this (a
 #: larger group, possible only with over 384 y values, runs alone), so an
 #: array of a pass holds at most 96 KB of floats.  Sized by memory: a 21^3
-#: scan peaks at 1.17 MB of traced memory, against 1.42 and 2.46 MB with
+#: scan peaks at 0.80 MB of traced memory, against 0.93 and 1.47 MB with
 #: passes of 16k and 32k pairs, which ran it no faster.
 _PASS_PAIRS = 12288
 
@@ -306,6 +325,37 @@ def _run_heads(classified: np.ndarray, *u: np.ndarray) -> np.ndarray:
     return heads
 
 
+@functools.lru_cache(maxsize=1)
+def _per_x(xs: tuple[float, ...], params: ValidatedParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per x of ``xs``, distal link (alpha, beta), field and slot (+base,
+    -base): the read-only ``flags`` (whether the slot is live and whether the
+    link folds) and ``values`` (length * sin and the cotangent), each of shape
+    (len(xs), 2, 2, 2).
+
+    Cached for the last axis, which the sections of one box share.  The key
+    takes 0.0 and -0.0 as one x, which is exact: x enters only as x + b and
+    x + d, and b and d are > 0, so both signs of zero give the same sums.
+    """
+    flags, values = [], []
+    for x in xs:
+        try:
+            bases, live = ik._bases(x, params), True
+        except Unreachable:
+            # an x out of reach has no live slot; a dead slot's values are never read
+            bases, live = (0.0, 0.0), False
+        for base, length in zip(bases, (params.l4, params.l6)):
+            sin_p, sin_m = math.sin(base), math.sin(-base)
+            fold_p, fold_m = jacobian._folded(sin_p), jacobian._folded(sin_m)
+            flags += (live, live and not ik._single_elbow(base), fold_p, fold_m)
+            # a folded elbow has no velocity model, so its cotangent is never read
+            values += (length * sin_p, length * sin_m,
+                       0.0 if fold_p else math.cos(base) / sin_p,
+                       0.0 if fold_m else math.cos(-base) / sin_m)
+    flags, values = np.reshape(flags, (-1, 2, 2, 2)), np.reshape(values, (-1, 2, 2, 2))
+    flags.flags.writeable = values.flags.writeable = False
+    return flags, values
+
+
 def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     """Per-point (solution count, min |norm det Jp|, min |norm det Jq|, worst
     severity) arrays over the points ``xs`` x ``ys`` x ``zs``, row-major.
@@ -318,34 +368,17 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     :func:`jacobian._norm_det_jq` and :func:`jacobian._class_index` on the u
     arrays.  No tolerance and no comparison with zero is written here.
 
-    Stage A decides which branches exist over (x, z, alpha slot, beta slot,
-    s1, s2, s3), as y takes no part in that, and lists the existing ones as
-    cells grouped by (x, z).  Stage B runs over (cell, y) pairs in passes of
-    whole groups.  It computes
-    the labels once per run of classified pairs whose u's are bit-equal along
-    y, which is exact: a pair's labels read nothing but its cell's y-free
-    terms and its u's.
+    The per-x terms come from :func:`_per_x`, once per x axis.  Stage A
+    decides which branches exist over (x, z, alpha slot, beta slot, s1, s2,
+    s3), as y takes no part in that, and lists the existing ones as cells
+    grouped by (x, z).  Stage B runs over (cell, y) pairs in passes of whole
+    groups.  It drops each cell that no point chooses, and labels the rest
+    once per run of classified pairs whose u's are bit-equal along y, which
+    is exact: a pair's labels read nothing but its cell's y-free terms and
+    its u's.
     """
     l1, l2, l3, l6 = params.l1, params.l2, params.l3, params.l6
-    # per x, distal link (alpha, beta), field and slot (+base, -base): whether
-    # the slot is live and whether the link folds, then length * sin and the
-    # cotangent
-    flags, values = [], []
-    for x in xs:
-        try:
-            bases, live = ik._bases(x, params), True
-        except Unreachable:
-            # an x out of reach has no live slot; a dead slot's values are never read
-            bases, live = (0.0, 0.0), False
-        for base, length in zip(bases, (params.l4, l6)):
-            sin_p, sin_m = math.sin(base), math.sin(-base)
-            fold_p, fold_m = jacobian._folded(sin_p), jacobian._folded(sin_m)
-            flags += (live, live and not ik._single_elbow(base), fold_p, fold_m)
-            # a folded elbow has no velocity model, so its cotangent is never read
-            values += (length * sin_p, length * sin_m,
-                       0.0 if fold_p else math.cos(base) / sin_p,
-                       0.0 if fold_m else math.cos(-base) / sin_m)
-    flags, values = np.reshape(flags, (-1, 2, 2, 2)), np.reshape(values, (-1, 2, 2, 2))
+    flags, values = _per_x(tuple(xs), params)
 
     # stage A, over (x, z, alpha slot, beta slot, s1, s2, s3)
     (live_a, fold_a, l4_sin_a, cot_a), (live_b, fold_b, l6_sin_b, cot_b) = (
@@ -388,22 +421,30 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     def reduced(c: slice, g: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Min |norm det Jp|, min |norm det Jq| and worst class of the cells ``c``
         of the groups ``g``, at every y: arrays over (group, y)."""
-        starts = edges[g] - c.start
         yA1 = y_c1 + r1[c, None]
         yA2 = y_c2 + r2[c, None]
         working = ~fk._parallel((yA1 - l3) - yA2)
+        # a point with no working branch labels all its existing ones
+        chosen = working | np.repeat(~np.logical_or.reduceat(working, edges[g] - c.start),
+                                     sizes[g], axis=0)
+        # a cell that no point chooses would add only NaN dets and class 0, which
+        # fmin and max ignore, so it is dropped; each (group, y) chooses a cell,
+        # so each group keeps one, and a group starts at its first kept cell
+        kept = np.flatnonzero(chosen.any(axis=1))
+        starts = np.searchsorted(kept, edges[g] - c.start)
+        chosen, yA1, yA2 = chosen[kept], yA1[kept], yA2[kept]
+        kept += c.start
+        del working
         # u = y_c - yA at every pair, written over the rail yA = y_c + r
         U = (np.subtract(y_c1, yA1, out=yA1), np.subtract(y_c2, yA2, out=yA2),
-             np.subtract(y_c3, y_c3 + r3[c, None]))
+             np.subtract(y_c3, y_c3 + r3[kept, None]))
         del yA1, yA2
-        # a point with no working branch labels all its existing ones
-        chosen = working | np.repeat(~np.logical_or.reduceat(working, starts), sizes[g], axis=0)
-        classified = chosen & ~fold[c, None]
+        classified = chosen & ~fold[kept, None]
         head = _run_heads(classified, *U)
         # the determinants and the serial test run once per run, at its head
         heads = np.flatnonzero(head)
         u11, u22, u33 = (u.take(heads) for u in U)
-        cell = heads // ny + c.start
+        cell = kept[heads // ny]
         j0_, j2_, h12_, h3_ = j0[cell], j2[cell], h12[cell], h3[cell]
         # pair arrays are dropped once used: the gathered arrays set a pass's peak
         del U, heads, cell
@@ -418,7 +459,7 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
         # one), or one of two more for the pairs that are not classified: an
         # unchosen branch (NaN dets, regular) and a folded chosen one (serial)
         run = np.where(classified, np.cumsum(head).reshape(head.shape) - 1,
-                       len(det) + (chosen & fold[c, None]))
+                       len(det) + (chosen & fold[kept, None]))
         severity = np.concatenate((jacobian._class_index(u11, u22, u33, params, det <= threshold),
                                    (0, 1))).astype(np.int8)
         jq = np.abs(jacobian._norm_det_jq(u11, u22, u33, params))
@@ -439,7 +480,7 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
 
 def _kernel(xs, ys, zs, params: ValidatedParams, threshold: float) -> ScanResult:
     """:func:`sample_point` of every point of ``xs`` x ``ys`` x ``zs``, row-major."""
-    return ScanResult(xs, ys, zs, *_label(xs, ys, zs, params, threshold))
+    return ScanResult._adopt(xs, ys, zs, *_label(xs, ys, zs, params, threshold))
 
 
 def scan(spec: ScanSpec, params: ValidatedParams, *, workers: int = 1) -> ScanResult:

@@ -40,6 +40,8 @@ P = REFERENCE_PARAMS
 EMPTY = ScanResult([], [], [], [], [], [], [])
 
 REFERENCE_BOX = dict(x_range=(-110.0, 90.0), y_range=(-250.0, 250.0), z_range=(180.0, 480.0))
+# the heights of the seven X-Y sections of the benchmark's sections workload
+SECTION_HEIGHTS = tuple(180.0 + 50.0 * k for k in range(7))
 # the height where M1 = 0 exactly on one alpha slot at x = -6 (and M1 < 0 on
 # the other): both solutions there are parallel-singular, so no branch works
 FALLBACK_Z = P.l1 + P.l2 + P.l4 * math.sin(math.acos((-6.0 + P.b - P.d) / P.l4))
@@ -69,15 +71,13 @@ DET_COLUMNS = ScanResult(
 REVERSED_ROWS = labelled([axis[::-1] for axis in workspace._grid(SMALL_SPEC)], P,
                          SMALL_SPEC.singularity_threshold)
 
-def with_count_100(samples):
-    """``samples`` with its first count of 8 made 100."""
+def count_100():
+    """The small scan with its first count of 8 made 100, a count no kernel
+    makes: counts are formatted per distinct value, from no table."""
+    samples = scan(SMALL_SPEC, P)
     counts = samples.real_solution_count.tolist()
     counts[counts.index(8)] = 100
     return dataclasses.replace(samples, real_solution_count=counts)
-
-
-# a count no kernel makes: counts are formatted per distinct value, from no table
-COUNT_100 = with_count_100(scan(SMALL_SPEC, P))
 
 
 def traced(call) -> tuple[int, int]:
@@ -319,6 +319,31 @@ class TestScanResult:
         with pytest.raises(ValueError, match="read-only"):
             getattr(samples, name)[0] = 0
 
+    def test_kernel_columns_are_frozen_in_place(self, monkeypatch):
+        # the kernel's fresh arrays are frozen, not copied again
+        label = workspace._label
+        made = []
+
+        def recorded(*args):
+            made.extend(label(*args))
+            return made
+
+        monkeypatch.setattr(workspace, "_label", recorded)
+        samples = scan(SMALL_SPEC, P)
+        for (name, dtype, _, _), fresh in zip(workspace._LABEL_COLUMNS, made, strict=True):
+            column = getattr(samples, name)
+            assert column.dtype == dtype and np.shares_memory(column, fresh)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    def test_adopted_columns_are_checked(self):
+        # the kernel's path into a result runs every check of the constructor
+        columns = [np.array([1]), np.array([0.5]), np.array([0.5]), np.array([-1], np.int8)]
+        with pytest.raises(InvalidParameter, match="^severity: must hold integers from 0 to "):
+            ScanResult._adopt([0.0], [0.0], [0.0], *columns)
+        with pytest.raises(InvalidParameter, match="^real_solution_count: needs 2 entries"):
+            ScanResult._adopt([0.0, 1.0], [0.0], [0.0], *columns)
+
     def test_label_columns_are_copies(self):
         counts, jp, jq, severity = [1, 1], [0.5, 0.5], np.array([0.5, 0.5]), [0, 0]
         samples = ScanResult([1.0, 2.0], [1.0], [1.0], counts, jp, jq, severity)
@@ -456,32 +481,35 @@ class TestExport:
             assert record["x"] == x
             assert record["feasible"] == (count > 0)
 
+    # kernel calls run in the test, so that a kernel fault fails it and not the collection
     @pytest.mark.parametrize("samples", [
-        pytest.param(scan(SMALL_SPEC, P), id="infeasible-rows"),
+        pytest.param(lambda: scan(SMALL_SPEC, P), id="infeasible-rows"),
         # every branch folds at x = 80: feasible rows with no determinant
-        pytest.param(cross_section(ScanSpec(resolution=5, **REFERENCE_BOX), P, "x", 80.0),
+        pytest.param(lambda: cross_section(ScanSpec(resolution=5, **REFERENCE_BOX), P, "x", 80.0),
                      id="fold-rows"),
-        pytest.param(EMPTY, id="empty"),
-        pytest.param(cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P, "z", 330.0),
-                     id="section-z330"),
-        pytest.param(SIGNED_ZEROS, id="signed-zeros"),
-        pytest.param(REVERSED_ROWS, id="reversed-rows"),
-        pytest.param(COUNT_100, id="count-100"),
+        pytest.param(lambda: EMPTY, id="empty"),
+        pytest.param(lambda: cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P,
+                                           "z", 330.0), id="section-z330"),
+        pytest.param(lambda: SIGNED_ZEROS, id="signed-zeros"),
+        pytest.param(lambda: REVERSED_ROWS, id="reversed-rows"),
+        pytest.param(count_100, id="count-100"),
     ])
     def test_json_is_byte_identical_to_json_dumps(self, tmp_path, samples):
+        samples = samples()
         path = tmp_path / "points.json"
         export(samples, "json", path)
         assert path.read_bytes() == json_reference(samples).encode()
 
     @pytest.mark.parametrize("samples", [
-        pytest.param(scan(SMALL_SPEC, P), id="infeasible-rows"),
-        pytest.param(cross_section(ScanSpec(resolution=5, **REFERENCE_BOX), P, "x", 80.0),
+        pytest.param(lambda: scan(SMALL_SPEC, P), id="infeasible-rows"),
+        pytest.param(lambda: cross_section(ScanSpec(resolution=5, **REFERENCE_BOX), P, "x", 80.0),
                      id="fold-rows"),
-        pytest.param(SIGNED_ZEROS, id="signed-zeros"),
-        pytest.param(REVERSED_ROWS, id="reversed-rows"),
-        pytest.param(COUNT_100, id="count-100"),
+        pytest.param(lambda: SIGNED_ZEROS, id="signed-zeros"),
+        pytest.param(lambda: REVERSED_ROWS, id="reversed-rows"),
+        pytest.param(count_100, id="count-100"),
     ])
     def test_csv_rows_are_per_sample_reprs(self, tmp_path, samples):
+        samples = samples()
         path = tmp_path / "points.csv"
         export(samples, "csv", path)
         assert path.read_text() == csv_reference(samples)
@@ -665,12 +693,13 @@ class TestExportMemory:
     it took when every point's text came from an f-string template (bytes)."""
 
     @pytest.mark.parametrize("fmt, samples, ceiling", [
-        pytest.param("csv", scan(ScanSpec(resolution=21, **REFERENCE_BOX), P), 2_198_284,
+        pytest.param("csv", lambda: scan(ScanSpec(resolution=21, **REFERENCE_BOX), P), 2_198_284,
                      id="box-21-csv"),
-        pytest.param("json", cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P,
-                                           "z", 280.0), 1_099_209, id="section-z280-json"),
+        pytest.param("json", lambda: cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P,
+                                                   "z", 280.0), 1_099_209, id="section-z280-json"),
     ])
     def test_traced_peak(self, tmp_path, fmt, samples, ceiling):
+        samples = samples()
         assert traced(lambda: export(samples, fmt, tmp_path / "points"))[1] <= ceiling
 
 
@@ -796,6 +825,28 @@ class TestKernelMatchesSamplePoint:
         scan(ScanSpec(resolution=21, **REFERENCE_BOX), P)
         assert sum(rows) == 3 * 3294
 
+    @pytest.mark.parametrize("heights, rows", [
+        pytest.param(None, 1344, id="box-21"),
+        pytest.param(SECTION_HEIGHTS, 876, id="sections"),
+    ])
+    def test_only_chosen_cells_are_labelled(self, monkeypatch, heights, rows):
+        # half the existing cells are chosen at no y (the s1 = s2 twins, whose
+        # rails 1 and 2 sit l3 apart): of 2,688 cells at 21^3 and 1,752 over
+        # the seven 41 x 41 sections, stage B labels the other half
+        run_heads = workspace._run_heads
+        received = []
+
+        def counted(classified, *u):
+            received.append(len(classified))
+            return run_heads(classified, *u)
+
+        monkeypatch.setattr(workspace, "_run_heads", counted)
+        if heights is None:
+            scan(ScanSpec(resolution=21, **REFERENCE_BOX), P)
+        for z in heights or ():
+            cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P, "z", z)
+        assert sum(received) == rows
+
     @settings(max_examples=40, deadline=None)
     @given(
         params=st.sampled_from([P, SPACER_PARAMS]),
@@ -809,6 +860,47 @@ class TestKernelMatchesSamplePoint:
         spec = ScanSpec(*((lo, lo + width) for lo, width in zip(corner, size)),
                         resolution=resolution, singularity_threshold=threshold)
         assert rows(scan(spec, params)) == rows(oracle(spec, params))
+
+
+class TestPerXTerms:
+    """The per-x terms of the kernel, computed once per x axis."""
+
+    def test_sections_of_one_box_share_them(self, monkeypatch):
+        bases = ik._bases
+        calls = []
+
+        def counted(x, params):
+            calls.append(x)
+            return bases(x, params)
+
+        monkeypatch.setattr(ik, "_bases", counted)
+        workspace._per_x.cache_clear()
+        spec = ScanSpec(resolution=41, **REFERENCE_BOX)
+        for z in SECTION_HEIGHTS:
+            cross_section(spec, P, "z", z)
+        assert len(calls) == 41
+        # other params, then another x axis, compute them again
+        cross_section(spec, SPACER_PARAMS, "z", 280.0)
+        assert len(calls) == 82
+        cross_section(spec, SPACER_PARAMS, "x", 80.0)
+        assert calls[82:] == [80.0]
+
+    def test_they_are_read_only(self):
+        for array in workspace._per_x((-6.0, 80.0), P):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zeros_share_them(self, first):
+        # 0.0 and -0.0 are one key, which is exact: x enters as x + b and x + d
+        spec = ScanSpec(resolution=41, **REFERENCE_BOX)
+        workspace._per_x.cache_clear()
+        digests = [label_digest(spec, P, "x", x) for x in (first, -first)]
+        assert workspace._per_x.cache_info()[:2] == (1, 1)
+        assert digests[0] == digests[1]
+        workspace._per_x.cache_clear()
+        assert label_digest(spec, P, "x", -first) == digests[0]
 
 
 def label_digest(spec, params, axis, value) -> str:
