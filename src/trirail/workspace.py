@@ -56,9 +56,7 @@ shifts the rails.
 The kernel
 
 * computes the distal angles, their sines, cosines and cotangents once
-  per x as Python scalars (``math``, never ``np.sin``/``np.arccos``), and
-  keeps those of the last x axis (:func:`_per_x`), which the sections of
-  one box share;
+  per x as Python scalars (``math``, never ``np.sin``/``np.arccos``);
 * takes every branch decision from the function the scalar path calls for
   it: the reach and base angles of the distal links (:func:`ik._bases`),
   whether a chain root exists or two merge (:func:`ik._roots`), the parallel
@@ -84,13 +82,12 @@ bits, and the pair starts a run of its own.
 
 An export writes each axis value's text once and each point's label text
 once per run of equal labels along y (:func:`_tails`).  On a 2-core Xeon
-the ``perfbench`` workloads label and export about 1.3M points/s on the
-21^3 box and about 800k points/s on 41 x 41 sections.
+the ``perfbench`` workloads label and export about 1.2M points/s on the
+21^3 box and about 750k points/s on 41 x 41 sections.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import os
@@ -274,7 +271,7 @@ _AXES = ("x", "y", "z")
 #: consecutive (x, z) groups are taken while a pass holds no more than this (a
 #: larger group, possible only with over 384 y values, runs alone), so an
 #: array of a pass holds at most 96 KB of floats.  Sized by memory: a 21^3
-#: scan peaks at 0.80 MB of traced memory, against 0.93 and 1.47 MB with
+#: scan peaks at 0.80 MB of traced memory, against 0.94 and 1.48 MB with
 #: passes of 16k and 32k pairs, which ran it no faster.
 _PASS_PAIRS = 12288
 
@@ -325,37 +322,6 @@ def _run_heads(classified: np.ndarray, *u: np.ndarray) -> np.ndarray:
     return heads
 
 
-@functools.lru_cache(maxsize=1)
-def _per_x(xs: tuple[float, ...], params: ValidatedParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per x of ``xs``, distal link (alpha, beta), field and slot (+base,
-    -base): the read-only ``flags`` (whether the slot is live and whether the
-    link folds) and ``values`` (length * sin and the cotangent), each of shape
-    (len(xs), 2, 2, 2).
-
-    Cached for the last axis, which the sections of one box share.  The key
-    takes 0.0 and -0.0 as one x, which is exact: x enters only as x + b and
-    x + d, and b and d are > 0, so both signs of zero give the same sums.
-    """
-    flags, values = [], []
-    for x in xs:
-        try:
-            bases, live = ik._bases(x, params), True
-        except Unreachable:
-            # an x out of reach has no live slot; a dead slot's values are never read
-            bases, live = (0.0, 0.0), False
-        for base, length in zip(bases, (params.l4, params.l6)):
-            sin_p, sin_m = math.sin(base), math.sin(-base)
-            fold_p, fold_m = jacobian._folded(sin_p), jacobian._folded(sin_m)
-            flags += (live, live and not ik._single_elbow(base), fold_p, fold_m)
-            # a folded elbow has no velocity model, so its cotangent is never read
-            values += (length * sin_p, length * sin_m,
-                       0.0 if fold_p else math.cos(base) / sin_p,
-                       0.0 if fold_m else math.cos(-base) / sin_m)
-    flags, values = np.reshape(flags, (-1, 2, 2, 2)), np.reshape(values, (-1, 2, 2, 2))
-    flags.flags.writeable = values.flags.writeable = False
-    return flags, values
-
-
 def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     """Per-point (solution count, min |norm det Jp|, min |norm det Jq|, worst
     severity) arrays over the points ``xs`` x ``ys`` x ``zs``, row-major.
@@ -368,17 +334,34 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     :func:`jacobian._norm_det_jq` and :func:`jacobian._class_index` on the u
     arrays.  No tolerance and no comparison with zero is written here.
 
-    The per-x terms come from :func:`_per_x`, once per x axis.  Stage A
-    decides which branches exist over (x, z, alpha slot, beta slot, s1, s2,
-    s3), as y takes no part in that, and lists the existing ones as cells
-    grouped by (x, z).  Stage B runs over (cell, y) pairs in passes of whole
-    groups.  It drops each cell that no point chooses, and labels the rest
-    once per run of classified pairs whose u's are bit-equal along y, which
-    is exact: a pair's labels read nothing but its cell's y-free terms and
-    its u's.
+    Stage A decides which branches exist over (x, z, alpha slot, beta slot,
+    s1, s2, s3), as y takes no part in that, and lists the existing ones as
+    cells grouped by (x, z).  Stage B runs over (cell, y) pairs in passes of
+    whole groups.  It drops each cell that no point chooses, and labels the
+    rest once per run of classified pairs whose u's are bit-equal along y,
+    which is exact: a pair's labels read nothing but its cell's y-free terms
+    and its u's.
     """
     l1, l2, l3, l6 = params.l1, params.l2, params.l3, params.l6
-    flags, values = _per_x(tuple(xs), params)
+    # per x, distal link (alpha, beta), field and slot (+base, -base): whether
+    # the slot is live and whether the link folds, then length * sin and the
+    # cotangent
+    flags, values = [], []
+    for x in xs:
+        try:
+            bases, live = ik._bases(x, params), True
+        except Unreachable:
+            # an x out of reach has no live slot; a dead slot's values are never read
+            bases, live = (0.0, 0.0), False
+        for base, length in zip(bases, (params.l4, l6)):
+            sin_p, sin_m = math.sin(base), math.sin(-base)
+            fold_p, fold_m = jacobian._folded(sin_p), jacobian._folded(sin_m)
+            flags += (live, live and not ik._single_elbow(base), fold_p, fold_m)
+            # a folded elbow has no velocity model, so its cotangent is never read
+            values += (length * sin_p, length * sin_m,
+                       0.0 if fold_p else math.cos(base) / sin_p,
+                       0.0 if fold_m else math.cos(-base) / sin_m)
+    flags, values = np.reshape(flags, (-1, 2, 2, 2)), np.reshape(values, (-1, 2, 2, 2))
 
     # stage A, over (x, z, alpha slot, beta slot, s1, s2, s3)
     (live_a, fold_a, l4_sin_a, cot_a), (live_b, fold_b, l6_sin_b, cot_b) = (

@@ -115,13 +115,9 @@ def test_each_tolerance_is_read_by_its_rule_alone():
     assert readers_in_src("SERIAL_THRESHOLD") == {"jacobian._class_index"}
 
 
-def kernel_nodes() -> list[ast.AST]:
-    """Every node of ``_label`` and of ``_per_x``, which computes its per-x terms."""
+def label_function() -> ast.FunctionDef:
     tree = ast.parse(Path(workspace.__file__).read_text(encoding="utf-8"))
-    kernel = [f for f in tree.body if isinstance(f, ast.FunctionDef)
-              and f.name in ("_label", "_per_x")]
-    assert len(kernel) == 2
-    return [node for function in kernel for node in ast.walk(function)]
+    return next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_label")
 
 
 def float_constants() -> set[str]:
@@ -138,7 +134,7 @@ def test_the_kernel_names_no_tolerance():
     solver constant (its class threshold is an argument) and no arccos clamp."""
     assert {"EPS_B", "COT_GUARD", "SERIAL_THRESHOLD", "ACOS_CLAMP"} <= float_constants()
     named = {node.id if isinstance(node, ast.Name) else node.attr
-             for node in kernel_nodes() if isinstance(node, (ast.Name, ast.Attribute))}
+             for node in ast.walk(label_function()) if isinstance(node, (ast.Name, ast.Attribute))}
     assert named & (float_constants() | {"_clamped_acos"}) == set()
 
 
@@ -152,6 +148,7 @@ def is_zero(node: ast.expr) -> bool:
 
 def test_the_kernel_compares_nothing_with_zero():
     """Sign and root tests with 0.0 belong to the rules, not to ``_label``."""
-    compared = [ast.unparse(node) for node in kernel_nodes() if isinstance(node, ast.Compare)
+    compared = [ast.unparse(node) for node in ast.walk(label_function())
+                if isinstance(node, ast.Compare)
                 and any(map(is_zero, [node.left, *node.comparators]))]
     assert compared == []

@@ -847,6 +847,11 @@ class TestKernelMatchesSamplePoint:
             cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P, "z", z)
         assert sum(received) == rows
 
+    def test_signed_zero_x_labels_as_zero(self):
+        # x enters only as x + b and x + d, with b and d > 0, so both zeros give one sum
+        spec = ScanSpec(resolution=41, **REFERENCE_BOX)
+        assert label_digest(spec, P, "x", -0.0) == label_digest(spec, P, "x", 0.0)
+
     @settings(max_examples=40, deadline=None)
     @given(
         params=st.sampled_from([P, SPACER_PARAMS]),
@@ -860,47 +865,6 @@ class TestKernelMatchesSamplePoint:
         spec = ScanSpec(*((lo, lo + width) for lo, width in zip(corner, size)),
                         resolution=resolution, singularity_threshold=threshold)
         assert rows(scan(spec, params)) == rows(oracle(spec, params))
-
-
-class TestPerXTerms:
-    """The per-x terms of the kernel, computed once per x axis."""
-
-    def test_sections_of_one_box_share_them(self, monkeypatch):
-        bases = ik._bases
-        calls = []
-
-        def counted(x, params):
-            calls.append(x)
-            return bases(x, params)
-
-        monkeypatch.setattr(ik, "_bases", counted)
-        workspace._per_x.cache_clear()
-        spec = ScanSpec(resolution=41, **REFERENCE_BOX)
-        for z in SECTION_HEIGHTS:
-            cross_section(spec, P, "z", z)
-        assert len(calls) == 41
-        # other params, then another x axis, compute them again
-        cross_section(spec, SPACER_PARAMS, "z", 280.0)
-        assert len(calls) == 82
-        cross_section(spec, SPACER_PARAMS, "x", 80.0)
-        assert calls[82:] == [80.0]
-
-    def test_they_are_read_only(self):
-        for array in workspace._per_x((-6.0, 80.0), P):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
-
-    @pytest.mark.parametrize("first", [0.0, -0.0])
-    def test_signed_zeros_share_them(self, first):
-        # 0.0 and -0.0 are one key, which is exact: x enters as x + b and x + d
-        spec = ScanSpec(resolution=41, **REFERENCE_BOX)
-        workspace._per_x.cache_clear()
-        digests = [label_digest(spec, P, "x", x) for x in (first, -first)]
-        assert workspace._per_x.cache_info()[:2] == (1, 1)
-        assert digests[0] == digests[1]
-        workspace._per_x.cache_clear()
-        assert label_digest(spec, P, "x", -first) == digests[0]
 
 
 def label_digest(spec, params, axis, value) -> str:
