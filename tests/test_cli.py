@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -236,6 +237,102 @@ def test_only_main_exits():
     commands = {function.name for function in functions if function.name.startswith("cmd_")}
     assert len(commands) == 6
     assert exiting == {"main"}
+
+
+WORKED_FK = ["fk", "162.6907", "-143.3209", "-24.6776"]
+WORKED_IK = ["ik", "-15.4714", "9.6849", "456.3315"]
+# The SHA-256 of each invocation's report: its stdout, or its file where the
+# arguments give "--out" (stdout is then empty), with the exit code.  An
+# intended change of the output must update these and say why.
+OUTPUT_DIGESTS = {
+    "fk-text-rad": (WORKED_FK, 0, "734985ec07a52996ee4ac359d97308705e7fa4f88cd5d463ca4aebbdaebf8403"),
+    "ik-text-rad": (WORKED_IK, 0, "01852039a2e42b2d7a40d5780b66bb6419798a352f0a4723d5251660e3c5d221"),
+    "fk-text-deg": (["--angle-unit", "deg", *WORKED_FK], 0,
+                    "981eb2d75f919546008bd25b5480a257bb6c5b465245ac4186a793e997a561f3"),
+    "ik-text-deg": (["--angle-unit", "deg", *WORKED_IK], 0,
+                    "25c643091455b3aee59e4046676a9e06a98b7c94f3c83e3529fd74b4b2b98900"),
+    "fk-json-rad": (["--format", "json", *WORKED_FK], 0,
+                    "24962faa4d34c06295bcc4bd6e9126da487b917c4fd4427d1658c3716bb9d2fa"),
+    "ik-json-rad": (["--format", "json", *WORKED_IK], 0,
+                    "b6e394fc5f59955d24fe7bc81c5f4d955afdbeef50ee2e48efb42c95c5219da5"),
+    "fk-json-deg": (["--format", "json", "--angle-unit", "deg", *WORKED_FK], 0,
+                    "1b655bae37fdd039f7142b36ceebd0da170e91c5c5fe372b1c5f6ab793cbfcb4"),
+    "ik-json-deg": (["--format", "json", "--angle-unit", "deg", *WORKED_IK], 0,
+                    "5755183ef82a96b57aedda1d9db97227810fc4bbe7fdbb53ceee5753845150eb"),
+    "fk-csv-rad": (["--format", "csv", *WORKED_FK], 0,
+                   "dfaedcf0c0350c5b9bd5cb1d358a1f6f1442634df52d26a6fc441295c4977119"),
+    "ik-csv-rad": (["--format", "csv", *WORKED_IK], 0,
+                   "62a62516b05c0350317bc54dce068feb8c12fb4f778ff62f562ba14450d2b5bb"),
+    "fk-csv-deg": (["--format", "csv", "--angle-unit", "deg", *WORKED_FK], 0,
+                   "4a2bba4e5aa89b157abe7a61526a47cf4619444b24a21fc3b49b13f1c6ad4fc5"),
+    "ik-csv-deg": (["--format", "csv", "--angle-unit", "deg", *WORKED_IK], 0,
+                   "314c5ab71422f9dc4045d129a2eafb150953782b41a50a5dd753b7d9721a9bdd"),
+    "verify-text": (["verify"], 0,
+                    "23e33b8ca469ee134627871ed91e4bddcc5ac26f0d18d893588eaa6cb37527c9"),
+    "verify-json": (["--format", "json", "verify"], 0,
+                    "7bb117371b566f11305e2b2deea4c9f97b939cffe69b7fc5bc416c6d65e6a253"),
+    "verify-csv": (["--format", "csv", "verify"], 0,
+                   "23e33b8ca469ee134627871ed91e4bddcc5ac26f0d18d893588eaa6cb37527c9"),
+    "sweep-text": (["sweep"], 0, "6c91a36567c39a4a5d4c19fafcae0fd12b4967681875e8ee0a21efc8a70ba35f"),
+    "sweep-json": (["--format", "json", "sweep"], 0,
+                   "d7f3f518441bb56ec564debb6e9d9284912d1a55d86416ce0a03049fc497d75f"),
+    "sweep-csv": (["--format", "csv", "sweep"], 0,
+                  "6c91a36567c39a4a5d4c19fafcae0fd12b4967681875e8ee0a21efc8a70ba35f"),
+    "topology-text": (["topology"], 0,
+                      "4fc008a2480ce60aec0f814ee8c48a8920050b0cbe21d612548fe1abaede4519"),
+    "topology-json": (["--format", "json", "topology"], 0,
+                      "29ffae9b2e2b9020a751dec467ac71d1bd5a6b2694506b10776c8efd876914d0"),
+    "topology-csv": (["--format", "csv", "topology"], 0,
+                     "4fc008a2480ce60aec0f814ee8c48a8920050b0cbe21d612548fe1abaede4519"),
+    # empty tables: the rails are out of reach, or every radicand is negative
+    "fk-empty-text": (["fk", "0", "-150", "500"], 2,
+                      "392dad25a071efcbdbc35f0105ecd3280305fe774a2e938c160fd5fc8285944f"),
+    "ik-empty-text": (["ik", "0", "0", "1000"], 2,
+                      "a268f319f15d274cb6ea8e8bcb3ec1e62d4483f8a05c62af916cdb881eb175d4"),
+    "fk-empty-json": (["--format", "json", "fk", "0", "-150", "500"], 2,
+                      "fc7f289f903b1fcd3a36f6ccb3f91a17def58f16b5bd8a9cf1e79b3aa14c3cab"),
+    "ik-empty-json": (["--format", "json", "ik", "0", "0", "1000"], 2,
+                      "07f2b02ece7c50adeee99bf28376175fe3650ab7b21489a7cc3ba7865245654f"),
+    "fk-empty-csv": (["--format", "csv", "fk", "0", "-150", "500"], 2,
+                     "96d56cf8bac52d74e2229cc5d186e34bc6ed4b9aa2ec7c0f048d094b6df9e602"),
+    "ik-empty-csv": (["--format", "csv", "ik", "0", "0", "1000"], 2,
+                     "7d8ba118d5599ad7e1487afa41efa15692e9048df6f8127b1b3dc467085ea6b1"),
+    # every branch folds at x = 80
+    "ik-fold-text": (["ik", "80", "0", "300"], 0,
+                     "f4d62449d7f5d40946f78f0e3cb7f03e1e6ed92b4062835372ded1e48958541e"),
+    "ik-fold-json": (["--format", "json", "ik", "80", "0", "300"], 0,
+                     "ec2f4dd53cd5227af0ef3a8f32ed657754c1defb3a14ddc42a4b1d6f2ed3362e"),
+    # no round trip finds a direct solution: an infinite residual
+    "ik-failed-csv": (["--format", "csv", "ik", "0", "1e17", "300"], 0,
+                      "546b2622ead03a36ecafe988fee188fee488c711d9ebe64ff78e96822d1cbe1d"),
+    "ik-failed-json": (["--format", "json", "ik", "0", "1e17", "300"], 0,
+                       "12728205fbd505ef460b3088bd1ee24e63b1a5cf716a5ca2a0ec4be552e157ad"),
+    "fk-json-out": (["--out", "--format", "json", *WORKED_FK], 0,
+                    "24962faa4d34c06295bcc4bd6e9126da487b917c4fd4427d1658c3716bb9d2fa"),
+    "ik-csv-deg-out": (["--out", "--format", "csv", "--angle-unit", "deg", *WORKED_IK], 0,
+                       "314c5ab71422f9dc4045d129a2eafb150953782b41a50a5dd753b7d9721a9bdd"),
+    "verify-text-out": (["--out", "verify"], 0,
+                        "23e33b8ca469ee134627871ed91e4bddcc5ac26f0d18d893588eaa6cb37527c9"),
+    "sweep-csv-out": (["--out", "--format", "csv", "sweep"], 0,
+                      "6c91a36567c39a4a5d4c19fafcae0fd12b4967681875e8ee0a21efc8a70ba35f"),
+    "topology-json-out": (["--out", "--format", "json", "topology"], 0,
+                          "29ffae9b2e2b9020a751dec467ac71d1bd5a6b2694506b10776c8efd876914d0"),
+}
+
+
+@pytest.mark.parametrize("args, code, digest", list(OUTPUT_DIGESTS.values()),
+                         ids=list(OUTPUT_DIGESTS))
+def test_output_digests(runner, tmp_path, args, code, digest):
+    report = tmp_path / "report"
+    to_file = args[0] == "--out"
+    if to_file:
+        args = ["--out", str(report), *args[1:]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == code
+    assert report.exists() == to_file
+    output = report.read_bytes() if to_file else result.stdout.encode()
+    assert hashlib.sha256(output).hexdigest() == digest
+    assert result.stdout == "" or not to_file
 
 
 class TestFk:
