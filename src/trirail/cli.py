@@ -11,6 +11,13 @@ usage errors exit 1 rather than argparse's 2, which is the no-solution code,
 and a float with a leading minus (``-3e2``, ``-inf``, ``-nan``) is a value,
 not an option.
 
+Each command builds its report once, in the shape of its JSON output, and
+:func:`_report` is the one place a report is written: as JSON, as the
+command's CSV (``fk`` and ``ik``, whose row lists the leading fields of a
+JSON record in order) or as text lines, to ``--out`` or stdout.  Only
+``workspace`` writes otherwise: its point cloud through
+:func:`trirail.workspace.export`, and its counts as text.
+
 Only ``workspace`` loads numpy: :mod:`trirail.workspace`, the one module
 that imports it, is imported inside that command.
 """
@@ -94,19 +101,36 @@ def _emit(payload: str, out_path):
         print(payload)
 
 
-def _fk_record(sol, unit):
-    return {
-        "x": sol.pose.x, "y": sol.pose.y, "z": sol.pose.z,
-        "branch": {"sin_gamma": sol.branch.sin_gamma_sign,
-                   "t": sol.branch.t_sign,
-                   "alpha": sol.branch.alpha_sign},
-        "gamma": _angle(sol.intermediates.gamma, unit),
-        "alpha": _angle(sol.intermediates.alpha, unit),
-        "beta": _angle(sol.intermediates.beta, unit),
-        "t": sol.intermediates.t,
-        "residual": sol.residual,
-        "angle_unit": unit,
-    }
+def _report(args, payload, lines, csv=None):
+    """Write a command's report to ``--out`` or stdout: ``payload`` as JSON
+    under ``--format json``, the ``csv`` text under ``--format csv`` where the
+    command has one, otherwise the text ``lines``."""
+    text = (json.dumps(payload, indent=1) if args.format == "json"
+            else csv if args.format == "csv" and csv is not None else "\n".join(lines))
+    _emit(text, args.out)
+
+
+def _table(title, heading, row, records, empty):
+    """A numbered text table: line i formats ``row.format(i, **record)``."""
+    lines = [row.format(i, **record) for i, record in enumerate(records, start=1)]
+    return [title, heading, *(lines or [empty])]
+
+
+def _scalars(value):
+    """The scalars of a JSON value in order, those of nested objects and lists
+    in place."""
+    if isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _scalars(item)
+    else:
+        yield value
+
+
+def _csv(header, records):
+    """A CSV table: ``header``, then a row per record listing its leading
+    scalars, one for each column, by ``str`` (a float's shortest round-trip repr)."""
+    width = header.count(",") + 1
+    return "\n".join([header, *(",".join(map(str, list(_scalars(r))[:width])) for r in records)])
 
 
 def cmd_fk(args):
@@ -115,30 +139,27 @@ def cmd_fk(args):
     params = _load(args.params)
     solutions = fk.solve(JointInputs(ya1, ya2, ya3), params, closure_tol=args.tol_closure)
     unit = args.angle_unit
-    records = [_fk_record(s, unit) for s in solutions]
-    if args.format == "json":
-        _emit(json.dumps({"inputs": [ya1, ya2, ya3], "solutions": records,
-                          "count": len(records)}, indent=1), args.out)
-    elif args.format == "csv":
-        lines = ["x,y,z,sin_gamma_sign,t_sign,alpha_sign,gamma,alpha,beta,t,residual"]
-        for r in records:
-            lines.append(",".join(repr(v) for v in (
-                r["x"], r["y"], r["z"], r["branch"]["sin_gamma"], r["branch"]["t"],
-                r["branch"]["alpha"], r["gamma"], r["alpha"], r["beta"], r["t"],
-                r["residual"])))
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = [f"direct solutions for yA = ({ya1:g}, {ya2:g}, {ya3:g}) mm "
-                 f"[angles in {unit}]:",
-                 f"{'No.':>3} {'x (mm)':>12} {'y (mm)':>12} {'z (mm)':>12} "
-                 f"{'gamma':>10} {'alpha':>10} {'beta':>10} {'residual':>9}"]
-        for i, r in enumerate(records, start=1):
-            lines.append(f"{i:>3} {r['x']:>12.4f} {r['y']:>12.4f} {r['z']:>12.4f} "
-                         f"{r['gamma']:>10.4f} {r['alpha']:>10.4f} {r['beta']:>10.4f} "
-                         f"{r['residual']:>9.2e}")
-        if not records:
-            lines.append("  (none: inputs are regular but out of reach)")
-        _emit("\n".join(lines), args.out)
+    records = [{
+        "x": s.pose.x, "y": s.pose.y, "z": s.pose.z,
+        "branch": {"sin_gamma": s.branch.sin_gamma_sign,
+                   "t": s.branch.t_sign,
+                   "alpha": s.branch.alpha_sign},
+        "gamma": _angle(s.intermediates.gamma, unit),
+        "alpha": _angle(s.intermediates.alpha, unit),
+        "beta": _angle(s.intermediates.beta, unit),
+        "t": s.intermediates.t,
+        "residual": s.residual,
+        "angle_unit": unit,
+    } for s in solutions]
+    _report(args, {"inputs": [ya1, ya2, ya3], "solutions": records, "count": len(records)},
+            _table(f"direct solutions for yA = ({ya1:g}, {ya2:g}, {ya3:g}) mm "
+                   f"[angles in {unit}]:",
+                   f"{'No.':>3} {'x (mm)':>12} {'y (mm)':>12} {'z (mm)':>12} "
+                   f"{'gamma':>10} {'alpha':>10} {'beta':>10} {'residual':>9}",
+                   "{0:>3} {x:>12.4f} {y:>12.4f} {z:>12.4f} {gamma:>10.4f} {alpha:>10.4f} "
+                   "{beta:>10.4f} {residual:>9.2e}",
+                   records, "  (none: inputs are regular but out of reach)"),
+            _csv("x,y,z,sin_gamma_sign,t_sign,alpha_sign,gamma,alpha,beta,t,residual", records))
     return EXIT_OK if records else EXIT_NO_SOLUTION
 
 
@@ -178,35 +199,21 @@ def cmd_ik(args):
         "singularity": _branch_class(pose, s, params, args.singularity_threshold),
         "angle_unit": unit,
     } for s in solutions]
-    if args.format == "json":
-        # a round trip that finds no direct solution leaves an infinite
-        # residual, which strict JSON cannot hold
-        for r in records:
-            if not math.isfinite(r["roundtrip_residual"]):
-                r["roundtrip_residual"] = None
-        _emit(json.dumps({"pose": [x, y, z], "solutions": records,
-                          "count": len(records)}, indent=1), args.out)
-    elif args.format == "csv":
-        lines = ["yA1,yA2,yA3,alpha_sign,beta_sign,root1,root2,root3,"
-                 "M1,M2,M3,alpha,beta,roundtrip,roundtrip_residual"]
-        for r in records:
-            lines.append(",".join(repr(v) for v in (
-                r["yA1"], r["yA2"], r["yA3"], r["branch"]["alpha"], r["branch"]["beta"],
-                *r["branch"]["roots"], r["M1"], r["M2"], r["M3"], r["alpha"], r["beta"]))
-                + f",{r['roundtrip']},{r['roundtrip_residual']!r}")
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = [f"inverse solutions for O' = ({x:g}, {y:g}, {z:g}) mm "
-                 f"[angles in {unit}]:",
-                 f"{'No.':>3} {'yA1 (mm)':>12} {'yA2 (mm)':>12} {'yA3 (mm)':>12} "
-                 f"{'alpha':>10} {'beta':>10} {'roundtrip':>16} {'class':>14}"]
-        for i, r in enumerate(records, start=1):
-            lines.append(f"{i:>3} {r['yA1']:>12.4f} {r['yA2']:>12.4f} {r['yA3']:>12.4f} "
-                         f"{r['alpha']:>10.4f} {r['beta']:>10.4f} {r['roundtrip']:>16} "
-                         f"{r['singularity']['class']:>14}")
-        if not records:
-            lines.append("  (none: every radicand is negative)")
-        _emit("\n".join(lines), args.out)
+    csv = _csv("yA1,yA2,yA3,alpha_sign,beta_sign,root1,root2,root3,"
+               "M1,M2,M3,alpha,beta,roundtrip,roundtrip_residual", records)
+    # a round trip that finds no direct solution leaves an infinite residual,
+    # which strict JSON cannot hold; CSV writes it as inf
+    for r in records:
+        if not math.isfinite(r["roundtrip_residual"]):
+            r["roundtrip_residual"] = None
+    _report(args, {"pose": [x, y, z], "solutions": records, "count": len(records)},
+            _table(f"inverse solutions for O' = ({x:g}, {y:g}, {z:g}) mm [angles in {unit}]:",
+                   f"{'No.':>3} {'yA1 (mm)':>12} {'yA2 (mm)':>12} {'yA3 (mm)':>12} "
+                   f"{'alpha':>10} {'beta':>10} {'roundtrip':>16} {'class':>14}",
+                   "{0:>3} {yA1:>12.4f} {yA2:>12.4f} {yA3:>12.4f} {alpha:>10.4f} "
+                   "{beta:>10.4f} {roundtrip:>16} {singularity[class]:>14}",
+                   records, "  (none: every radicand is negative)"),
+            csv)
     return EXIT_OK if records else EXIT_NO_SOLUTION
 
 
@@ -253,14 +260,9 @@ def cmd_verify(args):
         kwargs["tol_direct"] = args.tol_table
         kwargs["tol_inverse"] = args.tol_table
     results = verify.run_builtin_checks(params, **kwargs)
-    if args.format == "json":
-        _emit(json.dumps([{"name": r.name, "passed": r.passed, "detail": r.detail}
-                          for r in results], indent=1), args.out)
-    else:
-        width = max(len(r.name) for r in results)
-        lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}"
-                 for r in results]
-        _emit("\n".join(lines), args.out)
+    width = max(len(r.name) for r in results)
+    _report(args, [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+            [f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}" for r in results])
     failing = [r for r in results if not r.passed]
     if failing:
         return _fail(EXIT_VERIFY_FAILED, f"first failing check: {failing[0].name}")
@@ -275,26 +277,21 @@ def cmd_sweep(args):
     deltas = verify.RAIL_SPACING_DELTAS
     classes = verify.rail_spacing_sweep(params, deltas, args.singularity_threshold)
     x, z_star, rows = verify.stroke_boundary_sweep(params, verify.STROKE_BOUNDARY_OFFSETS)
-    if args.format == "json":
-        _emit(json.dumps({
-            "rail_spacing": [{"delta": delta, "norm_det_jp": cls.norm_det_jp,
-                              "class": cls.kind.value} for delta, cls in zip(deltas, classes)],
-            "stroke_boundary": {"x": x, "z_star": z_star, "rows": [
-                {"offset": offset, "solutions": count, "min_abs_u33": u33}
-                for offset, count, u33 in rows]},
-        }, indent=1), args.out)
-    else:
-        lines = ["rail spacing approach: yA1 - yA2 = l3 + delta",
-                 f"{'delta (mm)':>12} {'B (mm)':>10} {'|norm det Jp|':>14} {'class':>14}"]
-        for delta, cls in zip(deltas, classes):
-            lines.append(f"{delta:>12g} {delta:>10g} {abs(cls.norm_det_jp):>14.3e} "
-                         f"{cls.kind.value:>14}")
-        lines += ["", f"chain-3 stroke boundary: x = {x:g}, boundary height z* = {z_star:g} mm",
-                  f"{'z - z* (mm)':>12} {'real solutions':>15} {'min |u33| (mm)':>15}"]
-        for offset, count, u33 in rows:
-            lines.append(f"{offset:>12g} {count:>15} "
-                         + (f"{'-':>15}" if u33 is None else f"{u33:>15.6f}"))
-        _emit("\n".join(lines), args.out)
+    rail = [{"delta": delta, "norm_det_jp": cls.norm_det_jp, "class": cls.kind.value}
+            for delta, cls in zip(deltas, classes)]
+    stroke = [{"offset": offset, "solutions": count, "min_abs_u33": u33}
+              for offset, count, u33 in rows]
+    _report(args, {"rail_spacing": rail,
+                   "stroke_boundary": {"x": x, "z_star": z_star, "rows": stroke}}, [
+        "rail spacing approach: yA1 - yA2 = l3 + delta",
+        f"{'delta (mm)':>12} {'B (mm)':>10} {'|norm det Jp|':>14} {'class':>14}",
+        *(f"{r['delta']:>12g} {r['delta']:>10g} {abs(r['norm_det_jp']):>14.3e} {r['class']:>14}"
+          for r in rail),
+        "", f"chain-3 stroke boundary: x = {x:g}, boundary height z* = {z_star:g} mm",
+        f"{'z - z* (mm)':>12} {'real solutions':>15} {'min |u33| (mm)':>15}",
+        *(f"{r['offset']:>12g} {r['solutions']:>15} " + (
+            f"{'-':>15}" if r["min_abs_u33"] is None else f"{r['min_abs_u33']:>15.6f}")
+          for r in stroke)])
     return EXIT_OK
 
 
@@ -346,12 +343,10 @@ def cmd_topology(args):
         except ValueError:
             raise InvalidParameter("loop specification",
                                    f"{name}: {clipped(value)} is too long to write") from None
-    if args.format == "json":
-        _emit(json.dumps({"dof": rep.dof, "deltas": list(rep.deltas),
-                          "coupling_degree": rep.coupling_degree}, indent=1), args.out)
-    else:
-        _emit(f"dof: {rep.dof}\ndeltas: {', '.join(f'{d:+d}' for d in rep.deltas)}\n"
-              f"coupling degree: {rep.coupling_degree}", args.out)
+    _report(args, {"dof": rep.dof, "deltas": list(rep.deltas),
+                   "coupling_degree": rep.coupling_degree},
+            [f"dof: {rep.dof}", f"deltas: {', '.join(f'{d:+d}' for d in rep.deltas)}",
+             f"coupling degree: {rep.coupling_degree}"])
     return EXIT_OK
 
 

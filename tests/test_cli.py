@@ -239,6 +239,15 @@ def test_only_main_exits():
     assert exiting == {"main"}
 
 
+def test_only_the_renderer_writes_reports():
+    # a command builds its records; it neither dumps JSON nor writes the report itself
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    writers = {function.name for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.dumps", "_emit")}
+    assert writers == {"_report"}
+
+
 WORKED_FK = ["fk", "162.6907", "-143.3209", "-24.6776"]
 WORKED_IK = ["ik", "-15.4714", "9.6849", "456.3315"]
 # The SHA-256 of each invocation's report: its stdout, or its file where the
@@ -333,6 +342,15 @@ def test_output_digests(runner, tmp_path, args, code, digest):
     output = report.read_bytes() if to_file else result.stdout.encode()
     assert hashlib.sha256(output).hexdigest() == digest
     assert result.stdout == "" or not to_file
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep", "topology"])
+def test_csv_falls_back_to_text(runner, tmp_path, command):
+    out = tmp_path / "report.txt"
+    result = runner.invoke(main, ["--format", "csv", "--out", str(out), command])
+    assert result.exit_code == 0
+    assert result.stdout == ""
+    assert out.read_text() == runner.invoke(main, [command]).stdout
 
 
 class TestFk:
@@ -777,13 +795,6 @@ chain-3 stroke boundary: x = -38, boundary height z* = 444 mm
         result = runner.invoke(main, ["sweep"])
         assert result.exit_code == 0
         assert result.stdout == self.REFERENCE_TEXT
-
-    def test_csv_falls_back_to_text(self, runner, tmp_path):
-        out = tmp_path / "sweep.txt"
-        result = runner.invoke(main, ["--format", "csv", "--out", str(out), "sweep"])
-        assert result.exit_code == 0
-        assert result.stdout == ""
-        assert out.read_text() == self.REFERENCE_TEXT
 
     def test_json_rows(self, runner):
         result = runner.invoke(main, ["--format", "json", "sweep"])

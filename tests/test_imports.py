@@ -115,3 +115,38 @@ def test_star_import_binds_every_public_name():
 def test_unknown_attribute_names_the_module():
     with pytest.raises(AttributeError, match="'trirail' has no attribute 'no_such_name'"):
         trirail.no_such_name
+
+
+#: Functions that run a solver or the scan kernel.  A test module that calls one
+#: at import turns a solver fault into a collection error of every module that
+#: imports it, where it should fail only the tests that use the result.
+SOLVER_CALLS = {"scan", "cross_section", "sample_point", "labelled"}
+
+
+def import_time_calls(tree) -> set[str]:
+    """The last name of each call in ``tree`` that runs when its module is
+    imported: every call outside function and lambda bodies."""
+    calls = set()
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # decorators and default values run at import; the body does not
+            children = [*node.decorator_list, node.args]
+        elif isinstance(node, ast.Lambda):
+            children = [node.args]
+        else:
+            children = ast.iter_child_nodes(node)
+            if isinstance(node, ast.Call):
+                calls.add(ast.unparse(node.func).rsplit(".", 1)[-1])
+        for child in children:
+            visit(child)
+
+    visit(tree)
+    return calls
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests").glob("test_*.py")),
+                         ids=lambda path: path.name)
+def test_no_solver_runs_at_test_import(path):
+    calls = import_time_calls(ast.parse(path.read_text(encoding="utf-8")))
+    assert {call for call in calls if call in SOLVER_CALLS or call.startswith("solve")} == set()

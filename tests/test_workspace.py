@@ -50,8 +50,13 @@ SMALL_SPEC = ScanSpec(resolution=5, **REFERENCE_BOX)
 # refinement, so coarse and fine grids share points bitwise
 DYADIC_SPEC = ScanSpec(x_range=(-64.0, 0.0), y_range=(0.0, 64.0), z_range=(192.0, 320.0),
                        resolution=3)
-# both signs of zero on two axes: one set element, two reprs
-SIGNED_ZEROS = labelled([[0.0, -0.0], [-0.0, 0.0], [250.0, 1000.0]], P, 1e-3)
+
+
+def signed_zeros():
+    """Both signs of zero on two axes: one set element, two reprs."""
+    return labelled([[0.0, -0.0], [-0.0, 0.0], [250.0, 1000.0]], P, 1e-3)
+
+
 # hand-built determinant columns: repeated values, both signs of zero in one
 # column, NaN on a feasible (folded) row and on an infeasible one, infinity,
 # and an infeasible row holding a det and a class, which export writes as NaN
@@ -66,10 +71,13 @@ DET_COLUMNS = ScanResult(
     severity=[0, 1, 2, 0, 1, 3, 3, 2],
 )
 
-# the small grid labelled one point at a time, last point first: the product
-# of the reversed axes
-REVERSED_ROWS = labelled([axis[::-1] for axis in workspace._grid(SMALL_SPEC)], P,
-                         SMALL_SPEC.singularity_threshold)
+
+def reversed_rows():
+    """The small grid labelled one point at a time, last point first: the
+    product of the reversed axes."""
+    return labelled([axis[::-1] for axis in workspace._grid(SMALL_SPEC)], P,
+                    SMALL_SPEC.singularity_threshold)
+
 
 def count_100():
     """The small scan with its first count of 8 made 100, a count no kernel
@@ -490,8 +498,8 @@ class TestExport:
         pytest.param(lambda: EMPTY, id="empty"),
         pytest.param(lambda: cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P,
                                            "z", 330.0), id="section-z330"),
-        pytest.param(lambda: SIGNED_ZEROS, id="signed-zeros"),
-        pytest.param(lambda: REVERSED_ROWS, id="reversed-rows"),
+        pytest.param(signed_zeros, id="signed-zeros"),
+        pytest.param(reversed_rows, id="reversed-rows"),
         pytest.param(count_100, id="count-100"),
     ])
     def test_json_is_byte_identical_to_json_dumps(self, tmp_path, samples):
@@ -504,8 +512,8 @@ class TestExport:
         pytest.param(lambda: scan(SMALL_SPEC, P), id="infeasible-rows"),
         pytest.param(lambda: cross_section(ScanSpec(resolution=5, **REFERENCE_BOX), P, "x", 80.0),
                      id="fold-rows"),
-        pytest.param(lambda: SIGNED_ZEROS, id="signed-zeros"),
-        pytest.param(lambda: REVERSED_ROWS, id="reversed-rows"),
+        pytest.param(signed_zeros, id="signed-zeros"),
+        pytest.param(reversed_rows, id="reversed-rows"),
         pytest.param(count_100, id="count-100"),
     ])
     def test_csv_rows_are_per_sample_reprs(self, tmp_path, samples):
