@@ -31,7 +31,9 @@ shifts the rails.
 * Stage A runs once per call over (x, z, alpha slot, beta slot, s1, s2,
   s3).  It decides which branches exist and lists them as cells grouped by
   (x, z), each with its y-free terms: the signed roots and the Jp entries
-  of the distal links.
+  of the distal links.  A cell's terms are taken by index from the arrays
+  over (x, z, slot) that hold them, the indices and root signs following
+  from its flat index in the grid of branches (:func:`_cells`).
 * Stage B runs over (cell, y) pairs, that is over existing branches only
   (about a fifth of all), in passes of consecutive whole (x, z) groups.  A
   pass holds up to ``_PASS_PAIRS`` pairs: a 21^3 scan takes 5 passes and a
@@ -80,10 +82,13 @@ Labels are shared along y only between pairs whose inputs are equal bit
 for bit; where the rounding of a rail differs, so may the determinant
 bits, and the pair starts a run of its own.
 
-An export writes each axis value's text once and each point's label text
-once per run of equal labels along y (:func:`_tails`).  On a 2-core Xeon
-the ``perfbench`` workloads label and export about 1.2M points/s on the
-21^3 box and about 750k points/s on 41 x 41 sections.
+An export writes a point as three slots: its x, its y, and a tail holding
+its z and its labels.  Each axis value's text is formatted once, each tail
+once per run of equal labels along y (:func:`_tails`), and each distinct
+bit pattern of the dets in those tails once: the 21^3 box's 9,261 points
+take 856 tails and 917 float texts.  On a 2-core Xeon the ``perfbench``
+workloads label and export about 1.4M points/s on the 21^3 box and about
+720k points/s on 41 x 41 sections.
 """
 
 from __future__ import annotations
@@ -322,6 +327,23 @@ def _run_heads(classified: np.ndarray, *u: np.ndarray) -> np.ndarray:
     return heads
 
 
+def _cells(exists: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The existing branches of ``exists``, over (x, z, alpha slot, beta slot,
+    s1, s2, s3), in the order of ``exists[exists]``: each one's flat index into
+    arrays over (x, z, alpha slot) and over (x, z, beta slot), and the sign of
+    each of its three roots, +1.0 or -1.0.
+
+    Each is integer arithmetic on the branch's flat index, whose last five
+    bits are the alpha slot, the beta slot, s1, s2 and s3.
+    """
+    at = np.flatnonzero(exists)
+    a = at >> 4
+    signs = np.array([1.0, -1.0])
+    # the (x, z) index doubled, then the beta slot's bit in place of the alpha slot's
+    return (a, (a & -2) | ((at >> 3) & 1),
+            *(signs.take((at >> bit) & 1) for bit in (2, 1, 0)))
+
+
 def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     """Per-point (solution count, min |norm det Jp|, min |norm det Jq|, worst
     severity) arrays over the points ``xs`` x ``ys`` x ``zs``, row-major.
@@ -375,20 +397,20 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     # a negative radicand's root is never read
     root_1, root_3 = np.sqrt(np.abs(M1)), np.sqrt(np.abs(M3))
     # root k of a chain (+root, then -root) exists where its root count is above k
-    s3, k3 = np.array([1.0, -1.0]), np.arange(2)
-    s1, s2, k1, k2 = s3[:, None, None], s3[:, None], k3[:, None, None], k3[:, None]
+    k3 = np.arange(2)
+    k1, k2 = k3[:, None, None], k3[:, None]
     roots_1, roots_3 = ik._roots(M1), ik._roots(M3)
     exists = live_a & live_b & (roots_1 > k1) & (roots_1 > k2) & (roots_3 > k3)
 
-    def cells(values) -> np.ndarray:
-        """``values`` at the existing branches, one 1-D array grouped by (x, z)."""
-        return np.broadcast_to(values, exists.shape)[exists]
-
-    # per cell: the signed roots (each rail is yA = y_c + r), the y-free Jp
-    # entries and whether a distal link folds
-    r1, r2, r3 = cells(s1 * root_1), cells(s2 * root_1), cells(s3 * root_3)
-    j0, j2 = cells(cot_a * h12), cells(cot_b * h3)
-    h12, h3, fold = cells(h12), cells(h3), cells(fold_a | fold_b)
+    # per cell, grouped by (x, z): the signed roots (each rail is yA = y_c + r),
+    # the y-free Jp entries and whether a distal link folds, each taken from
+    # the array over (x, z, alpha slot) or (x, z, beta slot) that holds it
+    a, b, sign_1, sign_2, sign_3 = _cells(exists)
+    root_1, root_3 = root_1.take(a), root_3.take(b)
+    r1, r2, r3 = sign_1 * root_1, sign_2 * root_1, sign_3 * root_3
+    j0, j2 = (cot_a * h12).take(a), (cot_b * h3).take(b)
+    fold = np.broadcast_to(fold_a, h12.shape).take(a) | np.broadcast_to(fold_b, h3.shape).take(b)
+    h12, h3 = h12.take(a), h3.take(b)
     # the solution count of each (x, z) at every y; the (x, z) with a cell are groups
     count = exists.reshape(len(xs), len(zs), -1).sum(axis=2)
     groups = np.flatnonzero(count)
@@ -516,17 +538,26 @@ _SLOTS = {
 }
 
 
-def _tails(result: ScanResult, piece: slice, fmt: str) -> list[str]:
-    """The label tail of each point of ``result[piece]``: its count, min jp,
-    min jq and class, each with its fixed text from ``_SLOTS``.
+def _reprs(values: list[float], nan: str) -> list[str]:
+    """The export text of each of ``values``: its ``repr``, or ``nan`` for a
+    NaN of any payload (NaN is tested per value)."""
+    return [repr(v) if v == v else nan for v in values]
+
+
+def _tails(result: ScanResult, piece: slice, fmt: str, zs: list[str]) -> list[str]:
+    """The tail of each point of ``result[piece]``: its z text from ``zs``,
+    then its count, min jp, min jq and class, each with its fixed text from
+    ``_SLOTS``.
 
     A tail is formatted only where the point's labels differ, bit for bit,
     from those of the point ``len(result.zs)`` places back in the piece: the
     same (x, z) one y back, except at the first y of an x.  Any other point
-    takes the tail of the last point formatted on that chain.  Equal bits
-    give equal text, so this is exact for any grid and any cut into pieces;
-    0.0 and -0.0 differ in their bits.  An infeasible point writes NaN dets
-    and the class ``none``, whatever its label columns hold.
+    takes the tail of the last point formatted on that chain, whose z is its
+    own.  The formatted tails' dets are converted once per distinct bit
+    pattern.  Equal bits give equal text, so this is exact for any grid and
+    any cut into pieces; 0.0 and -0.0 differ in their bits.  An infeasible
+    point writes NaN dets and the class ``none``, whatever its label columns
+    hold.
     """
     prefixes, end, infeasible, nan = _SLOTS[fmt]
     # index 0 is an infeasible point's class, k + 1 the class index k
@@ -535,18 +566,24 @@ def _tails(result: ScanResult, piece: slice, fmt: str) -> list[str]:
     feasible = counts > 0
     jp, jq = (np.where(feasible, column[piece], np.nan)
               for column in (result.min_norm_det_jp, result.min_norm_det_jq))
-    labels = (counts, jp, jq, feasible * (result.severity[piece] + 1))
+    severity = feasible * (result.severity[piece] + 1)
     # a piece's first points start their chains, so they are always formatted
     stride = len(result.zs)
     new = np.arange(len(counts)) < stride
-    for column in (counts, jp.view(np.int64), jq.view(np.int64), labels[3]):
+    for column in (counts, jp.view(np.int64), jq.view(np.int64), severity):
         new[stride:] |= column[stride:] != column[:-stride]
     at = np.flatnonzero(new)
+    # the jp and then the jq of each formatted tail, as indices into the texts
+    # of their distinct bit patterns
+    bits, dets = np.unique(np.concatenate((jp[at], jq[at])).view(np.int64), return_inverse=True)
+    texts = _reprs(bits.view(np.float64).tolist(), nan)
+    dets = dets.tolist()
     tails = np.empty(len(counts), object)
-    # NaN is tested per value, so a NaN with any payload writes nan
-    tails[at] = [f"{prefixes[3] if n else infeasible}{n}{prefixes[4]}{repr(p) if p == p else nan}"
-                 f"{prefixes[5]}{repr(q) if q == q else nan}{classes[c]}"
-                 for n, p, q, c in zip(*(column[at].tolist() for column in labels))]
+    tails[at] = [f"{zs[z]}{prefixes[3] if n else infeasible}{n}{prefixes[4]}{texts[p]}"
+                 f"{prefixes[5]}{texts[q]}{classes[c]}"
+                 for z, n, p, q, c in zip(((piece.start + at) % stride).tolist(),
+                                          counts[at].tolist(), dets[:len(at)], dets[len(at):],
+                                          severity[at].tolist())]
     # the last formatted point of each chain: a running maximum down the grid lines
     last = np.zeros(-(-len(counts) // stride) * stride, np.intp)
     last[at] = at
@@ -556,21 +593,23 @@ def _tails(result: ScanResult, piece: slice, fmt: str) -> list[str]:
 def _chunks(result: ScanResult, fmt: str) -> Iterator[str]:
     """The export text of ``result`` in pieces of up to ``_EXPORT_ROWS`` points.
 
-    A piece is the join of four slot strings per point, each carrying its
-    fixed text from ``_SLOTS``: the x, y and z, each axis value formatted once
-    per export by ``repr``, and the label tail from :func:`_tails`.
+    A piece is the join of three slot strings per point, each carrying its
+    fixed text from ``_SLOTS``: the x, the y, and the tail from
+    :func:`_tails`, which holds the z and the labels.  Each axis value is
+    formatted once per export by ``repr``.
     """
     if not len(result):
         yield f"{CSV_HEADER}\n" if fmt == "csv" else "[]\n"
         return
-    coordinates = _product(*([f"{prefix}{v!r}" for v in axis] for axis, prefix
-                             in zip((result.xs, result.ys, result.zs), _SLOTS[fmt][0])))
+    xs, ys, zs = ([f"{prefix}{v!r}" for v in axis] for axis, prefix
+                  in zip((result.xs, result.ys, result.zs), _SLOTS[fmt][0]))
+    coordinates = _product(xs, ys, zs)[:2]
     for start in range(0, len(result), _EXPORT_ROWS):
-        tails = _tails(result, slice(start, start + _EXPORT_ROWS), fmt)
-        parts = [""] * (4 * len(tails))
+        tails = _tails(result, slice(start, start + _EXPORT_ROWS), fmt, zs)
+        parts = [""] * (3 * len(tails))
         for k, slots in enumerate(coordinates):
-            parts[k::4] = islice(slots, len(tails))
-        parts[3::4] = tails
+            parts[k::3] = islice(slots, len(tails))
+        parts[2::3] = tails
         if start == 0:
             parts[0] = f"{CSV_HEADER}\n{parts[0]}" if fmt == "csv" else f"[\n{parts[0][2:]}"
         if fmt == "json" and start + _EXPORT_ROWS >= len(result):
@@ -583,9 +622,9 @@ def export(samples: ScanResult, fmt: str, destination) -> None:
 
     The text is built and written ``_EXPORT_ROWS`` points at a time, so an
     export holds one piece of it in memory, not the whole file.  Each axis
-    value is formatted once per export, and a point's labels only where they
+    value is formatted once per export, a point's labels only where they
     differ from those of the point one grid line (``len(samples.zs)`` points)
-    back.
+    back, and each distinct det of a piece once.
     """
     if fmt not in ("csv", "json"):
         raise InvalidParameter("format", f"must be csv or json, got {fmt!r}")

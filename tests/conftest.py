@@ -7,7 +7,14 @@ from typing import NamedTuple
 
 import pytest
 
+import trirail
 from trirail.params import REFERENCE_PARAMS, JointInputs
+
+
+def pytest_report_header(config):
+    # pyproject.toml's pythonpath puts this checkout's src first, ahead of
+    # PYTHONPATH, so name the tree under test
+    return f"trirail imported from {Path(trirail.__file__).parent}"
 
 
 @pytest.fixture

@@ -567,6 +567,28 @@ class TestExport:
         assert (tmp_path / "points.csv").read_text() == csv_reference(samples)
         assert (tmp_path / "points.json").read_text() == json_text
 
+    @pytest.mark.parametrize("heights, texts", [
+        pytest.param(None, 917, id="box-21"),
+        pytest.param(SECTION_HEIGHTS, 603, id="sections"),
+    ])
+    def test_each_distinct_det_is_formatted_once(self, tmp_path, monkeypatch, heights, texts):
+        # the 21^3 box's 856 formatted tails hold 1,638 det numbers but only
+        # 917 distinct bit patterns, the seven 41 x 41 sections' 1,116 hold 603
+        reprs = workspace._reprs
+        formatted = []
+
+        def counted(values, nan):
+            formatted.extend(v for v in values if v == v)
+            return reprs(values, nan)
+
+        monkeypatch.setattr(workspace, "_reprs", counted)
+        if heights is None:
+            export(scan(ScanSpec(resolution=21, **REFERENCE_BOX), P), "csv", tmp_path / "box.csv")
+        for z in heights or ():
+            export(cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P, "z", z), "json",
+                   tmp_path / "section.json")
+        assert len(formatted) == texts
+
     def test_check_writable_leaves_files_as_they_were(self, tmp_path):
         fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
         kept.write_text("old\n")
@@ -815,6 +837,32 @@ class TestKernelMatchesSamplePoint:
         # rows are cells: a run never reaches from one cell into the next
         assert workspace._run_heads(np.ones((2, 1), bool), np.zeros((2, 1))).tolist() == [
             [True], [True]]
+
+    @pytest.mark.parametrize("mask", ["random", "all-false", "all-true", "one-x", "one-z"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cells_are_the_masked_listing(self, mask, seed):
+        # stage A's flat listing against the masked gather it replaces, over
+        # (x, z, alpha slot, beta slot, s1, s2, s3)
+        rng = np.random.default_rng(seed)
+        nx, nz = {"one-x": (1, 6), "one-z": (5, 1)}.get(mask, (4, 3))
+        exists = rng.random((nx, nz, 2, 2, 2, 2, 2)) < 0.3
+        if mask in ("all-false", "all-true"):
+            exists[...] = mask == "all-true"
+        over_a = rng.random((nx, nz, 2, 1, 1, 1, 1))
+        over_b = rng.random((nx, nz, 1, 2, 1, 1, 1))
+        # a distal fold flag is over (x, slot) alone, broadcast over z to be taken
+        fold = rng.random((nx, 1, 2, 1, 1, 1, 1)) < 0.5
+        a, b, *signs = workspace._cells(exists)
+
+        def masked(values) -> bytes:
+            return np.broadcast_to(values, exists.shape)[exists].tobytes()
+
+        assert over_a.take(a).tobytes() == masked(over_a)
+        assert over_b.take(b).tobytes() == masked(over_b)
+        assert np.broadcast_to(fold, over_a.shape).take(a).tobytes() == masked(fold)
+        sign = np.array([1.0, -1.0])
+        for taken, values in zip(signs, (sign[:, None, None], sign[:, None], sign)):
+            assert taken.tobytes() == masked(values)
 
     @pytest.mark.parametrize("budget", [1, 12288])
     def test_each_run_of_equal_u_is_labelled_once(self, monkeypatch, budget):
