@@ -35,24 +35,27 @@ shifts the rails.
   over (x, z, slot) that hold them, the indices and root signs following
   from its flat index in the grid of branches (:func:`_cells`).
 * Stage B runs over (cell, y) pairs, that is over existing branches only
-  (about a fifth of all), in passes of consecutive whole (x, z) groups.  A
-  pass holds up to ``_PASS_PAIRS`` pairs: a 21^3 scan takes 5 passes and a
-  41 x 41 cross-section one or two.  A pass decides which branches work and
-  which each point chooses: its working ones, or all of its existing ones
-  when none works.  It drops each cell that no point chooses, which on the
-  reference design are the branches whose rails 1 and 2 sit l3 apart, half
-  of all cells.  Then it labels each run of classified pairs whose
-  u = y_c - yA, the y offset of each chain's joint C from its rail A, are
-  equal bit for bit from one y to the next in a cell.  A pair's
-  determinants, row norms and serial test read only its cell's y-free terms
-  and its u's, so a run's labels are computed once, at its start, and are
-  exact for the whole run.  The rounding of y_c + r seldom changes along y:
-  a 21^3 scan labels 3,294 runs for its 27,468 classified pairs.  Each pair
-  reads its run's labels (or fixed ones when it is not classified), the
-  labels are reduced per point with ``reduceat`` over the cells of each
-  (x, z), and the results are written into label arrays over (x, z) by y.
-  The pass's temporaries are bounded by ``_PASS_PAIRS``; the label arrays
-  span the grid, and one transposed copy of each puts it in row-major order.
+  (about a fifth of all).  It selects first, in chunks of consecutive whole
+  (x, z) groups: it decides which branches work and which each point
+  chooses, its working ones or all of its existing ones when none works.
+  It keeps only the cells that some point chooses, with their rows of
+  choices and their terms; on the reference design the others are the
+  branches whose rails 1 and 2 sit l3 apart, half of all cells.  Then it
+  labels the kept cells in passes of consecutive whole groups, each of up
+  to ``_PASS_PAIRS`` pairs: a 21^3 scan takes 3 passes and a 41 x 41
+  cross-section one.  A pass labels each run of classified pairs whose u =
+  y_c - yA, the y offset of each chain's joint C from its rail A, are equal
+  bit for bit from one y to the next in a cell.  A pair's determinants, row
+  norms and serial test read only its cell's y-free terms and its u's, so a
+  run's labels are computed once, at its start, and are exact for the whole
+  run.  The rounding of y_c + r seldom changes along y: a 21^3 scan labels
+  3,294 runs for its 27,468 classified pairs.  Each pair reads its run's
+  labels (or fixed ones when it is not classified), the labels are reduced
+  per point with ``reduceat`` over the cells of each (x, z), and the
+  results are written into label arrays over (x, z) by y.  The temporaries
+  of a chunk or a pass are bounded by ``_PASS_PAIRS``.  The kept cells'
+  rows of choices hold one bool per kept pair; the label arrays span the
+  grid, and one transposed copy of each puts it in row-major order.
   The result freezes those copies in place, without a further copy.
 
 The kernel
@@ -75,9 +78,10 @@ The kernel
 
 These make the two agree bit for bit, which keeps exports byte-identical;
 the staging changes no value, as every operation on a cell or a pair is
-elementwise, no group is split between passes, a per-point minimum or
-maximum does not depend on the order of the branches, and a dropped cell
-would add only NaN dets and class 0, which the minimum and maximum ignore.
+elementwise, no group is split between chunks or passes, a per-point
+minimum or maximum does not depend on the order of the branches, and a
+dropped cell would add only NaN dets and class 0, which the minimum and
+maximum ignore.
 Labels are shared along y only between pairs whose inputs are equal bit
 for bit; where the rounding of a rail differs, so may the determinant
 bits, and the pair starts a run of its own.
@@ -86,9 +90,12 @@ An export writes a point as three slots: its x, its y, and a tail holding
 its z and its labels.  Each axis value's text is formatted once, each tail
 once per run of equal labels along y (:func:`_tails`), and each distinct
 bit pattern of the dets in those tails once: the 21^3 box's 9,261 points
-take 856 tails and 917 float texts.  On a 2-core Xeon the ``perfbench``
-workloads label and export about 1.4M points/s on the 21^3 box and about
-720k points/s on 41 x 41 sections.
+take 856 tails and 917 float texts.  The text is joined and written a
+few hundred points at a time (``_WRITE_ROWS``), so each string and its
+encoded copy stay well below glibc's 128 KB mmap threshold and reuse heap
+pages.  On a 2-core Xeon the ``perfbench`` workloads label and export
+about 1.44M points/s on the 21^3 box and about 820k points/s on 41 x 41
+sections.
 """
 
 from __future__ import annotations
@@ -272,12 +279,13 @@ def sample_point(pose: Pose, params: ValidatedParams,
 
 _AXES = ("x", "y", "z")
 
-#: (existing branch, y) pairs per numpy pass of the kernel's second stage:
-#: consecutive (x, z) groups are taken while a pass holds no more than this (a
-#: larger group, possible only with over 384 y values, runs alone), so an
-#: array of a pass holds at most 96 KB of floats.  Sized by memory: a 21^3
-#: scan peaks at 0.80 MB of traced memory, against 0.94 and 1.48 MB with
-#: passes of 16k and 32k pairs, which ran it no faster.
+#: (branch, y) pairs per numpy chunk of the kernel's second stage: consecutive
+#: (x, z) groups are taken while a selection chunk holds no more than this
+#: many existing pairs, and a labelling pass no more than this many kept
+#: pairs (a larger group, possible only with over 384 y values, runs alone).
+#: So an array of either holds at most 96 KB of floats, below glibc's 128 KB
+#: mmap threshold.  A 21^3 scan labels in 3 passes and peaks at 0.97 MB of
+#: traced memory; a 41 x 41 cross-section labels in one.
 _PASS_PAIRS = 12288
 
 
@@ -358,11 +366,11 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
 
     Stage A decides which branches exist over (x, z, alpha slot, beta slot,
     s1, s2, s3), as y takes no part in that, and lists the existing ones as
-    cells grouped by (x, z).  Stage B runs over (cell, y) pairs in passes of
-    whole groups.  It drops each cell that no point chooses, and labels the
-    rest once per run of classified pairs whose u's are bit-equal along y,
-    which is exact: a pair's labels read nothing but its cell's y-free terms
-    and its u's.
+    cells grouped by (x, z).  Stage B runs over (cell, y) pairs in chunks of
+    whole groups.  It first keeps only the cells that some point chooses,
+    then labels those in passes of whole groups, once per run of classified
+    pairs whose u's are bit-equal along y, which is exact: a pair's labels
+    read nothing but its cell's y-free terms and its u's.
     """
     l1, l2, l3, l6 = params.l1, params.l2, params.l3, params.l6
     # per x, distal link (alpha, beta), field and slot (+base, -base): whether
@@ -423,33 +431,45 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     Y = np.asarray(ys, dtype=float)
     y_c1, y_c2, y_c3 = Y + l3 / 2.0, Y - l3 / 2.0, Y
 
+    # selection, in chunks of whole groups of up to _PASS_PAIRS existing pairs:
+    # which cells each point chooses, its working ones or, when none works,
+    # all of them.  A cell that no point chooses would add only NaN dets and
+    # class 0, which fmin and max ignore, so only the others are kept, with
+    # their rows of choices and their terms.
+    chosen, kept = [np.empty((0, ny), bool)], [np.empty(0, np.intp)]
+    for g0, g1 in _passes((sizes * ny).tolist(), _PASS_PAIRS):
+        c = slice(edges[g0], edges[g1])
+        working = ~fk._parallel(((y_c1 + r1[c, None]) - l3) - (y_c2 + r2[c, None]))
+        # a point with no working branch chooses all its existing ones
+        choice = working | np.repeat(~np.logical_or.reduceat(working, edges[g0:g1] - c.start),
+                                     sizes[g0:g1], axis=0)
+        some = np.flatnonzero(choice.any(axis=1))
+        chosen.append(choice[some])
+        kept.append(some + c.start)
+    chosen, kept = np.concatenate(chosen), np.concatenate(kept)
+    r1, r2, r3, j0, j2, h12, h3, fold = (term[kept] for term in (r1, r2, r3, j0, j2, h12, h3,
+                                                                   fold))
+    # each (group, y) chooses a cell, so each group keeps one; the kept cells of
+    # group g are now edges[g]:edges[g + 1], and the labelling passes take
+    # whole groups of up to _PASS_PAIRS kept pairs
+    edges = np.searchsorted(kept, edges)
+    sizes = np.diff(edges)
+    del kept
+
     def reduced(c: slice, g: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Min |norm det Jp|, min |norm det Jq| and worst class of the cells ``c``
-        of the groups ``g``, at every y: arrays over (group, y)."""
-        yA1 = y_c1 + r1[c, None]
-        yA2 = y_c2 + r2[c, None]
-        working = ~fk._parallel((yA1 - l3) - yA2)
-        # a point with no working branch labels all its existing ones
-        chosen = working | np.repeat(~np.logical_or.reduceat(working, edges[g] - c.start),
-                                     sizes[g], axis=0)
-        # a cell that no point chooses would add only NaN dets and class 0, which
-        # fmin and max ignore, so it is dropped; each (group, y) chooses a cell,
-        # so each group keeps one, and a group starts at its first kept cell
-        kept = np.flatnonzero(chosen.any(axis=1))
-        starts = np.searchsorted(kept, edges[g] - c.start)
-        chosen, yA1, yA2 = chosen[kept], yA1[kept], yA2[kept]
-        kept += c.start
-        del working
+        """Min |norm det Jp|, min |norm det Jq| and worst class of the kept cells
+        ``c`` of the groups ``g``, at every y: arrays over (group, y)."""
         # u = y_c - yA at every pair, written over the rail yA = y_c + r
+        yA1, yA2 = y_c1 + r1[c, None], y_c2 + r2[c, None]
         U = (np.subtract(y_c1, yA1, out=yA1), np.subtract(y_c2, yA2, out=yA2),
-             np.subtract(y_c3, y_c3 + r3[kept, None]))
+             np.subtract(y_c3, y_c3 + r3[c, None]))
         del yA1, yA2
-        classified = chosen & ~fold[kept, None]
+        classified = chosen[c] & ~fold[c, None]
         head = _run_heads(classified, *U)
         # the determinants and the serial test run once per run, at its head
         heads = np.flatnonzero(head)
         u11, u22, u33 = (u.take(heads) for u in U)
-        cell = kept[heads // ny]
+        cell = c.start + heads // ny
         j0_, j2_, h12_, h3_ = j0[cell], j2[cell], h12[cell], h3[cell]
         # pair arrays are dropped once used: the gathered arrays set a pass's peak
         del U, heads, cell
@@ -464,11 +484,12 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
         # one), or one of two more for the pairs that are not classified: an
         # unchosen branch (NaN dets, regular) and a folded chosen one (serial)
         run = np.where(classified, np.cumsum(head).reshape(head.shape) - 1,
-                       len(det) + (chosen & fold[kept, None]))
+                       len(det) + (chosen[c] & fold[c, None]))
         severity = np.concatenate((jacobian._class_index(u11, u22, u33, params, det <= threshold),
                                    (0, 1))).astype(np.int8)
         jq = np.abs(jacobian._norm_det_jq(u11, u22, u33, params))
         det, jq = (np.concatenate((column, (np.nan, np.nan))) for column in (det, jq))
+        starts = edges[g] - c.start
         return (np.fmin.reduceat(det.take(run), starts), np.fmin.reduceat(jq.take(run), starts),
                 np.maximum.reduceat(severity.take(run), starts))
 
@@ -520,8 +541,14 @@ def cross_section(
 
 
 #: points per piece of export text: bounds the memory an export holds, and the
-#: 21^3 box (9,261 points) still goes out in one piece
+#: 21^3 box (9,261 points) still takes one :func:`_tails` call
 _EXPORT_ROWS = 1 << 16
+
+#: points per string that an export joins and writes: about 16 KB of CSV or
+#: 50 KB of JSON.  The string and the copy that the text file encodes stay
+#: well below glibc's 128 KB mmap threshold, so they reuse heap pages instead
+#: of mapping and faulting in fresh ones for every export
+_WRITE_ROWS = 256
 
 #: The fixed text of an exported point, per format: the text before each of
 #: its seven values (x, y, z, count, min jp, min jq, class), the text after
@@ -591,12 +618,13 @@ def _tails(result: ScanResult, piece: slice, fmt: str, zs: list[str]) -> list[st
 
 
 def _chunks(result: ScanResult, fmt: str) -> Iterator[str]:
-    """The export text of ``result`` in pieces of up to ``_EXPORT_ROWS`` points.
+    """The export text of ``result`` in strings of up to ``_WRITE_ROWS`` points.
 
-    A piece is the join of three slot strings per point, each carrying its
+    A string is the join of three slot strings per point, each carrying its
     fixed text from ``_SLOTS``: the x, the y, and the tail from
     :func:`_tails`, which holds the z and the labels.  Each axis value is
-    formatted once per export by ``repr``.
+    formatted once per export by ``repr``, and the tails once per piece of
+    ``_EXPORT_ROWS`` points.
     """
     if not len(result):
         yield f"{CSV_HEADER}\n" if fmt == "csv" else "[]\n"
@@ -606,25 +634,29 @@ def _chunks(result: ScanResult, fmt: str) -> Iterator[str]:
     coordinates = _product(xs, ys, zs)[:2]
     for start in range(0, len(result), _EXPORT_ROWS):
         tails = _tails(result, slice(start, start + _EXPORT_ROWS), fmt, zs)
-        parts = [""] * (3 * len(tails))
-        for k, slots in enumerate(coordinates):
-            parts[k::3] = islice(slots, len(tails))
-        parts[2::3] = tails
-        if start == 0:
-            parts[0] = f"{CSV_HEADER}\n{parts[0]}" if fmt == "csv" else f"[\n{parts[0][2:]}"
-        if fmt == "json" and start + _EXPORT_ROWS >= len(result):
-            parts.append("\n]\n")
-        yield "".join(parts)
+        for at in range(0, len(tails), _WRITE_ROWS):
+            some = tails[at:at + _WRITE_ROWS]
+            parts = [""] * (3 * len(some))
+            for k, slots in enumerate(coordinates):
+                parts[k::3] = islice(slots, len(some))
+            parts[2::3] = some
+            if start + at == 0:
+                parts[0] = f"{CSV_HEADER}\n{parts[0]}" if fmt == "csv" else f"[\n{parts[0][2:]}"
+            if fmt == "json" and start + at + len(some) == len(result):
+                parts.append("\n]\n")
+            yield "".join(parts)
 
 
 def export(samples: ScanResult, fmt: str, destination) -> None:
     """Write points as CSV or JSON; bit-stable for identical inputs.
 
-    The text is built and written ``_EXPORT_ROWS`` points at a time, so an
-    export holds one piece of it in memory, not the whole file.  Each axis
-    value is formatted once per export, a point's labels only where they
-    differ from those of the point one grid line (``len(samples.zs)`` points)
-    back, and each distinct det of a piece once.
+    The labels are formatted ``_EXPORT_ROWS`` points at a time, and the text
+    is joined and written ``_WRITE_ROWS`` points at a time, so an export
+    holds one piece of label text and one small string, not the whole file.
+    Each axis value is formatted once per export, a point's labels only
+    where they differ from those of the point one grid line
+    (``len(samples.zs)`` points) back, and each distinct det of a piece
+    once.
     """
     if fmt not in ("csv", "json"):
         raise InvalidParameter("format", f"must be csv or json, got {fmt!r}")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
@@ -172,6 +173,37 @@ def along_chains(run, axes):
     n = math.prod(map(len, axes))
     return ScanResult(*axes, *map(list, zip(*(run[(i // nz + i % nz) % len(run)]
                                               for i in range(n)))))
+
+
+def written(monkeypatch, samples, fmt) -> list[str]:
+    """The strings that ``export`` writes to its file, in order."""
+    strings = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            strings.append(text)
+            return super().write(text)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(workspace, "open", lambda *args, **kwargs: Recorder(), raising=False)
+        export(samples, fmt, "unused")
+    return strings
+
+
+def points_in(text: str, fmt: str) -> int:
+    """The points whose text is in ``text``, a string an export wrote."""
+    return text.count('"x": ') if fmt == "json" else text.count("\n") - text.startswith("x,y,z")
+
+
+#: grids of one point fewer than an export writes at a time, as many, and one
+#: more: (x, y, z) axes on the reference box
+WRITE_GRIDS = {
+    "bound-1": ([-110.0, -10.0, 90.0], [-250.0, -125.0, 0.0, 125.0, 250.0],
+                [180.0 + 300.0 * k / 16 for k in range(17)]),
+    "bound": ([-110.0, -40.0, 20.0, 90.0], [-250.0, -80.0, 80.0, 250.0],
+              [180.0 + 20.0 * k for k in range(16)]),
+    "bound+1": ([-15.4714], [-250.0 + 500.0 * k / 256 for k in range(257)], [300.0]),
+}
 
 
 def independent_feasible(pose: Pose) -> bool:
@@ -589,6 +621,41 @@ class TestExport:
                    tmp_path / "section.json")
         assert len(formatted) == texts
 
+    @pytest.mark.parametrize("fmt, heights", [
+        pytest.param("csv", None, id="box-21-csv"),
+        pytest.param("json", SECTION_HEIGHTS, id="sections-json"),
+    ])
+    def test_no_write_holds_more_than_the_bound(self, tmp_path, monkeypatch, fmt, heights):
+        # each string the file gets holds at most _WRITE_ROWS points, so it
+        # and its encoded copy stay below glibc's 128 KB mmap threshold
+        if heights is None:
+            results = [scan(ScanSpec(resolution=21, **REFERENCE_BOX), P)]
+        else:
+            results = [cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P, "z", z)
+                       for z in heights]
+        for samples in results:
+            strings = written(monkeypatch, samples, fmt)
+            export(samples, fmt, tmp_path / "points")
+            assert "".join(strings) == (tmp_path / "points").read_text()
+            assert len(strings) == -(-len(samples) // workspace._WRITE_ROWS)
+            assert all(points_in(text, fmt) <= workspace._WRITE_ROWS for text in strings)
+            assert sum(points_in(text, fmt) for text in strings) == len(samples)
+            assert max(len(text.encode()) for text in strings) < 64 * 1024
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("axes", WRITE_GRIDS)
+    # one piece, and pieces one point shorter and longer than a write
+    @pytest.mark.parametrize("piece", ["one", "bound-1", "bound+1"])
+    def test_writes_around_the_bound_keep_the_bytes(self, monkeypatch, fmt, axes, piece):
+        axes = WRITE_GRIDS[axes]
+        assert len(axes[0]) * len(axes[1]) * len(axes[2]) - workspace._WRITE_ROWS in (-1, 0, 1)
+        samples = workspace._kernel(*axes, P, 1e-3)
+        rows = {"one": workspace._EXPORT_ROWS, "bound-1": workspace._WRITE_ROWS - 1,
+                "bound+1": workspace._WRITE_ROWS + 1}[piece]
+        monkeypatch.setattr(workspace, "_EXPORT_ROWS", rows)
+        reference = csv_reference(samples) if fmt == "csv" else json_reference(samples)
+        assert "".join(written(monkeypatch, samples, fmt)) == reference
+
     def test_check_writable_leaves_files_as_they_were(self, tmp_path):
         fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
         kept.write_text("old\n")
@@ -750,7 +817,8 @@ class TestKernelMatchesSamplePoint:
                      id="stroke-boundary"),
         pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "x", -15.4714, id="x-section"),
         pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "y", 9.6849, id="y-section"),
-        # a z-section's 38 groups take two numpy passes
+        # a z-section's 38 groups, labelled in one pass; test_pass_boundaries
+        # and TestLabelDigests split such a section into passes
         pytest.param(ScanSpec(resolution=41, **REFERENCE_BOX), "z", 330.0, id="z-section"),
         # one pass holding the groups of one beta elbow (x = -130), one alpha
         # elbow (x = 80) and two-elbow planes, beside unreachable planes
@@ -902,6 +970,25 @@ class TestKernelMatchesSamplePoint:
         for z in heights or ():
             cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P, "z", z)
         assert sum(received) == rows
+
+    def test_labelling_passes_per_call(self, monkeypatch):
+        # stage B labels in passes of up to _PASS_PAIRS kept pairs: the 21^3
+        # box's 1,344 kept cells take three, each 41 x 41 z-section one, and
+        # z = 480, which has no feasible point, none
+        run_heads = workspace._run_heads
+        passes = []
+
+        def counted(classified, *u):
+            passes[-1] += 1
+            return run_heads(classified, *u)
+
+        monkeypatch.setattr(workspace, "_run_heads", counted)
+        passes.append(0)
+        scan(ScanSpec(resolution=21, **REFERENCE_BOX), P)
+        for z in SECTION_HEIGHTS:
+            passes.append(0)
+            cross_section(ScanSpec(resolution=41, **REFERENCE_BOX), P, "z", z)
+        assert passes == [3, 1, 1, 1, 1, 1, 1, 0]
 
     def test_signed_zero_x_labels_as_zero(self):
         # x enters only as x + b and x + d, with b and d > 0, so both zeros give one sum
