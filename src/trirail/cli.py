@@ -32,7 +32,6 @@ import sys
 
 from . import fk, ik, jacobian, topology
 from .errors import (
-    CotangentSingular,
     IndeterminateGamma,
     InvalidAkc,
     InvalidParameter,
@@ -163,18 +162,6 @@ def cmd_fk(args):
     return EXIT_OK if records else EXIT_NO_SOLUTION
 
 
-def _branch_class(pose, solution, params, threshold):
-    """Per-branch singularity report; distal folds have no finite model."""
-    try:
-        pair = jacobian.build(pose, solution, params)
-    except CotangentSingular:
-        return {"class": "fold", "norm_det_jp": None, "norm_det_jq": None}
-    cls = jacobian.classify(pair, params, threshold)
-    return {"class": cls.kind.value,
-            "norm_det_jp": cls.norm_det_jp,
-            "norm_det_jq": cls.norm_det_jq}
-
-
 def cmd_ik(args):
     """Inverse kinematics: all real rail inputs for a pose (mm)."""
     x, y, z = args.x, args.y, args.z
@@ -186,6 +173,7 @@ def cmd_ik(args):
     except Unreachable as exc:
         raise Unreachable(f"arccos domain: {exc}") from exc
     unit = args.angle_unit
+    labels = jacobian.label(pose, solutions, params, args.singularity_threshold)
     records = [{
         "yA1": s.inputs.yA1, "yA2": s.inputs.yA2, "yA3": s.inputs.yA3,
         "branch": {"alpha": s.branch.alpha_sign, "beta": s.branch.beta_sign,
@@ -196,9 +184,12 @@ def cmd_ik(args):
         "roundtrip_residual": s.roundtrip_residual,
         "serial_witnesses": list(s.serial_witnesses),
         "parallel_singular": s.parallel_singular,
-        "singularity": _branch_class(pose, s, params, args.singularity_threshold),
+        # a distal fold has no finite velocity model: no class, no dets
+        "singularity": ({"class": "fold", "norm_det_jp": None, "norm_det_jq": None} if cls is None
+                        else {"class": cls.kind.value, "norm_det_jp": cls.norm_det_jp,
+                              "norm_det_jq": cls.norm_det_jq}),
         "angle_unit": unit,
-    } for s in solutions]
+    } for s, cls in zip(solutions, labels)]
     csv = _csv("yA1,yA2,yA3,alpha_sign,beta_sign,root1,root2,root3,"
                "M1,M2,M3,alpha,beta,roundtrip,roundtrip_residual", records)
     # a round trip that finds no direct solution leaves an infinite residual,

@@ -29,6 +29,10 @@ which folds both fused steps into its body.
 :class:`JacobianPair` and :class:`Classification` are immutable named
 tuples, built once per classified branch.  ``JacobianPair.jp`` and ``jq``
 are nested tuples of Python floats.
+
+:func:`build` and :func:`classify` serve one branch; :func:`label` labels
+every inverse branch of a pose with them, giving ``None`` for a distal
+fold, and is the one place a fold is caught.
 """
 
 from __future__ import annotations
@@ -202,6 +206,22 @@ def classify(
     norm_det_jp = 0.0 if min(n1, n2, n3) == 0.0 else pair.det_jp / (n1 * n2 * n3)
     kind = _KINDS[_class_index(u11, u22, u33, params, abs(norm_det_jp) <= threshold)]
     return tuple.__new__(Classification, (kind, norm_det_jp, _norm_det_jq(u11, u22, u33, params)))
+
+
+def label(pose: Pose, solutions: list[IkSolution], params: ValidatedParams,
+          threshold: float = SINGULARITY_THRESHOLD) -> list[Classification | None]:
+    """The class of each inverse branch of ``pose``, in order: its
+    :func:`classify` of :func:`build`, or ``None`` where a distal link folds
+    (:class:`CotangentSingular`), as a fold has no finite velocity model."""
+    out = []
+    for solution in solutions:
+        try:
+            pair = build(pose, solution, params)
+        except CotangentSingular:
+            out.append(None)
+            continue
+        out.append(classify(pair, params, threshold))
+    return out
 
 
 def fd_check(

@@ -192,12 +192,8 @@ def sample_regular_configurations(params: ValidatedParams, count: int, seed: int
             ik_sol = matching_ik_solution(fk_sol.pose, JointInputs(y_a1, y_a2, y_a3), params)
             if ik_sol is None or ik_sol.parallel_singular or ik_sol.serial_witnesses:
                 continue
-            try:
-                pair = jacobian.build(fk_sol.pose, ik_sol, params)
-            except TrirailError:
-                continue
-            cls = jacobian.classify(pair, params)
-            if cls.kind is not SingularityKind.REGULAR:
+            cls, = jacobian.label(fk_sol.pose, [ik_sol], params)
+            if cls is None or cls.kind is not SingularityKind.REGULAR:
                 continue
             out.append((fk_sol.pose, ik_sol))
             if len(out) >= count:

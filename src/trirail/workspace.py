@@ -11,8 +11,9 @@ figures).  A point's class is the index ``serial + 2 * parallel`` into
 over the point's branches.
 
 Branches where a distal link folds onto the X axis have no finite
-velocity model (the cotangent rows diverge); they are DOF-losing fold
-configurations and are labelled serial, with no determinant contribution.
+velocity model (the cotangent rows diverge), and :func:`jacobian.label`
+gives them no class; they are DOF-losing fold configurations and are
+labelled serial, with no determinant contribution.
 
 Every reachable pose also admits inverse branches whose chain-1/2 roots
 agree, which places the rails exactly at the planar-loop parallel
@@ -22,8 +23,9 @@ entire workspace singular.  Labels therefore come from the working
 nothing else exists (exact boundary poses).
 
 :func:`sample_point` states these rules one pose at a time, returning the
-kernel's row for that pose, and is the reference.  :func:`scan` and
-:func:`cross_section` apply them with numpy in two stages.  The distal
+kernel's row for that pose, and is the reference: it reduces the classes
+that :func:`jacobian.label` gives the pose's chosen branches.
+:func:`scan` and :func:`cross_section` apply them with numpy in two stages.  The distal
 angles depend on x alone and the chain radicands on x and z alone, so
 whether each of the 32 sign branches exists never depends on y; y only
 shifts the rails.
@@ -93,9 +95,7 @@ bit pattern of the dets in those tails once: the 21^3 box's 9,261 points
 take 856 tails and 917 float texts.  The text is joined and written a
 few hundred points at a time (``_WRITE_ROWS``), so each string and its
 encoded copy stay well below glibc's 128 KB mmap threshold and reuse heap
-pages.  On a 2-core Xeon the ``perfbench`` workloads label and export
-about 1.44M points/s on the 21^3 box and about 820k points/s on 41 x 41
-sections.
+pages.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ from itertools import chain, cycle, islice, repeat
 import numpy as np
 
 from . import fk, ik, jacobian
-from .errors import CotangentSingular, InvalidParameter, OutOfRange, Unreachable, clipped
+from .errors import InvalidParameter, OutOfRange, Unreachable, clipped
 from .jacobian import _KINDS, SingularityKind
 from .params import Pose, ValidatedParams, _Checked, _real
 
@@ -258,23 +258,13 @@ def sample_point(pose: Pose, params: ValidatedParams,
     if not solutions:
         return 0, math.nan, math.nan, 0
     working = [s for s in solutions if not s.parallel_singular]
-    worst = 0
-    min_jp = math.nan
-    min_jq = math.nan
-    for solution in working or solutions:
-        try:
-            pair = jacobian.build(pose, solution, params)
-        except CotangentSingular:
+    labels = jacobian.label(pose, working or solutions, params, threshold)
+    classified = [c for c in labels if c is not None]
+    return (len(solutions),
+            min((abs(c.norm_det_jp) for c in classified), default=math.nan),
+            min((abs(c.norm_det_jq) for c in classified), default=math.nan),
             # a folded branch has no velocity model and is serial
-            worst = max(worst, _KINDS.index(SingularityKind.SERIAL))
-            continue
-        cls = jacobian.classify(pair, params, threshold)
-        worst = max(worst, _KINDS.index(cls.kind))
-        if math.isnan(min_jp) or abs(cls.norm_det_jp) < min_jp:
-            min_jp = abs(cls.norm_det_jp)
-        if math.isnan(min_jq) or abs(cls.norm_det_jq) < min_jq:
-            min_jq = abs(cls.norm_det_jq)
-    return len(solutions), min_jp, min_jq, worst
+            max(_KINDS.index(SingularityKind.SERIAL if c is None else c.kind) for c in labels))
 
 
 _AXES = ("x", "y", "z")
@@ -358,11 +348,11 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
 
     Every branch decision is a call of the rule that :func:`ik.solve`,
     :func:`jacobian.build` and :func:`jacobian.classify` (and so
-    :func:`sample_point`) call for that branch: :func:`ik._bases` per x,
-    :func:`jacobian._folded` per distal slot, :func:`ik._roots` on the
-    radicand arrays, :func:`fk._parallel` on the rail arrays, and
-    :func:`jacobian._norm_det_jq` and :func:`jacobian._class_index` on the u
-    arrays.  No tolerance and no comparison with zero is written here.
+    :func:`jacobian.label` and :func:`sample_point`) call for that branch:
+    :func:`ik._bases` per x, :func:`jacobian._folded` per distal slot,
+    :func:`ik._roots` on the radicand arrays, :func:`fk._parallel` on the
+    rail arrays, and :func:`jacobian._norm_det_jq` and
+    :func:`jacobian._class_index` on the u arrays.  No tolerance and no comparison with zero is written here.
 
     Stage A decides which branches exist over (x, z, alpha slot, beta slot,
     s1, s2, s3), as y takes no part in that, and lists the existing ones as

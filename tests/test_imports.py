@@ -117,10 +117,11 @@ def test_unknown_attribute_names_the_module():
         trirail.no_such_name
 
 
-#: Functions that run a solver or the scan kernel.  A test module that calls one
-#: at import turns a solver fault into a collection error of every module that
-#: imports it, where it should fail only the tests that use the result.
-SOLVER_CALLS = {"scan", "cross_section", "sample_point", "labelled"}
+#: Functions that run a solver, the classifier or the scan kernel.  A test
+#: module that calls one at import turns a solver fault into a collection error
+#: of every module that imports it, where it should fail only the tests that use
+#: the result.
+SOLVER_CALLS = {"scan", "cross_section", "sample_point", "labelled", "label"}
 
 
 def import_time_calls(tree) -> set[str]:

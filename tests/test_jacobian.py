@@ -15,7 +15,8 @@ from trirail.verify import (
     sample_regular_configurations,
 )
 
-from test_ik import boundary_pose_m3
+from test_ik import WORKED_POSE, boundary_pose_m3
+from test_workspace import FALLBACK_Z
 
 P = REFERENCE_PARAMS
 
@@ -290,6 +291,33 @@ class TestClassify:
         if violations:
             print("distal-row dependence found:", violations[:5])
         assert violations == []
+
+
+class TestLabel:
+    @pytest.mark.parametrize("threshold", [jacobian.SINGULARITY_THRESHOLD, 0.5])
+    @pytest.mark.parametrize("pose, count, folds", [
+        pytest.param(WORKED_POSE, 8, 0, id="worked"),
+        pytest.param(Pose(80.0, 0.0, 250.0), 8, 8, id="fold-x80"),
+        pytest.param(boundary_pose_m3(), 4, 0, id="boundary-m3"),
+        # x = -6 has no working branch
+        pytest.param(Pose(-6.0, 0.0, FALLBACK_Z), 2, 0, id="fallback-x-6"),
+    ])
+    def test_each_branch_is_classify_of_build_or_none_on_fold(self, pose, count, folds,
+                                                              threshold):
+        solutions = ik.solve(pose, P, check_roundtrip=False)
+        expected = []
+        for solution in solutions:
+            try:
+                expected.append(jacobian.classify(jacobian.build(pose, solution, P), P,
+                                                  threshold))
+            except CotangentSingular:
+                expected.append(None)
+        labels = jacobian.label(pose, solutions, P, threshold)
+        assert repr(labels) == repr(expected)
+        assert (len(labels), labels.count(None)) == (count, folds)
+
+    def test_no_solutions_no_labels(self):
+        assert jacobian.label(WORKED_POSE, [], P) == []
 
 
 def test_classification_of_sampled_regular_points_is_stable():

@@ -76,12 +76,18 @@ def test_roots_count(values):
 @given(st.lists(floats(fk.EPS_B), min_size=1, max_size=16))
 def test_parallel(values):
     assert_elementwise(fk._parallel, [(B,) for B in values])
+    # |B| = EPS_B is parallel, the next float above it is not
+    assert fk._parallel(fk.EPS_B) is True
+    assert fk._parallel(math.nextafter(fk.EPS_B, math.inf)) is False
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(floats(jacobian.COT_GUARD, 1.0), min_size=1, max_size=16))
 def test_folded(values):
     assert_elementwise(jacobian._folded, [(s,) for s in values])
+    # |sin| = COT_GUARD does not fold, the next float below it does
+    assert jacobian._folded(jacobian.COT_GUARD) is False
+    assert jacobian._folded(math.nextafter(jacobian.COT_GUARD, 0.0)) is True
 
 
 @settings(max_examples=100, deadline=None)
@@ -99,6 +105,13 @@ def test_class_index(data, params):
     rows = data.draw(st.lists(st.tuples(u, u, u, st.booleans()), min_size=1, max_size=16))
     assert_elementwise(lambda u11, u22, u33, parallel:
                        jacobian._class_index(u11, u22, u33, params, parallel), rows)
+    # chain 3's serial band on the reference design: |u33| / l6 up to
+    # SERIAL_THRESHOLD is serial (index 1), the next float above it regular
+    edge = jacobian.SERIAL_THRESHOLD * P.l6
+    assert edge / P.l6 == jacobian.SERIAL_THRESHOLD
+    for u33, index in ((edge, 1), (-edge, 1), (0.5e-9 * P.l6, 1),
+                       (math.nextafter(edge, math.inf), 0)):
+        assert jacobian._class_index(P.l2, P.l2, u33, P, False) == index
 
 
 MODULES = [import_module(f"trirail.{m.name}") for m in pkgutil.iter_modules(trirail.__path__)]
