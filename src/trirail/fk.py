@@ -28,7 +28,12 @@ residual check.  Coincident candidates are merged by one rule, in
 :func:`_finish`: a candidate within 2e-9 mm in x, y and z and within
 2e-12 rad in gamma, alpha and beta of one already kept is dropped.  A double
 root needs no case of its own: :func:`solve_t` and the alpha solver always
-return both roots, and the second copy falls to that rule.
+return both roots, and the second copy falls to that rule.  It compares
+flat keys ``(z, x, y, gamma, alpha, beta)``, z first: the candidates of one
+query share y and often agree in x in pairs, but z tells them apart, so one
+comparison settles most pairs.  The rule is a conjunction of comparisons
+without side effects, so their order changes neither what is kept nor
+which copy.
 
 One function, :func:`_candidate`, builds each candidate from its t and
 alpha: sin and cos of alpha, beta from the t-definition and the X-closure,
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import math
 import sys
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -355,9 +361,9 @@ _COINCIDENT_MM = 2e-9
 _COINCIDENT_RAD = 2e-12
 
 
-def _order(sol: FkSolution) -> tuple[float, ...]:
-    pose, inter = sol.pose, sol.intermediates
-    return (pose.x, pose.y, pose.z, inter.gamma, inter.alpha, inter.beta)
+#: Sort key of :func:`_finish`: pose, then intermediates.  It orders kept
+#: candidates as (x, y, z, gamma, alpha, beta) would; see :func:`_finish`.
+_BY_POSE = itemgetter(0, 2)
 
 
 def _finish(candidates: list[FkSolution], closure_tol: float) -> list[FkSolution]:
@@ -366,23 +372,37 @@ def _finish(candidates: list[FkSolution], closure_tol: float) -> list[FkSolution
     A passing candidate is dropped when it is within ``_COINCIDENT_MM`` in
     x, y and z and ``_COINCIDENT_RAD`` in gamma, alpha and beta of one
     already kept (the second copy of a double root of t or alpha), so the
-    first of a coincident group in enumeration order is the one kept.
+    first of a coincident group in enumeration order is the one kept.  The
+    fields of each kept candidate sit beside it as a flat key, z first, the
+    field in which the candidates of one query differ most often; the order
+    of the comparisons does not change their conjunction.
+
+    Sorting by ``(pose, intermediates)`` orders as (x, y, z, gamma, alpha,
+    beta) would: the first of the six fields in which two kept candidates
+    differ decides both.  Only where none differs, each pair being one
+    object or ``==``, could t decide, and then the later candidate has been
+    merged, since equal floats are 0 apart.  A NaN alone escapes that, and
+    no candidate of :func:`enumerate_candidates` holds one: gamma, y, t and
+    alpha come out finite or the elbow or root is skipped, and x, z and
+    beta follow from them, z infinite only with an infinite residual.
     """
     kept: list[FkSolution] = []
+    keys: list[tuple[float, ...]] = []
     for sol in candidates:
         if sol.residual > closure_tol:
             continue
         (x, y, z), _, (gamma, alpha, beta, _), _, _ = sol
-        for (kx, ky, kz), _, (k_gamma, k_alpha, k_beta, _), _, _ in kept:
-            if (abs(x - kx) <= _COINCIDENT_MM and abs(y - ky) <= _COINCIDENT_MM
-                    and abs(z - kz) <= _COINCIDENT_MM
+        for kz, kx, ky, k_gamma, k_alpha, k_beta in keys:
+            if (abs(z - kz) <= _COINCIDENT_MM and abs(x - kx) <= _COINCIDENT_MM
+                    and abs(y - ky) <= _COINCIDENT_MM
                     and abs(gamma - k_gamma) <= _COINCIDENT_RAD
                     and abs(alpha - k_alpha) <= _COINCIDENT_RAD
                     and abs(beta - k_beta) <= _COINCIDENT_RAD):
                 break
         else:
             kept.append(sol)
-    kept.sort(key=_order)
+            keys.append((z, x, y, gamma, alpha, beta))
+    kept.sort(key=_BY_POSE)
     return kept
 
 
@@ -429,6 +449,8 @@ def solve_at_gamma(
 #: candidate within 2 * reach in x and z is within a chord of
 #: 2 * sqrt(2) * reach / l4 in (cos, sin) of alpha.
 _ARC_PER_REACH = math.pi * math.sqrt(2.0)
+#: Rounding of a sum, per mm of its terms' magnitudes: a few ulps.
+_SLOP_PER_MM = 8.0 * sys.float_info.epsilon
 
 
 def distance_at_gamma(pose: Pose, inputs: JointInputs, params: ValidatedParams, elbow: Elbow,
@@ -485,8 +507,7 @@ def distance_at_gamma(pose: Pose, inputs: JointInputs, params: ValidatedParams, 
         if abs(other - hint_alpha) < abs(alpha - hint_alpha):
             alpha, other = other, alpha
         l4, l6 = params.l4, params.l6
-        slop = 8.0 * sys.float_info.epsilon * (
-            reach + closure_tol + abs(t) + abs(t_other) + elbow.scale)
+        slop = _SLOP_PER_MM * (reach + closure_tol + abs(t) + abs(t_other) + elbow.scale)
         window = max(_ARC_PER_REACH * (reach + slop) / l4, _COINCIDENT_RAD)
         gap = abs(other - alpha)
         candidate = (None if min(gap, 2.0 * math.pi - gap) <= window

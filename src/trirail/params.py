@@ -71,8 +71,16 @@ def _finite(name, value) -> float:
 
 
 def _finite_fields(values) -> tuple[float, ...]:
-    """The fields of the named tuple ``values`` as finite floats."""
-    return tuple(map(_finite, values._fields, values))
+    """The fields of the named tuple ``values`` as finite floats.
+
+    ``values`` itself when every field is already a finite plain float, the
+    first test of :func:`_finite`; otherwise a new tuple from :func:`_finite`
+    field by field, which converts or raises.
+    """
+    for value in values:
+        if type(value) is not float or value - value != 0.0:
+            return tuple(map(_finite, values._fields, values))
+    return values
 
 
 class _Checked(tuple):
@@ -82,14 +90,18 @@ class _Checked(tuple):
 
     Every way to build one, ``_make`` and ``_replace`` included, binds the
     fields through the named tuple and keeps what the class's
-    ``__post_init__(values)`` returns for them.  A subclass declares only
+    ``__post_init__(values)`` returns for them: the bound tuple itself when
+    that is what it returns, as :func:`_finite_fields` does for finite plain
+    floats, else a new instance of those fields.  A subclass declares only
     that staticmethod; none overrides ``__new__`` or ``_make``.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        return tuple.__new__(cls, cls.__post_init__(super().__new__(cls, *args, **kwargs)))
+        values = super().__new__(cls, *args, **kwargs)
+        fields = cls.__post_init__(values)
+        return values if fields is values else tuple.__new__(cls, fields)
 
     @classmethod
     def _make(cls, iterable):

@@ -309,6 +309,11 @@ def coincident(a, b):
                     for u, v in zip(a.intermediates[:3], b.intermediates[:3])))
 
 
+def pose_then_angles(sol):
+    """(x, y, z, gamma, alpha, beta): the order of solve's output."""
+    return (*sol.pose, *sol.intermediates[:3])
+
+
 def candidate(x, y, z, gamma, alpha, beta, residual=0.0):
     return fk.FkSolution(Pose(x, y, z), fk.FkBranch(1, 1, 1),
                          fk.FkIntermediates(gamma, alpha, beta, 0.0), residual, (residual,) * 4)
@@ -353,13 +358,21 @@ def candidate_lists(draw):
           candidate(1.0, 2.0, 3.0, 0.1, 0.45e-12, 0.3)])
 # signed zeros and an exact double root: one kept
 @example([candidate(0.0, -0.0, 5.0, 0.0, 1.0, 2.0), candidate(-0.0, 0.0, 5.0, -0.0, 1.0, 2.0)])
+# a chain along z: the middle one is within 2e-9 mm of both ends, which are
+# 3e-9 mm apart; both ends kept, the middle one dropped
+@example([candidate(1.0, 2.0, 5.0, 0.1, 0.2, 0.3), candidate(1.0, 2.0, 5.0 + 1.5e-9, 0.1, 0.2, 0.3),
+          candidate(1.0, 2.0, 5.0 + 3e-9, 0.1, 0.2, 0.3)])
+# equal z, 3e-9 mm apart in x: both kept
+@example([candidate(1.0, 2.0, 5.0, 0.1, 0.2, 0.3), candidate(1.0 + 3e-9, 2.0, 5.0, 0.1, 0.2, 0.3)])
+# equal x, y and z, 3e-12 rad apart in beta: both kept
+@example([candidate(1.0, 2.0, 5.0, 0.1, 0.2, 0.3), candidate(1.0, 2.0, 5.0, 0.1, 0.2, 0.3 + 3e-12)])
 def test_finish_keeps_the_first_of_each_coincident_group(candidates):
     got = fk._finish(candidates, fk.CLOSURE_TOL)
     passing = [c for c in candidates if c.residual <= fk.CLOSURE_TOL]
     # kept objects are passing inputs, each once
     kept_at = [next(i for i, c in enumerate(passing) if c is k) for k in got]
     assert len(set(kept_at)) == len(got)
-    assert [fk._order(k) for k in got] == sorted(fk._order(k) for k in got)
+    assert [pose_then_angles(k) for k in got] == sorted(pose_then_angles(k) for k in got)
     for i, a in enumerate(got):
         assert not any(coincident(a, b) for b in got[i + 1:])
     for i, c in enumerate(passing):

@@ -1,10 +1,14 @@
 import json
 import math
 import re
+import struct
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trirail import params
 from trirail.errors import InvalidParameter, clipped
 from trirail.params import (
     MAX_LENGTH,
@@ -14,6 +18,7 @@ from trirail.params import (
     Pose,
     REFERENCE_PARAMS,
     ValidatedParams,
+    json_int,
     load_params,
     validate,
 )
@@ -227,3 +232,70 @@ def test_clipped_shows_an_int_too_long_for_repr(value, shown):
 def test_param_keys_cover_all_fields():
     assert MechanismParams._fields == PARAM_KEYS
     assert set(PARAM_KEYS) == set(REFERENCE_VALUES)
+
+
+#: Inputs a checked field accepts: each comes out as the plain float(v).
+ACCEPTED = [3, -2, 10 ** 20, np.float64(-15.25), -0.0, 5e-324, sys.float_info.max, 1.5]
+#: Inputs it rejects, and the reason it gives.
+REJECTED = [
+    (math.nan, "must be finite, got nan"),
+    (math.inf, "must be finite, got inf"),
+    (-math.inf, "must be finite, got -inf"),
+    (json_int("9" * 5000), "must be finite, got " + "9" * 57 + "..."),
+    (True, "must be a real number, got True"),
+    (False, "must be a real number, got False"),
+    ("1", "must be a real number, got '1'"),
+]
+VALUE_TYPES = [pytest.param(Pose, (1.0, 2.0, 3.0), id="Pose"),
+               pytest.param(JointInputs, (4.0, 5.0, 6.0), id="JointInputs"),
+               pytest.param(MechanismParams, tuple(REFERENCE_VALUES.values()),
+                            id="MechanismParams")]
+
+
+def bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+@pytest.mark.parametrize("cls, plain", VALUE_TYPES)
+@pytest.mark.parametrize("value", ACCEPTED, ids=repr)
+def test_checked_fields_come_out_as_plain_floats(cls, plain, value):
+    fields = (*plain[:1], value, *plain[2:])
+    made = cls(*fields)
+    assert all(type(f) is float for f in made)
+    assert list(map(bits, made)) == [bits(float(v)) for v in fields]
+    assert list(map(bits, cls._make(fields))) == list(map(bits, made))
+    # the bound tuple is kept only when every field is a finite plain float
+    bound = tuple.__new__(cls, fields)
+    checked = params._finite_fields(bound)
+    assert (checked is bound) == (type(value) is float)
+    assert list(map(bits, checked)) == list(map(bits, made))
+
+
+@pytest.mark.parametrize("cls, plain", VALUE_TYPES)
+@pytest.mark.parametrize("value, reason", REJECTED, ids=lambda v: clipped(v)[:12])
+def test_checked_fields_reject_with_the_field_name(cls, plain, value, reason):
+    name = cls._fields[1]
+    with pytest.raises(InvalidParameter) as err:
+        cls(*plain[:1], value, *plain[2:])
+    assert str(err.value) == f"{name}: {reason}"
+    with pytest.raises(InvalidParameter) as err:
+        cls._make(plain)._replace(**{name: value})
+    assert str(err.value) == f"{name}: {reason}"
+
+
+@pytest.mark.parametrize("fields", [(1.0, 2.0, 3.0), (1, np.float64(2.0), -0.0)],
+                         ids=["plain", "converted"])
+def test_every_pose_construction_runs_the_check_once(monkeypatch, fields):
+    calls = []
+
+    def counting(values):
+        calls.append(values)
+        return params._finite_fields(values)
+
+    monkeypatch.setattr(Pose, "__post_init__", staticmethod(counting))
+    pose = Pose(*fields)
+    assert len(calls) == 1
+    assert Pose._make(fields) == pose
+    assert len(calls) == 2
+    assert pose._replace(y=7.0) == (pose.x, 7.0, pose.z)
+    assert len(calls) == 3
