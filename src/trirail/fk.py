@@ -35,6 +35,14 @@ comparison settles most pairs.  The rule is a conjunction of comparisons
 without side effects, so their order changes neither what is kept nor
 which copy.
 
+Each term of the chain geometry is one function here, which the inverse
+map, the velocity model and the workspace kernel call as well: the joint
+y's (:func:`_joint_ys`), the rail gap B (:func:`_gap`), the chain heights
+h12 and h3 (:func:`_h12`, :func:`_h3`), H1 (:func:`_h1`) and the radicands
+M1, M3 and H2 (:func:`_radicand`).  Each uses operators only, so it takes
+floats or numpy arrays elementwise, in one operation order.  The clamp of
+an arccos argument is one function too, :func:`_clamp`.
+
 One function, :func:`_candidate`, builds each candidate from its t and
 alpha: sin and cos of alpha, beta from the t-definition and the X-closure,
 sin and cos of beta, the pose, and the residual vector through
@@ -136,11 +144,50 @@ def solve_gamma(inputs: JointInputs, params: ValidatedParams) -> tuple[float, tu
     Raises :class:`IndeterminateGamma` at the B = 0 parallel singularity
     and :class:`GammaOutOfRange` when the loop cannot close.
     """
-    B = inputs.yA1 - params.l3 - inputs.yA2
+    B = _gap(inputs.yA1, inputs.yA2, params)
     if _parallel(B):
         raise IndeterminateGamma(f"yA1 - l3 - yA2 = {B:.3g} mm: planar-loop angle "
                                  "undetermined (parallel singularity)")
     return _solve_gamma(B, params)
+
+
+def _joint_ys(y, params: ValidatedParams):
+    """The y of the joints C1, C2 and C3 at platform y: ``y + l3/2``,
+    ``y - l3/2`` and ``y``.  Takes a float, or a numpy array elementwise."""
+    return y + params.l3 / 2.0, y - params.l3 / 2.0, y
+
+
+def _gap(yA1, yA2, params: ValidatedParams):
+    """The rail gap ``B = yA1 - l3 - yA2`` of the planar loop.  Takes floats,
+    or numpy arrays elementwise."""
+    return yA1 - params.l3 - yA2
+
+
+def _h12(z, l4_sin_a, params: ValidatedParams):
+    """The height ``zC1 - l1`` of chains 1 and 2 at platform z, from
+    ``l4*sin(alpha)``.  Takes floats, or numpy arrays elementwise."""
+    return (z - l4_sin_a) - params.l1
+
+
+def _h3(z, l6_sin_b, params: ValidatedParams):
+    """The height ``zC3 - l1`` of chain 3 at platform z, from
+    ``l6*sin(beta)``, with the spacers l8 and l7 between the platform and
+    C3.  Takes floats, or numpy arrays elementwise."""
+    return (z - params.l8 - l6_sin_b - params.l7) - params.l1
+
+
+def _h1(sin_gamma, params: ValidatedParams):
+    """The gamma term ``H1 = l2*sin(gamma) - l8 - l7`` of :func:`solve_t`.
+    Takes a float, or a numpy array elementwise."""
+    return params.l2 * sin_gamma - params.l8 - params.l7
+
+
+def _radicand(length, h):
+    """``length**2 - h**2``: the square of the free leg of a link of
+    ``length`` whose other leg is ``h``.  That is M1 and M3 with h the chain
+    height, and H2 with h the y offset of rail 3.  Takes floats, or numpy
+    arrays elementwise."""
+    return length * length - h * h
 
 
 def _parallel(B):
@@ -150,15 +197,24 @@ def _parallel(B):
     return abs(B) <= EPS_B
 
 
+def _clamp(value: float) -> float | None:
+    """``value`` as an arccos or arcsin argument: itself within [-1, 1],
+    +/-1 when it lies within :data:`ACOS_CLAMP` beyond, and None further
+    out, where the caller rejects it."""
+    if abs(value) > 1.0:
+        if abs(value) > 1.0 + ACOS_CLAMP:
+            return None
+        value = math.copysign(1.0, value)
+    return value
+
+
 def _solve_gamma(B: float, params: ValidatedParams) -> tuple[float, tuple[float, float]]:
     """cos(gamma) and both values of sin(gamma) at a B off the singularity."""
-    cos_gamma = -B / (2.0 * params.l2)
-    if abs(cos_gamma) > 1.0:
-        if abs(cos_gamma) > 1.0 + ACOS_CLAMP:
-            raise GammaOutOfRange(
-                f"|yA1 - l3 - yA2| = {abs(B):.12g} mm exceeds 2*l2 = {2.0 * params.l2:.12g} mm"
-            )
-        cos_gamma = math.copysign(1.0, cos_gamma)
+    cos_gamma = _clamp(-B / (2.0 * params.l2))
+    if cos_gamma is None:
+        raise GammaOutOfRange(
+            f"|yA1 - l3 - yA2| = {abs(B):.12g} mm exceeds 2*l2 = {2.0 * params.l2:.12g} mm"
+        )
     sin_gamma = math.sqrt(max(0.0, 1.0 - cos_gamma * cos_gamma))
     return cos_gamma, (sin_gamma, -sin_gamma)
 
@@ -170,11 +226,11 @@ def solve_t(gamma: float, yA3: float, pose_y: float, params: ValidatedParams) ->
     of rail 3).  At H2 = 0 the two roots are equal; :func:`_finish` keeps one
     of the coincident candidates they give.
     """
-    return _t_roots(params.l2 * math.sin(gamma) - params.l8 - params.l7, yA3, pose_y, params)
+    return _t_roots(_h1(math.sin(gamma), params), yA3, pose_y, params)
 
 
 def _t_roots(H1: float, yA3: float, pose_y: float, params: ValidatedParams) -> tuple[float, float]:
-    H2 = params.l6 * params.l6 - (pose_y - yA3) * (pose_y - yA3)
+    H2 = _radicand(params.l6, pose_y - yA3)
     if H2 < 0.0:
         raise ChainIIUnreachable(
             f"|y - yA3| = {abs(pose_y - yA3):.6g} mm exceeds l6 = {params.l6:.6g} mm"
@@ -268,8 +324,7 @@ def _chain_residuals(y: float, z: float, t: float, yA3: float, params: Validated
     """The last three violations of :func:`residuals` at platform (y, z),
     from sin and cos of alpha and beta."""
     l4, l6 = params.l4, params.l6
-    z_c3 = z - params.l8 - l6 * sin_b - params.l7
-    return (abs(math.hypot(y - yA3, z_c3 - params.l1) - l6),
+    return (abs(math.hypot(y - yA3, _h3(z, l6 * sin_b, params)) - l6),
             abs(l4 * sin_a - l6 * sin_b - t),
             abs(l4 * cos_a + 2.0 * params.d - l6 * cos_b - 2.0 * params.b))
 
@@ -322,7 +377,7 @@ def _elbow_terms(yA1: float, yA2: float, cos_gamma: float, sin_gamma: float,
     gamma = math.atan2(sin_gamma, cos_gamma)
     sin_g = math.sin(gamma)
     return (gamma, yA1 + params.l2 * cos_gamma - params.l3 / 2.0,
-            params.l2 * sin_g - params.l8 - params.l7,
+            _h1(sin_g, params),
             _planar_residual(yA1, yA2, params, sin_g, math.cos(gamma)))
 
 
@@ -340,7 +395,8 @@ def roundtrip_elbow(yA1: float, yA2: float, y_c1: float, z_c1: float,
     if parallel:
         mode, cos_gamma, sin_gamma = "singular-family", (y_c1 - yA1) / l2, (z_c1 - params.l1) / l2
     else:
-        mode, (cos_gamma, (sin_gamma, _)) = "direct", _solve_gamma(yA1 - params.l3 - yA2, params)
+        mode = "direct"
+        cos_gamma, (sin_gamma, _) = _solve_gamma(_gap(yA1, yA2, params), params)
         # the solution's own elbow; sin = 0 is a single elbow, kept as +0.0 like solve
         if z_c1 < params.l1 and sin_gamma:
             sin_gamma = -sin_gamma

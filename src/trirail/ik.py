@@ -93,11 +93,10 @@ class IkSolution(NamedTuple):
 
 
 def _clamped_acos(value: float, description: str) -> float:
-    if abs(value) > 1.0:
-        if abs(value) > 1.0 + fk.ACOS_CLAMP:
-            raise Unreachable(f"{description} outside the arccos domain: {value:.9g}")
-        value = math.copysign(1.0, value)
-    return math.acos(value)
+    clamped = fk._clamp(value)
+    if clamped is None:
+        raise Unreachable(f"{description} outside the arccos domain: {value:.9g}")
+    return math.acos(clamped)
 
 
 def _bases(x: float, params: ValidatedParams) -> tuple[float, float]:
@@ -141,17 +140,16 @@ def solve(
     With ``check_roundtrip`` each solution is confirmed against the direct
     map (see module docstring) and tagged in ``roundtrip``.
     """
-    l1, l2, l3, l6 = params.l1, params.l2, params.l3, params.l6
+    l2, l6 = params.l2, params.l6
     alpha_base, beta_base = _bases(pose.x, params)
-    y_c1, y_c2, y_c3 = pose.y + l3 / 2.0, pose.y - l3 / 2.0, pose.y
+    y_c1, y_c2, y_c3 = fk._joint_ys(pose.y, params)
 
     # (s_beta, beta, l6 sin(beta), M3, root_3, rail-3 signs, merged chain 3) per beta slot
     beta_slots = []
     for s_beta in (1,) if _single_elbow(beta_base) else (1, -1):
         beta = s_beta * beta_base
         l6_sin_b = l6 * math.sin(beta)
-        z_c3 = pose.z - params.l8 - l6_sin_b - params.l7
-        M3 = l6 * l6 - (z_c3 - l1) * (z_c3 - l1)
+        M3 = fk._radicand(l6, fk._h3(pose.z, l6_sin_b, params))
         roots_3 = _roots(M3)
         if roots_3:
             signs_3, merged_3 = ((1, -1), ()) if roots_3 == 2 else ((1,), (3,))
@@ -164,7 +162,7 @@ def solve(
         alpha = s_alpha * alpha_base
         l4_sin_a = params.l4 * math.sin(alpha)
         z_c1 = pose.z - l4_sin_a
-        M1 = l2 * l2 - (z_c1 - l1) * (z_c1 - l1)
+        M1 = fk._radicand(l2, fk._h12(pose.z, l4_sin_a, params))
         roots_1 = _roots(M1)
         if not roots_1:
             continue
@@ -172,7 +170,7 @@ def solve(
         signs_1, merged_1 = ((1, -1), ()) if roots_1 == 2 else ((1,), (1, 2))
         for s1, s2 in product(signs_1, signs_1):
             yA1, yA2 = y_c1 + s1 * root_1, y_c2 + s2 * root_1
-            parallel = fk._parallel(yA1 - l3 - yA2)
+            parallel = fk._parallel(fk._gap(yA1, yA2, params))
             # one planar-loop elbow confirms every solution of this alpha, yA1 and yA2
             elbow = check_roundtrip and fk.roundtrip_elbow(yA1, yA2, y_c1, z_c1, params, parallel)
             for s_beta, beta, l6_sin_b, M3, root_3, signs_3, merged_3 in beta_slots:

@@ -24,7 +24,9 @@ row by its Euclidean norm and each u by its link length (l2, l2, l6) so a
 single dimensionless threshold works at any scale.  The determinant is
 formed by cofactors and each row norm rounds like a fused-multiply-add dot,
 all on Python floats.  That row norm is one function, :func:`_row_norm`,
-which folds both fused steps into its body.
+which folds both fused steps into its body.  The rows themselves are one
+function, :func:`_jp`, over the heights and joint y's of :mod:`trirail.fk`,
+and the workspace kernel calls it on arrays.
 
 :class:`JacobianPair` and :class:`Classification` are immutable named
 tuples, built once per classified branch.  ``JacobianPair.jp`` and ``jq``
@@ -151,6 +153,13 @@ def _class_index(u11, u22, u33, params: ValidatedParams, parallel):
     return serial + 2 * parallel
 
 
+def _jp(j0, j2, h12, h3, u11, u22, u33):
+    """The rows of Jp from the cotangent entries ``j0 = cot(alpha)*h12`` and
+    ``j2 = cot(beta)*h3``, the chain heights and the u's: chains 1 and 2
+    share their a and c.  Takes floats, or numpy arrays elementwise."""
+    return (j0, u11, h12), (j0, u22, h12), (j2, u33, h3)
+
+
 def build(pose: Pose, solution: IkSolution, params: ValidatedParams) -> JacobianPair:
     """Evaluate the pair at an inverse solution's configuration.
 
@@ -165,17 +174,13 @@ def build(pose: Pose, solution: IkSolution, params: ValidatedParams) -> Jacobian
         raise CotangentSingular(
             f"sin(alpha) = {sin_a:.3e}, sin(beta) = {sin_b:.3e}: distal link folded onto X"
         )
-    y_c1 = pose.y + params.l3 / 2.0
-    y_c2 = pose.y - params.l3 / 2.0
-    y_c3 = pose.y
-    h12 = (pose.z - params.l4 * sin_a) - params.l1
-    h3 = (pose.z - params.l8 - params.l6 * sin_b - params.l7) - params.l1
+    y_c1, y_c2, y_c3 = fk._joint_ys(pose.y, params)
+    h12 = fk._h12(pose.z, params.l4 * sin_a, params)
+    h3 = fk._h3(pose.z, params.l6 * sin_b, params)
     u11 = y_c1 - inputs.yA1
     u22 = y_c2 - inputs.yA2
     u33 = y_c3 - inputs.yA3
-    j0 = (cos_a / sin_a) * h12
-    j2 = (cos_b / sin_b) * h3
-    jp = ((j0, u11, h12), (j0, u22, h12), (j2, u33, h3))
+    jp = _jp((cos_a / sin_a) * h12, (cos_b / sin_b) * h3, h12, h3, u11, u22, u33)
     jq = ((u11, 0.0, 0.0), (0.0, u22, 0.0), (0.0, 0.0, u33))
     return tuple.__new__(JacobianPair, (jp, jq, _det3(jp), u11 * u22 * u33))
 

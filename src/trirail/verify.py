@@ -80,7 +80,7 @@ def pose_consistency_residual(pose: Pose, inputs: JointInputs, params: Validated
     best = math.inf
     for s_a in (1.0, -1.0):
         sin_alpha = s_a * math.sqrt(1.0 - cos_alpha * cos_alpha)
-        sin_gamma = (pose.z - l4 * sin_alpha - params.l1) / l2
+        sin_gamma = fk._h12(pose.z, l4 * sin_alpha, params) / l2
         chain1 = abs(math.hypot(l2 * cos_gamma, l2 * sin_gamma) - l2)
         chain2 = fk._planar_residual(inputs.yA1, inputs.yA2, params, sin_gamma, cos_gamma)
         for s_b in (1.0, -1.0):
@@ -152,13 +152,14 @@ def stroke_boundary_sweep(params: ValidatedParams, offsets):
     The sweep runs at ``x = b - d - 0.6 l6``, where cos(beta) = -0.6 and
     sin(beta) = 0.8 on the working elbow.  The boundary height, where the
     radicand M3 vanishes and the merged rail-3 root makes u33 = 0, is then
-    ``z* = l1 + l6 sin(beta) + l6``.  Returns ``(x, z_star, rows)`` with one
+    ``z* = l1 + l7 + l8 + l6 sin(beta) + l6``: the chain height of
+    :func:`fk._h3` equals l6 there.  Returns ``(x, z_star, rows)`` with one
     row ``(offset, real solution count, min |u33| or None)`` per offset of
     the height from z*.
     """
     x = params.b - params.d - 0.6 * params.l6
     sin_beta = math.sqrt(1.0 - ((x + params.d - params.b) / params.l6) ** 2)
-    z_star = params.l1 + params.l6 * sin_beta + params.l6
+    z_star = params.l1 + params.l7 + params.l8 + params.l6 * sin_beta + params.l6
     rows = []
     for offset in offsets:
         pose = Pose(x, 0.0, z_star + offset)

@@ -72,8 +72,13 @@ The kernel
   (:func:`jacobian._class_index`).  Each rule uses operators only, so it acts
   on arrays elementwise in the scalar operation order, and the kernel names
   no tolerance of its own;
-* evaluates the remaining grid terms (h12, h3, the radicands, u and the Jp
-  entries) in the scalar path's operation order;
+* takes every term of the chain geometry from the function the scalar path
+  calls for it: the joint y's (:func:`fk._joint_ys`), the rail gap B
+  (:func:`fk._gap`), the heights h12 and h3 (:func:`fk._h12`,
+  :func:`fk._h3`), the radicands M1 and M3 (:func:`fk._radicand`) and the
+  rows of Jp (:func:`jacobian._jp`), so it reads no link length those terms
+  hold; only u = y_c - yA and the cotangent entries are its own, in the
+  scalar path's operation order;
 * takes row norms with ``np.matmul`` of stacked rows, whose BLAS dot
   accumulates with fused multiply-adds and so rounds like
   :func:`jacobian._row_norm`.
@@ -352,7 +357,12 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     :func:`ik._bases` per x, :func:`jacobian._folded` per distal slot,
     :func:`ik._roots` on the radicand arrays, :func:`fk._parallel` on the
     rail arrays, and :func:`jacobian._norm_det_jq` and
-    :func:`jacobian._class_index` on the u arrays.  No tolerance and no comparison with zero is written here.
+    :func:`jacobian._class_index` on the u arrays.  No tolerance and no
+    comparison with zero is written here.  Every chain term is likewise a
+    call of the function they call for it: :func:`fk._h12`, :func:`fk._h3`
+    and :func:`fk._radicand` in stage A, :func:`fk._joint_ys` and
+    :func:`fk._gap` in the selection, and :func:`jacobian._jp` for stage B's
+    det and row norms, so no l1, l3, l7 or l8 is read here either.
 
     Stage A decides which branches exist over (x, z, alpha slot, beta slot,
     s1, s2, s3), as y takes no part in that, and lists the existing ones as
@@ -362,7 +372,7 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     pairs whose u's are bit-equal along y, which is exact: a pair's labels
     read nothing but its cell's y-free terms and its u's.
     """
-    l1, l2, l3, l6 = params.l1, params.l2, params.l3, params.l6
+    l6 = params.l6
     # per x, distal link (alpha, beta), field and slot (+base, -base): whether
     # the slot is live and whether the link folds, then length * sin and the
     # cotangent
@@ -388,10 +398,8 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
         [np.reshape(column[:, link, k], shape) for column in (flags, values) for k in (0, 1)]
         for link, shape in enumerate(((-1, 1, 2, 1, 1, 1, 1), (-1, 1, 1, 2, 1, 1, 1))))
     Z = np.reshape(np.asarray(zs, dtype=float), (-1, 1, 1, 1, 1, 1))
-    h12 = (Z - l4_sin_a) - l1
-    h3 = (Z - params.l8 - l6_sin_b - params.l7) - l1
-    M1 = l2 * l2 - h12 * h12
-    M3 = l6 * l6 - h3 * h3
+    h12, h3 = fk._h12(Z, l4_sin_a, params), fk._h3(Z, l6_sin_b, params)
+    M1, M3 = fk._radicand(params.l2, h12), fk._radicand(l6, h3)
     # a negative radicand's root is never read
     root_1, root_3 = np.sqrt(np.abs(M1)), np.sqrt(np.abs(M3))
     # root k of a chain (+root, then -root) exists where its root count is above k
@@ -418,8 +426,7 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
 
     # stage B, over (cell, y)
     nx, ny, nz = len(xs), len(ys), len(zs)
-    Y = np.asarray(ys, dtype=float)
-    y_c1, y_c2, y_c3 = Y + l3 / 2.0, Y - l3 / 2.0, Y
+    y_c1, y_c2, y_c3 = fk._joint_ys(np.asarray(ys, dtype=float), params)
 
     # selection, in chunks of whole groups of up to _PASS_PAIRS existing pairs:
     # which cells each point chooses, its working ones or, when none works,
@@ -429,7 +436,7 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
     chosen, kept = [np.empty((0, ny), bool)], [np.empty(0, np.intp)]
     for g0, g1 in _passes((sizes * ny).tolist(), _PASS_PAIRS):
         c = slice(edges[g0], edges[g1])
-        working = ~fk._parallel(((y_c1 + r1[c, None]) - l3) - (y_c2 + r2[c, None]))
+        working = ~fk._parallel(fk._gap(y_c1 + r1[c, None], y_c2 + r2[c, None], params))
         # a point with no working branch chooses all its existing ones
         choice = working | np.repeat(~np.logical_or.reduceat(working, edges[g0:g1] - c.start),
                                      sizes[g0:g1], axis=0)
@@ -463,12 +470,13 @@ def _label(xs, ys, zs, params: ValidatedParams, threshold: float):
         j0_, j2_, h12_, h3_ = j0[cell], j2[cell], h12[cell], h3[cell]
         # pair arrays are dropped once used: the gathered arrays set a pass's peak
         del U, heads, cell
-        # the cofactor expansion of jacobian.build; no row of Jp vanishes:
-        # u**2 + h**2 = l**2 on every branch
-        det = jacobian._det3(((j0_, u11, h12_), (j0_, u22, h12_), (j2_, u33, h3_)))
-        det /= _norms(j0_, u11, h12_) * _norms(j0_, u22, h12_) * _norms(j2_, u33, h3_)
+        # the rows and cofactor expansion of jacobian.build; no row of Jp
+        # vanishes: u**2 + h**2 = l**2 on every branch
+        jp = jacobian._jp(j0_, j2_, h12_, h3_, u11, u22, u33)
+        det = jacobian._det3(jp)
+        det /= _norms(*jp[0]) * _norms(*jp[1]) * _norms(*jp[2])
         np.abs(det, out=det)
-        del j0_, j2_, h12_, h3_
+        del j0_, j2_, h12_, h3_, jp
         # each pair's entry: its run's, the runs counted in flat order (a run
         # never reaches across cells, as a cell's first classified pair heads
         # one), or one of two more for the pairs that are not classified: an

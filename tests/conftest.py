@@ -8,7 +8,14 @@ from typing import NamedTuple
 import pytest
 
 import trirail
-from trirail.params import REFERENCE_PARAMS, JointInputs
+from trirail.params import REFERENCE_PARAMS, JointInputs, MechanismParams
+
+#: A design with every length nonzero, spacers l7 and l8 included; the
+#: reference design has l7 = l8 = 0.
+SPACER_PARAMS = MechanismParams(
+    a=250.0, b=120.0, d=40.0, l1=25.0, l2=260.0, l3=120.0,
+    l4=165.0, l5=80.0, l6=210.0, l7=18.0, l8=12.0,
+).validate()
 
 
 def pytest_report_header(config):

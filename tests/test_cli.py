@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CliRunner
+from conftest import SPACER_PARAMS, CliRunner
 from trirail import cli, fk, ik, jacobian, verify, workspace
 from trirail.cli import main
 from trirail.errors import (
@@ -815,6 +815,24 @@ chain-3 stroke boundary: x = -38, boundary height z* = 444 mm
         assert rows[2]["min_abs_u33"] == 0.0
         assert rows[0]["min_abs_u33"] > rows[1]["min_abs_u33"] > 0.0
         assert rows[3]["min_abs_u33"] is None and rows[4]["min_abs_u33"] is None
+
+    @pytest.mark.parametrize("values, boundary", [
+        (dict(REFERENCE_VALUES, l7=18.0, l8=12.0), "x = -38, boundary height z* = 474 mm"),
+        ({key: getattr(SPACER_PARAMS, key) for key in PARAM_KEYS},
+         "x = -46, boundary height z* = 433 mm"),
+    ], ids=["reference-with-spacers", "spacer-design"])
+    def test_the_stroke_boundary_counts_the_spacers(self, runner, tmp_path, values, boundary):
+        # l8 and l7 sit between the platform and C3, so they raise chain 3's
+        # stroke boundary by l7 + l8: solutions just below it, none above
+        config = write_config(tmp_path, values)
+        result = runner.invoke(main, ["--params", config, "sweep"])
+        assert result.exit_code == 0
+        assert f"\nchain-3 stroke boundary: {boundary}\n" in result.stdout
+        rows = json.loads(runner.invoke(main, ["--params", config, "--format", "json", "sweep"])
+                          .stdout)["stroke_boundary"]["rows"]
+        assert [r["offset"] for r in rows] == list(verify.STROKE_BOUNDARY_OFFSETS)
+        assert [r["solutions"] for r in rows[:2] + rows[3:]] == [8, 8, 0, 0]
+        assert rows[2]["min_abs_u33"] < 1e-4
 
     def test_threshold_moves_the_parallel_rows(self, runner):
         payload = json.loads(runner.invoke(

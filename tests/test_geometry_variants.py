@@ -18,11 +18,7 @@ from trirail.params import JointInputs, MechanismParams
 from trirail.verify import matching_ik_solution
 
 from _closure_oracle import oracle_poses
-
-SPACER_PARAMS = MechanismParams(
-    a=250.0, b=120.0, d=40.0, l1=25.0, l2=260.0, l3=120.0,
-    l4=165.0, l5=80.0, l6=210.0, l7=18.0, l8=12.0,
-).validate()
+from conftest import SPACER_PARAMS
 
 
 def feasible_inputs(rng, p):

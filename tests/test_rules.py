@@ -1,15 +1,25 @@
-"""The branch rules that the scalar solver and the workspace kernel share.
+"""The branch rules and chain terms that the scalar solver and the workspace kernel share.
 
 Each decision about solution structure is one function in the module that
 owns it: whether a chain has 0, 1 or 2 roots (``ik._roots``), whether rails
 1 and 2 sit at the parallel singularity (``fk._parallel``), whether a distal
 link folds (``jacobian._folded``), the normalised det Jq
 (``jacobian._norm_det_jq``) and the class index (``jacobian._class_index``).
+The arccos clamp is one function too, ``fk._clamp``, though only the scalar
+path calls it.
+
+Each term of the chain geometry that those rules read is one function as
+well: the C-joint y's (``fk._joint_ys``), the rail gap B (``fk._gap``), the
+chain heights h12 and h3 (``fk._h12``, ``fk._h3``), the gamma term H1
+(``fk._h1``), the radicands M1, M3 and H2 (``fk._radicand``) and the rows of
+Jp (``jacobian._jp``).  So only ``fk._h1`` and ``fk._h3`` read the spacers
+l7 and l8.
+
 ``ik.solve``, ``fk``, ``jacobian.build`` and ``classify`` call them on
 Python floats, and ``workspace._label`` on numpy arrays.  The kernel agrees
-with the scalar path bit for bit only while a rule gives the same bits on
-an array as on each of its floats, and while the kernel states none of the
-rules itself.
+with the scalar path bit for bit only while a rule or term gives the same
+bits on an array as on each of its floats, and while the kernel states none
+of them itself.
 """
 
 import ast
@@ -20,14 +30,14 @@ from importlib import import_module
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import trirail
 from trirail import fk, ik, jacobian, workspace
 from trirail.params import REFERENCE_PARAMS
 
-from conftest import readers
-from test_geometry_variants import SPACER_PARAMS
+from conftest import SPACER_PARAMS, readers
 
 P = REFERENCE_PARAMS
 TINY = math.ulp(0.0)  # 5e-324
@@ -114,6 +124,51 @@ def test_class_index(data, params):
         assert jacobian._class_index(P.l2, P.l2, u33, P, False) == index
 
 
+def boundary_heights(params) -> tuple[float, float, float]:
+    """The platform heights at which chain 1 and chain 3 reach their stroke
+    boundaries with sin(alpha) = sin(beta) = 0.8 (as on the stroke-boundary
+    sweep), and l1 + l7 + l8."""
+    spacers = params.l1 + params.l7 + params.l8
+    return params.l1 + 0.8 * params.l4 + params.l2, spacers + 0.8 * params.l6 + params.l6, spacers
+
+
+def term_draws(p) -> dict:
+    """Each chain-geometry term of design ``p`` by name: a function of floats
+    (one per output of ``fk._joint_ys``), and a strategy for each argument.
+    The spacer design's nonzero l7 and l8 make the order of the subtractions
+    of h1 and h3 matter."""
+    z = floats(*boundary_heights(p))
+    # l4 sin(alpha) and l6 sin(beta), around 0.8 of the lengths and around l2 and l6
+    length_sin = floats(0.8 * p.l4, 0.8 * p.l6, p.l2, p.l6)
+    return {
+        "joint_y1": (lambda y: fk._joint_ys(y, p)[0], [floats(p.l3 / 2.0)]),
+        "joint_y2": (lambda y: fk._joint_ys(y, p)[1], [floats(p.l3 / 2.0)]),
+        "joint_y3": (lambda y: fk._joint_ys(y, p)[2], [floats(p.l3 / 2.0)]),
+        "gap": (lambda yA1, yA2: fk._gap(yA1, yA2, p), [floats(p.l3, 2.0 * p.l2)] * 2),
+        # H1 = 0 where l2 sin(gamma) = l7 + l8
+        "h1": (lambda sin: fk._h1(sin, p), [floats((p.l7 + p.l8) / p.l2, 1.0)]),
+        "h12": (lambda z, l4_sin_a: fk._h12(z, l4_sin_a, p), [z, length_sin]),
+        "h3": (lambda z, l6_sin_b: fk._h3(z, l6_sin_b, p), [z, length_sin]),
+        "radicand": (fk._radicand, [st.sampled_from([p.l2, p.l6]), floats(p.l2, p.l6)]),
+    }
+
+
+@pytest.mark.parametrize("name", list(term_draws(P)))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), params=st.sampled_from([P, SPACER_PARAMS]))
+def test_chain_terms(name, data, params):
+    term, args = term_draws(params)[name]
+    assert_elementwise(term, data.draw(st.lists(st.tuples(*args), min_size=1, max_size=16)))
+
+
+def test_the_heights_reach_the_link_lengths_at_the_stroke_boundaries():
+    # on the spacer design too: h3 counts l7 and l8, h12 does not
+    p = SPACER_PARAMS
+    z12, z3, _ = boundary_heights(p)
+    assert fk._h12(z12, 0.8 * p.l4, p) == p.l2
+    assert fk._h3(z3, 0.8 * p.l6, p) == p.l6
+
+
 MODULES = [import_module(f"trirail.{m.name}") for m in pkgutil.iter_modules(trirail.__path__)]
 
 
@@ -126,6 +181,19 @@ def test_each_tolerance_is_read_by_its_rule_alone():
     assert readers_in_src("EPS_B") == {"fk._parallel"}
     assert readers_in_src("COT_GUARD") == {"jacobian._folded"}
     assert readers_in_src("SERIAL_THRESHOLD") == {"jacobian._class_index"}
+    assert readers_in_src("ACOS_CLAMP") == {"fk._clamp"}
+
+
+def test_the_chain_geometry_is_written_once():
+    """The solvers and the kernel take the joint y's, the rail gap and the
+    chain heights from the term functions of ``fk``, so they read no length
+    those terms hold; only those terms and the sweep's boundary height read
+    the spacers."""
+    callers = {"ik.solve", "jacobian.build", "workspace._label", "fk._chain_residuals"}
+    for name in ("l1", "l3", "l7", "l8"):
+        assert readers_in_src(name) & callers == set(), name
+    assert (readers_in_src("l7") == readers_in_src("l8")
+            == {"fk._h1", "fk._h3", "verify.stroke_boundary_sweep"})
 
 
 def label_function() -> ast.FunctionDef:
@@ -148,7 +216,7 @@ def test_the_kernel_names_no_tolerance():
     assert {"EPS_B", "COT_GUARD", "SERIAL_THRESHOLD", "ACOS_CLAMP"} <= float_constants()
     named = {node.id if isinstance(node, ast.Name) else node.attr
              for node in ast.walk(label_function()) if isinstance(node, (ast.Name, ast.Attribute))}
-    assert named & (float_constants() | {"_clamped_acos"}) == set()
+    assert named & (float_constants() | {"_clamped_acos", "_clamp"}) == set()
 
 
 def is_zero(node: ast.expr) -> bool:

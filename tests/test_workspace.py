@@ -17,7 +17,7 @@ from trirail.jacobian import SingularityKind
 from trirail.params import Pose, REFERENCE_PARAMS
 from trirail.workspace import ScanResult, ScanSpec, cross_section, export, scan, summary
 
-from test_geometry_variants import SPACER_PARAMS
+from conftest import SPACER_PARAMS
 
 
 def rows(samples):
